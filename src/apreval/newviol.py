@@ -101,6 +101,35 @@ def extract_fragment(pair: SourcePair, span: tuple[int, int]) -> Fragment:
     return Fragment(file_id=pair.file_id, lines=pair.repaired_lines[start - 1 : end], span=span)
 
 
+class _LineIndex:
+    """One original file's normalized lines and where each distinct line sits.
+
+    Built once per file and policy, so a fragment search only visits the
+    positions of the fragment's first line: O(lines) to build, then
+    O(candidate starts) per lookup instead of a window slid over the file.
+    """
+
+    def __init__(self, lines: tuple[str, ...], normalization: NormalizationPolicy) -> None:
+        self.normalization = normalization
+        self.lines = tuple(_norm_line(l, normalization) for l in lines)
+        self.positions: dict[str, list[int]] = {}
+        for i, line in enumerate(self.lines):
+            self.positions.setdefault(line, []).append(i)
+
+    def find(self, fragment: Fragment) -> int | None:
+        needle = tuple(_norm_line(l, self.normalization) for l in fragment.lines)
+        k = len(needle)
+        if k == 0:
+            return None
+        last = len(self.lines) - k
+        for i in self.positions.get(needle[0], ()):
+            if i > last:
+                break
+            if self.lines[i : i + k] == needle:
+                return i + 1
+        return None
+
+
 def fragment_in_original(
     fragment: Fragment,
     pair: SourcePair,
@@ -111,15 +140,7 @@ def fragment_in_original(
     Multi-line fragments must match as an unbroken block. Returns ``None``
     when the fragment does not occur.
     """
-    needle = [_norm_line(l, normalization) for l in fragment.lines]
-    hay = [_norm_line(l, normalization) for l in pair.original_lines]
-    k = len(needle)
-    if k == 0:
-        return None
-    for i in range(len(hay) - k + 1):
-        if hay[i : i + k] == needle:
-            return i + 1
-    return None
+    return _LineIndex(pair.original_lines, normalization).find(fragment)
 
 
 def detect_new_violations(
@@ -136,12 +157,17 @@ def detect_new_violations(
     """
     pre_keys = {v.key for v in pre.entries}
     verdicts: list[NewViolationVerdict] = []
+    # canonical reports group entries by file, so one live index suffices
+    index_file: str | None = None
+    index: _LineIndex | None = None
     for v in post.entries:
         pair = sources.get(v.file_id)
         if pair is None:
             raise MissingSourceError(v.file_id)
         fragment = extract_fragment(pair, v.span)
-        found_at = fragment_in_original(fragment, pair, normalization)
+        if v.file_id != index_file:
+            index_file, index = v.file_id, _LineIndex(pair.original_lines, normalization)
+        found_at = index.find(fragment)
         if found_at is not None:
             verdicts.append(
                 NewViolationVerdict(v, VerdictKind.NOT_NEW_FRAGMENT_FOUND, evidence=found_at)

@@ -202,6 +202,17 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 # --- adapter execution --------------------------------------------------------
 
+#: Directory holding the running ``apreval`` package, absolute so that
+#: adapter children (which run with cwd=output_dir) can import it too.
+_PACKAGE_ROOT = str(Path(__file__).resolve().parent.parent)
+
+
+def _adapter_env() -> dict[str, str]:
+    env = dict(os.environ)
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = _PACKAGE_ROOT + (os.pathsep + inherited if inherited else "")
+    return env
+
 
 def run_tool_adapter(
     adapter: ToolAdapter,
@@ -232,6 +243,7 @@ def run_tool_adapter(
             capture_output=True,
             timeout=adapter.timeout,
             cwd=output_dir,
+            env=_adapter_env(),
         )
     except subprocess.TimeoutExpired:
         raise AdapterTimeoutError(adapter.name, adapter.timeout) from None

@@ -16,6 +16,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 from typing import IO, Iterable, Mapping, NamedTuple
 
@@ -88,7 +89,7 @@ class Violation:
                 f"end_line {self.end_line} precedes start_line {self.start_line}"
             )
 
-    @property
+    @cached_property
     def key(self) -> ViolationKey:
         return ViolationKey(self.file_id, self.rule, self.start_line, self.end_line)
 
@@ -179,13 +180,13 @@ class ViolationReport:
 
 def normalize_report(report: ViolationReport) -> ViolationReport:
     """Canonicalize paths and sort entries; idempotent."""
-    entries = tuple(
-        sorted(
-            (replace(v, file_id=normalize_path(v.file_id)) for v in report.entries),
-            key=_sort_key,
-        )
-    )
-    return replace(report, entries=entries)
+    entries = []
+    for v in report.entries:
+        path = normalize_path(v.file_id)
+        # entries were validated at construction; rebuild only to fix the path
+        entries.append(v if path == v.file_id else replace(v, file_id=path))
+    entries.sort(key=_sort_key)
+    return replace(report, entries=tuple(entries))
 
 
 @dataclass(frozen=True)

@@ -80,8 +80,15 @@ class TestFragmentInOriginal:
         frag = extract_fragment(pair, (1, 2))  # ("a;", "b;")
         assert fragment_in_original(frag, pair) is None
 
-    def test_naive_scan_oracle_on_random_files(self, rng):
-        vocab = [f"tok{i}();" for i in range(6)]
+    @pytest.mark.parametrize("policy", list(NormalizationPolicy), ids=lambda p: p.value)
+    def test_naive_scan_oracle_on_random_files(self, rng, policy):
+        # indentation and trailing-whitespace variants: LOOSE collapses them,
+        # EXACT keeps them apart
+        vocab = [pad + f"tok{i}();" + tail for i in range(4) for pad in ("", "    ") for tail in ("", "  ")]
+
+        def norm(line):
+            return line if policy is NormalizationPolicy.EXACT else line.strip()
+
         for _ in range(200):
             original = [rng.choice(vocab) for _ in range(rng.randint(1, 15))]
             repaired = [rng.choice(vocab) for _ in range(rng.randint(1, 15))]
@@ -89,41 +96,50 @@ class TestFragmentInOriginal:
             start = rng.randint(1, len(repaired))
             end = rng.randint(start, len(repaired))
             frag = extract_fragment(pair, (start, end))
-            needle = list(frag.lines)
+            needle = [norm(l) for l in frag.lines]
+            hay = [norm(l) for l in original]
             expected = None
-            for i in range(len(original) - len(needle) + 1):
-                if original[i : i + len(needle)] == needle:
+            for i in range(len(hay) - len(needle) + 1):
+                if hay[i : i + len(needle)] == needle:
                     expected = i + 1
                     break
-            assert fragment_in_original(frag, pair) == expected
+            assert fragment_in_original(frag, pair, policy) == expected
 
 
 # --- three-stage detection -----------------------------------------------------
 
 
-def naive_three_stage(pre, post, sources, policy):
-    """Independent reimplementation of the detection rule, for equivalence."""
+def naive_three_stage_with_evidence(pre, post, sources, policy):
+    """Independent reimplementation of the detection rule, for equivalence.
+
+    Returns one ``(verdict, evidence line)`` pair per post entry.
+    """
 
     def norm(line):
         return line if policy is NormalizationPolicy.EXACT else line.strip()
 
-    verdicts = []
+    results = []
     for v in post.entries:
         pair = sources[v.file_id]
         needle = [norm(l) for l in pair.repaired_lines[v.start_line - 1 : v.end_line]]
         hay = [norm(l) for l in pair.original_lines]
-        found = False
+        found_at = None
         for i in range(len(hay) - len(needle) + 1):
             if hay[i : i + len(needle)] == needle:
-                found = True
+                found_at = i + 1
                 break
-        if needle and found:
-            verdicts.append(VerdictKind.NOT_NEW_FRAGMENT_FOUND)
+        if needle and found_at is not None:
+            results.append((VerdictKind.NOT_NEW_FRAGMENT_FOUND, found_at))
         elif any(p.key == v.key for p in pre.entries):
-            verdicts.append(VerdictKind.NOT_NEW_KEY_MATCH)
+            results.append((VerdictKind.NOT_NEW_KEY_MATCH, v.start_line))
         else:
-            verdicts.append(VerdictKind.NEW)
-    return verdicts
+            results.append((VerdictKind.NEW, None))
+    return results
+
+
+def naive_three_stage(pre, post, sources, policy):
+    """Verdicts only of :func:`naive_three_stage_with_evidence`."""
+    return [kind for kind, _ in naive_three_stage_with_evidence(pre, post, sources, policy)]
 
 
 class TestDetectNewViolations:
@@ -345,6 +361,36 @@ class TestScriptedEditCorpus:
             scenario, _, _ = truth[vd.violation.file_id]
             if scenario == "reformat_and_shift":
                 assert vd.verdict is VerdictKind.NOT_NEW_FRAGMENT_FOUND
+
+
+class TestMultiFileEvidence:
+    @pytest.mark.parametrize("policy", list(NormalizationPolicy), ids=lambda p: p.value)
+    def test_evidence_matches_naive_with_interleaved_files(self, rng, policy):
+        vocab = [pad + f"stmt{i}();" + tail for i in range(5) for pad in ("", "  ") for tail in ("", " ")]
+        sources, pre_entries, post_entries = {}, [], []
+        for f in range(6):
+            file_id = f"F{f}.java"
+            original = [rng.choice(vocab) for _ in range(rng.randint(5, 25))]
+            repaired = [rng.choice(vocab) for _ in range(rng.randint(5, 25))]
+            sources[file_id] = pair_of(file_id, original, repaired)
+            for _ in range(rng.randint(3, 10)):
+                start = rng.randint(1, len(repaired))
+                end = min(len(repaired), start + rng.randint(0, 2))
+                v = mkviol(file_id, f"S{rng.randint(1, 3)}", start, end)
+                post_entries.append(v)
+                if rng.random() < 0.3:
+                    pre_entries.append(v)
+        # non-canonical order: files interleave, so the per-file index is
+        # rebuilt whenever the file changes
+        rng.shuffle(post_entries)
+        pre = mkreport(pre_entries, StateLabel.PRE_REPAIR)
+        post = mkreport(post_entries, StateLabel.POST_REPAIR, normalized=False)
+        switches = sum(a.file_id != b.file_id for a, b in zip(post.entries, post.entries[1:]))
+        assert switches > len(sources)  # files are revisited, not grouped
+        verdicts = detect_new_violations(pre, post, sources, policy)
+        expected = naive_three_stage_with_evidence(pre, post, sources, policy)
+        assert [(vd.verdict, vd.evidence) for vd in verdicts] == expected
+        assert [vd.violation for vd in verdicts] == list(post.entries)
 
 
 class TestCategorize:

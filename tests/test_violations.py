@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -50,6 +51,13 @@ class TestViolationModel:
 
     def test_key_distinguishes_end_line(self):
         assert key_of(mkviol(start=3, end=3)) != key_of(mkviol(start=3, end=4))
+
+    def test_replace_yields_fresh_key(self):
+        v = mkviol("./A.java", "S1118", 3, 3)
+        assert v.key.file_id == "./A.java"  # populate the cached key
+        moved = dataclasses.replace(v, file_id="A.java")
+        assert moved.key == ("A.java", "S1118", 3, 3)
+        assert v.key == ("./A.java", "S1118", 3, 3)
 
 
 class TestProfile:
