@@ -19,6 +19,7 @@ import json
 import os
 import shlex
 import shutil
+import signal
 import string
 import subprocess
 import sys
@@ -214,6 +215,18 @@ def _adapter_env() -> dict[str, str]:
     return env
 
 
+#: adapter processes now running, each the leader of its own process group;
+#: process-wide, because an interrupt stops every run in the process
+_running_adapters: set[subprocess.Popen] = set()
+
+
+def _kill_process_group(proc: subprocess.Popen) -> None:
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
 def run_tool_adapter(
     adapter: ToolAdapter,
     input_dir: Path,
@@ -237,20 +250,29 @@ def run_tool_adapter(
     if rule is not None:
         subst["rule"] = rule
     command = adapter.command_template.format(**subst)
-    try:
-        proc = subprocess.run(
-            shlex.split(command),
-            capture_output=True,
-            timeout=adapter.timeout,
-            cwd=output_dir,
-            env=_adapter_env(),
-        )
-    except subprocess.TimeoutExpired:
-        raise AdapterTimeoutError(adapter.name, adapter.timeout) from None
-    (output_dir / "adapter_stdout.log").write_bytes(proc.stdout)
-    (output_dir / "adapter_stderr.log").write_bytes(proc.stderr)
+    # the adapter leads its own session, so on timeout (or interrupt) its
+    # whole process group goes down with it and no child outlives the call
+    with subprocess.Popen(
+        shlex.split(command),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=output_dir,
+        env=_adapter_env(),
+        start_new_session=True,
+    ) as proc:
+        _running_adapters.add(proc)
+        try:
+            stdout, stderr = proc.communicate(timeout=adapter.timeout)
+        except subprocess.TimeoutExpired:
+            raise AdapterTimeoutError(adapter.name, adapter.timeout) from None
+        finally:
+            _running_adapters.discard(proc)
+            if proc.returncode is None:
+                _kill_process_group(proc)
+    (output_dir / "adapter_stdout.log").write_bytes(stdout)
+    (output_dir / "adapter_stderr.log").write_bytes(stderr)
     if proc.returncode != 0:
-        raise NonZeroExitError(adapter.name, proc.returncode, proc.stderr.decode("utf-8", "replace"))
+        raise NonZeroExitError(adapter.name, proc.returncode, stderr.decode("utf-8", "replace"))
     for artifact in adapter.expected_artifacts:
         if not (output_dir / artifact).exists():
             raise MissingArtifactError(adapter.name, artifact)
@@ -388,9 +410,17 @@ class PipelineRun:
             self.state = {"stages": {}}
 
     def _save_state(self) -> None:
-        self.state_path.write_text(
-            json.dumps(self.state, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        # write beside state.json and swap it in, so a crash or a failed
+        # serialization never leaves a truncated state file behind
+        tmp = self.state_path.with_name(self.state_path.name + ".tmp")
+        try:
+            with tmp.open("w", encoding="utf-8") as fh:
+                json.dump(self.state, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            os.replace(tmp, self.state_path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def _stage_dir(self, name: str) -> Path:
         return self.workspace / name
@@ -458,7 +488,16 @@ class PipelineRun:
             return [t() for t in tasks]
         with ThreadPoolExecutor(max_workers=self.jobs) as pool:
             futures = [pool.submit(t) for t in tasks]
-            return [f.result() for f in futures]
+            try:
+                return [f.result() for f in futures]
+            except KeyboardInterrupt:
+                # adapters run in their own sessions, out of reach of the
+                # terminal's SIGINT: stop them rather than wait for each one
+                for f in futures:
+                    f.cancel()
+                for proc in list(_running_adapters):
+                    _kill_process_group(proc)
+                raise
 
     # -- stages
 

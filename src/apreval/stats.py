@@ -15,11 +15,11 @@ approximation beyond that.
 from __future__ import annotations
 
 import math
+import statistics
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import Iterable
 
 from .errors import DegenerateSampleError, SampleTooSmallError
 
@@ -95,7 +95,7 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def dagostino_pearson(sample: list[float] | np.ndarray) -> StatResult:
+def dagostino_pearson(sample: Iterable[float]) -> StatResult:
     """Omnibus normality test combining skewness and kurtosis z-scores.
 
     The statistic is K2 = Z1^2 + Z2^2 with Z1 from the D'Agostino skewness
@@ -103,16 +103,17 @@ def dagostino_pearson(sample: list[float] | np.ndarray) -> StatResult:
     p-value comes from chi-square with 2 degrees of freedom, for which the
     survival function is exp(-K2/2).
     """
-    x = np.asarray(sample, dtype=float)
-    n = x.size
+    x = [float(v) for v in sample]
+    n = len(x)
     if n < NORMALITY_MIN_N:
         raise SampleTooSmallError(n, NORMALITY_MIN_N)
-    mu = x.mean()
-    m2 = float(((x - mu) ** 2).mean())
+    mu = math.fsum(x) / n
+    dev = [v - mu for v in x]
+    m2 = math.fsum(d * d for d in dev) / n
     if m2 == 0.0:
         raise DegenerateSampleError(f"all {n} values equal {x[0]}")
-    m3 = float(((x - mu) ** 3).mean())
-    m4 = float(((x - mu) ** 4).mean())
+    m3 = math.fsum(d**3 for d in dev) / n
+    m4 = math.fsum(d**4 for d in dev) / n
     g1 = m3 / m2**1.5
     g2 = m4 / (m2 * m2)
 
@@ -231,7 +232,7 @@ def signed_rank_direction(series: PairedSeries) -> DirectionSummary:
     The mean signed rank averages sign(delta) * midrank(|delta|) over the
     nonzero deltas; positive means the metric increased after repair.
     """
-    median = float(np.median(series.deltas)) if series.deltas else 0.0
+    median = float(statistics.median(series.deltas)) if series.deltas else 0.0
     ranks, nonzero = _signed_midranks(series.deltas)
     if not nonzero:
         return DirectionSummary(median_delta=median, mean_signed_rank=None, direction=Direction.NONE)

@@ -1,6 +1,10 @@
 import json
+import os
 import shutil
+import signal
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,8 +19,10 @@ from apreval.errors import (
     WorkspaceLockedError,
 )
 from apreval.pipeline import (
+    PipelineRun,
     SamplingParams,
     ToolAdapter,
+    _adapter_env,
     emit_reports,
     load_config,
     prepare_corpus_violating,
@@ -28,6 +34,19 @@ from apreval.violations import SORALD_30, StateLabel
 from conftest import mkreport, mkviol
 
 PY = sys.executable
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    # a killed orphan can linger as a zombie until its new parent reaps it
+    stat = Path(f"/proc/{pid}/stat")
+    try:
+        return stat.read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
 
 
 def write_config(path: Path, **overrides):
@@ -139,6 +158,37 @@ class TestRunToolAdapter:
         )
         with pytest.raises(AdapterTimeoutError):
             run_tool_adapter(adapter, tmp_path / "in", tmp_path / "out")
+
+    def test_timeout_kills_grandchildren(self, tmp_path):
+        (tmp_path / "in").mkdir()
+        forker = tmp_path / "forker.py"
+        forker.write_text(
+            "import subprocess, sys, time\n"
+            "from pathlib import Path\n"
+            "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'],\n"
+            "                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)\n"
+            "Path(sys.argv[1], 'grandchild.pid').write_text(str(child.pid))\n"
+            "time.sleep(60)\n",
+            encoding="utf-8",
+        )
+        adapter = ToolAdapter(
+            name="forker",
+            command_template=f"{PY} {forker} {{output}} {{input}}",
+            timeout=1.0,
+        )
+        started = time.monotonic()
+        with pytest.raises(AdapterTimeoutError):
+            run_tool_adapter(adapter, tmp_path / "in", tmp_path / "out")
+        assert time.monotonic() - started < 10.0
+        pid = int((tmp_path / "out" / "grandchild.pid").read_text())
+        try:
+            deadline = time.monotonic() + 5.0
+            while _pid_alive(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _pid_alive(pid)
+        finally:
+            if _pid_alive(pid):
+                os.kill(pid, signal.SIGKILL)
 
     def test_nonzero_exit_carries_stderr(self, tmp_path):
         (tmp_path / "in").mkdir()
@@ -333,6 +383,59 @@ class TestFailureIsolation:
         cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
         with pytest.raises(MissingStageOutputError):
             run_pipeline(cfg, stages=["fixrate"])
+
+    def test_failed_state_save_keeps_previous_file(self, tmp_path):
+        cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
+        run = PipelineRun(cfg)
+        run.run(stages=["prepare"])
+        state_path = cfg.workspace_dir / "state.json"
+        before = state_path.read_bytes()
+        # sorted last, so json.dump has written the other stages when it fails
+        run.state["stages"]["zz_unserializable"] = object()
+        with pytest.raises(TypeError):
+            run._save_state()
+        assert state_path.read_bytes() == before
+        assert sorted(p.name for p in cfg.workspace_dir.iterdir() if p.is_file()) == ["state.json"]
+
+    def test_interrupt_stops_parallel_adapters(self, tmp_path):
+        sleeper = tmp_path / "sleeper.py"
+        sleeper.write_text(
+            "import os, sys, time\n"
+            "from pathlib import Path\n"
+            "Path(sys.argv[1], 'sleeper.pid').write_text(str(os.getpid()))\n"
+            "time.sleep(60)\n",
+            encoding="utf-8",
+        )
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["jobs"] = 2
+        doc["adapters"]["test_runner"] = {"command": f"{PY} {sleeper} {{output}} {{input}}", "timeout": 60}
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        semantic = tmp_path / "workspace" / "semantic"
+        pid_files = [semantic / "baseline_raw" / "sleeper.pid", semantic / "repaired_raw" / "sleeper.pid"]
+        run = subprocess.Popen(
+            [PY, "-m", "apreval.cli", "run", "--config", str(config_path)],
+            cwd=tmp_path, env=_adapter_env(), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        pids = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while not all(f.is_file() and f.read_text() for f in pid_files):
+                assert run.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            pids = [int(f.read_text()) for f in pid_files]
+            os.killpg(run.pid, signal.SIGINT)  # what Ctrl-C in a terminal sends
+            run.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(map(_pid_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_pid_alive, pids))
+        finally:
+            for pid in [run.pid, *pids]:
+                if _pid_alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            run.wait()
 
     def test_workspace_lock(self, tmp_path):
         cfg = load_config(minicorpus.materialize(tmp_path, seed=17))

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -81,6 +82,78 @@ class TestDagostinoPearson:
             result = dagostino_pearson(sample)
             assert result.statistic >= 0.0
             assert 0.0 <= result.p_value <= 1.0
+
+
+def numpy_dagostino_reference(sample):
+    """(K2, p) as dagostino_pearson computed them with numpy moments.
+
+    Frozen copy of the earlier implementation: mean and central moments
+    via numpy, then the same skewness and kurtosis transforms.
+    """
+    x = np.asarray(sample, dtype=float)
+    n = x.size
+    mu = x.mean()
+    m2 = float(((x - mu) ** 2).mean())
+    m3 = float(((x - mu) ** 3).mean())
+    m4 = float(((x - mu) ** 4).mean())
+    g1 = m3 / m2**1.5
+    g2 = m4 / (m2 * m2)
+    y = g1 * math.sqrt(((n + 1) * (n + 3)) / (6.0 * (n - 2)))
+    beta2 = 3.0 * (n * n + 27 * n - 70) * (n + 1) * (n + 3) / ((n - 2.0) * (n + 5) * (n + 7) * (n + 9))
+    w2 = -1.0 + math.sqrt(2.0 * (beta2 - 1.0))
+    delta = 1.0 / math.sqrt(0.5 * math.log(w2))
+    alpha = math.sqrt(2.0 / (w2 - 1.0))
+    z1 = delta * math.log(y / alpha + math.sqrt((y / alpha) ** 2 + 1.0))
+    e_b2 = 3.0 * (n - 1) / (n + 1)
+    var_b2 = 24.0 * n * (n - 2) * (n - 3) / ((n + 1) ** 2 * (n + 3) * (n + 5))
+    xs = (g2 - e_b2) / math.sqrt(var_b2)
+    sqrt_beta1 = (
+        6.0 * (n * n - 5 * n + 2) / ((n + 7) * (n + 9))
+        * math.sqrt((6.0 * (n + 3) * (n + 5)) / (n * (n - 2) * (n - 3)))
+    )
+    a = 6.0 + 8.0 / sqrt_beta1 * (2.0 / sqrt_beta1 + math.sqrt(1.0 + 4.0 / sqrt_beta1**2))
+    denom = 1.0 + xs * math.sqrt(2.0 / (a - 4.0))
+    term = math.copysign(abs((1.0 - 2.0 / a) / denom) ** (1.0 / 3.0), denom)
+    z2 = ((1.0 - 2.0 / (9.0 * a)) - term) / math.sqrt(2.0 / (9.0 * a))
+    k2 = z1 * z1 + z2 * z2
+    return k2, math.exp(-k2 / 2.0)
+
+
+class TestMomentsReference:
+    """The stdlib moments print the same digits the numpy ones did.
+
+    ``normality.csv`` renders K2 and p at ``{:.10g}``; samples span the
+    shapes the harness sees: normal, log-normal (LOC-like), heavy-tailed,
+    and small integer deltas with many ties.
+    """
+
+    def test_matches_numpy_moments_at_csv_precision(self):
+        nprng = np.random.default_rng(20241017)
+        draws = (
+            lambda n: nprng.normal(size=n),
+            lambda n: np.exp(nprng.normal(size=n)),
+            lambda n: nprng.standard_t(3, size=n),
+            lambda n: nprng.integers(-30, 31, size=n).astype(float),
+        )
+        for i in range(200):
+            n = int(nprng.integers(20, 2001))
+            sample = draws[i % len(draws)](n)
+            mine = dagostino_pearson(sample)
+            ref_k2, ref_p = numpy_dagostino_reference(sample)
+            assert f"{mine.statistic:.10g}" == f"{ref_k2:.10g}", (i, n)
+            assert f"{mine.p_value:.10g}" == f"{ref_p:.10g}", (i, n)
+
+    def test_accepts_lists_tuples_and_arrays(self):
+        values = [float(v % 7) * (1 + v % 3) for v in range(40)]
+        results = {dagostino_pearson(c) for c in (values, tuple(values), np.array(values))}
+        assert len(results) == 1
+
+    def test_median_matches_numpy(self):
+        nprng = np.random.default_rng(5)
+        for n in range(1, 40):
+            deltas = nprng.integers(-5, 6, size=n).tolist()
+            summary = signed_rank_direction(series(deltas))
+            assert summary.median_delta == float(np.median(deltas))
 
 
 def exact_p_by_enumeration(deltas):
