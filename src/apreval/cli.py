@@ -1,7 +1,7 @@
 """Command-line interface: one subcommand per analysis axis plus `run`.
 
 Exit codes: 0 success, 1 usage/config error, 2 stage failure, 3 adapter
-failure.
+failure, 143 a `run` stopped by SIGTERM.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import signal
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -62,6 +63,14 @@ def _load_source_pairs(original: Path, repaired: Path) -> dict[str, SourcePair]:
     return pairs
 
 
+class _Terminated(KeyboardInterrupt):
+    """A SIGTERM, raised as an interrupt so that a run stops as on Ctrl-C."""
+
+
+def _raise_terminated(signum, frame) -> None:
+    raise _Terminated
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.workspace:
@@ -69,7 +78,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     stages = args.stages.split(",") if args.stages else None
-    summary = run_pipeline(config, stages=stages, force=args.force, jobs=args.jobs)
+    # adapters lead their own sessions and never see a signal sent to this
+    # process; the interrupt makes the pipeline kill their process groups
+    previous = signal.signal(signal.SIGTERM, _raise_terminated)
+    try:
+        summary = run_pipeline(config, stages=stages, force=args.force, jobs=args.jobs)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     width = max(len(s) for s in summary) if summary else 0
     for stage, status in summary.items():
         print(f"{stage:<{width}}  {status}")
@@ -344,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"file not found: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _Terminated:
+        print("terminated", file=sys.stderr)
+        return 128 + signal.SIGTERM
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -5,11 +6,13 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from apreval import minicorpus
+from apreval import minicorpus, pipeline
+from apreval import semantic as semantic_mod
 from apreval.errors import (
     AdapterTimeoutError,
     ConfigError,
@@ -19,10 +22,12 @@ from apreval.errors import (
     WorkspaceLockedError,
 )
 from apreval.pipeline import (
+    STAGE_ORDER,
     PipelineRun,
     SamplingParams,
     ToolAdapter,
     _adapter_env,
+    digest_paths,
     emit_reports,
     load_config,
     prepare_corpus_violating,
@@ -336,6 +341,141 @@ class TestMiniCorpusRun:
         assert a == b
 
 
+def _rglob_files(root: Path) -> list[Path]:
+    return [p for p in sorted(root.rglob("*")) if p.is_file()]
+
+
+def _spy_stage_inputs(monkeypatch) -> dict[str, tuple[list[Path], str]]:
+    """Record the inputs and config fingerprint each stage digests."""
+    calls: dict[str, tuple[list[Path], str]] = {}
+    run_stage = PipelineRun._run_stage
+
+    def spy(self, name, inputs, extra, body):
+        calls[name] = (list(inputs), extra)
+        return run_stage(self, name, inputs, extra, body)
+
+    monkeypatch.setattr(PipelineRun, "_run_stage", spy)
+    return calls
+
+
+def _assert_digests_match_reference(cfg, calls) -> None:
+    state = json.loads((cfg.workspace_dir / "state.json").read_text(encoding="utf-8"))
+    assert set(calls) == set(state["stages"])
+    for name, (inputs, extra) in calls.items():
+        record = state["stages"][name]
+        assert record["input_digest"] == digest_paths(inputs, extra), name
+        assert record["output_digest"] == digest_paths([cfg.workspace_dir / name]), name
+
+
+@pytest.fixture(scope="module")
+def digest_run(tmp_path_factory):
+    """A cold run over the bundled corpus, with the inputs each stage digested."""
+    root = tmp_path_factory.mktemp("digest")
+    cfg = load_config(minicorpus.materialize(root, seed=17))
+    with pytest.MonkeyPatch.context() as m:
+        calls = _spy_stage_inputs(m)
+        run_pipeline(cfg)
+    return cfg, calls
+
+
+class TestDigestPaths:
+    def test_walk_matches_sorted_rglob(self, tmp_path):
+        root = tmp_path / "tree"
+        for rel in ("a/b", "a.x", "a/c/d/e.txt", "a-b/f", "B/g", "z", ".hidden"):
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(rel, encoding="utf-8")
+        (root / "empty" / "nested_empty").mkdir(parents=True)
+        (root / "a" / "c" / "empty").mkdir()
+        (root / "link_dir").symlink_to(root / "a", target_is_directory=True)
+        (root / "a" / "link_file").symlink_to(root / "z")
+        (root / "dangling").symlink_to(root / "missing")
+
+        walked = list(pipeline._walk_files(str(root)))
+        expected = _rglob_files(root)
+        assert [rel for rel, _ in walked] == [p.relative_to(root).as_posix() for p in expected]
+        assert [path for _, path in walked] == [str(p) for p in expected]
+        assert "a/link_file" in dict(walked)
+        assert not any(rel.startswith("link_dir") for rel, _ in walked)
+
+    def test_digest_hashes_names_then_file_sha256(self, tmp_path):
+        tree = tmp_path / "tree"
+        (tree / "a").mkdir(parents=True)
+        (tree / "a" / "b").write_bytes(b"bee")
+        (tree / "a.x").write_bytes(b"")
+        single = tmp_path / "single.csv"
+        single.write_bytes(b"x,y\n")
+
+        def framed(data: bytes) -> bytes:
+            return len(data).to_bytes(8, "big") + data
+
+        h = hashlib.sha256()
+        for p in _rglob_files(tree):
+            h.update(framed(p.relative_to(tree).as_posix().encode()))
+            h.update(hashlib.sha256(p.read_bytes()).digest())
+        h.update(framed(b"single.csv") + hashlib.sha256(b"x,y\n").digest())
+        h.update(framed(b"cfg"))
+        assert digest_paths([tree, single], "cfg") == h.hexdigest()
+
+    def test_missing_path_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            digest_paths([tmp_path / "nope"])
+
+    def test_stage_digests_match_memoless_reference(self, digest_run, monkeypatch):
+        cfg, cold_calls = digest_run
+        assert len(cold_calls) == len(STAGE_ORDER)
+        _assert_digests_match_reference(cfg, cold_calls)
+        warm_calls = _spy_stage_inputs(monkeypatch)
+        summary = run_pipeline(cfg)
+        assert all(status == "cached" for status in summary.values())
+        _assert_digests_match_reference(cfg, warm_calls)
+
+    def test_warm_run_hashes_each_file_once(self, digest_run, monkeypatch):
+        cfg, calls = digest_run
+        hashed: Counter[str] = Counter()
+        file_sha256 = pipeline._file_sha256
+
+        def counting(path):
+            hashed[path] += 1
+            return file_sha256(path)
+
+        monkeypatch.setattr(pipeline, "_file_sha256", counting)
+        summary = run_pipeline(cfg)
+        assert all(status == "cached" for status in summary.values())
+        expected = set()
+        for inputs, _ in calls.values():
+            for path in inputs:
+                expected.update(map(str, _rglob_files(path)) if path.is_dir() else [str(path)])
+        assert set(hashed) == expected
+        assert set(hashed.values()) == {1}
+
+    def test_adapter_write_reaches_later_digests(self, tmp_path, monkeypatch):
+        # a test runner that also writes into repair/output, outside its own
+        # stage: the metrics stage after it must digest the changed tree
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        repair_out = tmp_path / "workspace" / "repair" / "output"
+        meddler = tmp_path / "meddler.py"
+        meddler.write_text(
+            "import subprocess, sys\n"
+            "from pathlib import Path\n"
+            "subprocess.run([sys.executable, '-m', 'apreval.stubs', 'testrunner', sys.argv[1], sys.argv[2]],\n"
+            "               check=True)\n"
+            "Path(sys.argv[3], 'added.txt').write_text('added', encoding='utf-8')\n"
+            "with Path(sys.argv[3], 'EventBus.java').open('a', encoding='utf-8') as fh:\n"
+            "    fh.write('// meddled\\n')\n",
+            encoding="utf-8",
+        )
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["adapters"]["test_runner"]["command"] = f"{PY} {meddler} {{input}} {{output}} {repair_out}"
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        cfg = load_config(config_path)
+        calls = _spy_stage_inputs(monkeypatch)
+        run_pipeline(cfg)
+        assert (repair_out / "added.txt").is_file()
+        state = json.loads((cfg.workspace_dir / "state.json").read_text(encoding="utf-8"))
+        inputs, extra = calls["metrics"]
+        assert state["stages"]["metrics"]["input_digest"] == digest_paths(inputs, extra)
+
+
 class TestPerRuleRepair:
     def test_rule_placeholder_runs_sequential_passes(self, tmp_path):
         config_path = minicorpus.materialize(tmp_path, seed=17)
@@ -359,6 +499,53 @@ class TestPerRuleRepair:
         for f in sorted((ws / "repair" / "output").glob("*.java")):
             other = single_cfg.workspace_dir / "repair" / "output" / f.name
             assert f.read_text(encoding="utf-8") == other.read_text(encoding="utf-8"), f.name
+
+
+def _stop_parallel_run(tmp_path: Path, stop) -> int:
+    """Stop an ``apreval run --jobs 2`` while both test runners sleep.
+
+    Both sleeping adapters must be gone shortly after; returns the run's
+    exit status.
+    """
+    sleeper = tmp_path / "sleeper.py"
+    sleeper.write_text(
+        "import os, sys, time\n"
+        "from pathlib import Path\n"
+        "Path(sys.argv[1], 'sleeper.pid').write_text(str(os.getpid()))\n"
+        "time.sleep(60)\n",
+        encoding="utf-8",
+    )
+    config_path = minicorpus.materialize(tmp_path, seed=17)
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    doc["jobs"] = 2
+    doc["adapters"]["test_runner"] = {"command": f"{PY} {sleeper} {{output}} {{input}}", "timeout": 60}
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    semantic = tmp_path / "workspace" / "semantic"
+    pid_files = [semantic / "baseline_raw" / "sleeper.pid", semantic / "repaired_raw" / "sleeper.pid"]
+    run = subprocess.Popen(
+        [PY, "-m", "apreval.cli", "run", "--config", str(config_path)],
+        cwd=tmp_path, env=_adapter_env(), start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    pids = []
+    try:
+        deadline = time.monotonic() + 60.0
+        while not all(f.is_file() and f.read_text() for f in pid_files):
+            assert run.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        pids = [int(f.read_text()) for f in pid_files]
+        stop(run)
+        returncode = run.wait(timeout=10)
+        deadline = time.monotonic() + 5.0
+        while any(map(_pid_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_pid_alive, pids))
+    finally:
+        for pid in [run.pid, *pids]:
+            if _pid_alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        run.wait()
+    return returncode
 
 
 class TestFailureIsolation:
@@ -397,45 +584,30 @@ class TestFailureIsolation:
         assert state_path.read_bytes() == before
         assert sorted(p.name for p in cfg.workspace_dir.iterdir() if p.is_file()) == ["state.json"]
 
+    def test_interrupted_stage_is_not_cached(self, tmp_path, monkeypatch):
+        cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
+        run_pipeline(cfg)
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as m:
+            m.setattr(semantic_mod, "ingest_test_results", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                run_pipeline(cfg, force=True)
+        summary = run_pipeline(cfg)
+        assert summary["semantic"] == "ran"
+        report = json.loads((cfg.workspace_dir / "report" / "summary.json").read_text())
+        assert report["semantic"] != {"status": "skipped"}
+        assert report["semantic"]["executed"] == 35
+
     def test_interrupt_stops_parallel_adapters(self, tmp_path):
-        sleeper = tmp_path / "sleeper.py"
-        sleeper.write_text(
-            "import os, sys, time\n"
-            "from pathlib import Path\n"
-            "Path(sys.argv[1], 'sleeper.pid').write_text(str(os.getpid()))\n"
-            "time.sleep(60)\n",
-            encoding="utf-8",
-        )
-        config_path = minicorpus.materialize(tmp_path, seed=17)
-        doc = json.loads(config_path.read_text(encoding="utf-8"))
-        doc["jobs"] = 2
-        doc["adapters"]["test_runner"] = {"command": f"{PY} {sleeper} {{output}} {{input}}", "timeout": 60}
-        config_path.write_text(json.dumps(doc), encoding="utf-8")
-        semantic = tmp_path / "workspace" / "semantic"
-        pid_files = [semantic / "baseline_raw" / "sleeper.pid", semantic / "repaired_raw" / "sleeper.pid"]
-        run = subprocess.Popen(
-            [PY, "-m", "apreval.cli", "run", "--config", str(config_path)],
-            cwd=tmp_path, env=_adapter_env(), start_new_session=True,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        pids = []
-        try:
-            deadline = time.monotonic() + 60.0
-            while not all(f.is_file() and f.read_text() for f in pid_files):
-                assert run.poll() is None and time.monotonic() < deadline
-                time.sleep(0.05)
-            pids = [int(f.read_text()) for f in pid_files]
-            os.killpg(run.pid, signal.SIGINT)  # what Ctrl-C in a terminal sends
-            run.wait(timeout=10)
-            deadline = time.monotonic() + 5.0
-            while any(map(_pid_alive, pids)) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not any(map(_pid_alive, pids))
-        finally:
-            for pid in [run.pid, *pids]:
-                if _pid_alive(pid):
-                    os.kill(pid, signal.SIGKILL)
-            run.wait()
+        # what Ctrl-C in a terminal sends
+        _stop_parallel_run(tmp_path, lambda run: os.killpg(run.pid, signal.SIGINT))
+
+    def test_sigterm_stops_parallel_adapters(self, tmp_path):
+        returncode = _stop_parallel_run(tmp_path, lambda run: os.kill(run.pid, signal.SIGTERM))
+        assert returncode == 128 + signal.SIGTERM
 
     def test_workspace_lock(self, tmp_path):
         cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
