@@ -19,7 +19,6 @@ _EXPORTS = {
     "fixrate": ("compute_fix_rates", "match_violations", "summarize_fix_rate"),
     "metrics": ("aggregate_file_metrics", "pair_pre_post", "structural_report"),
     "newviol": (
-        "NormalizationPolicy",
         "SourcePair",
         "VerdictKind",
         "categorize_new",
@@ -52,6 +51,7 @@ _EXPORTS = {
     ),
     "violations": (
         "SORALD_30",
+        "NormalizationPolicy",
         "RuleProfile",
         "Severity",
         "StateLabel",

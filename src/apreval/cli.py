@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 usage/config error, 2 stage failure, 3 adapter
 failure, 143 a `run` stopped by SIGTERM.
+
+Each command imports the axis module it uses, so that `run` starts with
+the orchestrator alone.
 """
 
 from __future__ import annotations
@@ -14,20 +17,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import fixrate as fixrate_mod
-from . import metrics as metrics_mod
-from . import newviol as newviol_mod
-from . import sampling as sampling_mod
-from . import semantic as semantic_mod
 from .errors import (
     AdapterFailureError,
     ConfigError,
     HarnessError,
     StageFailureError,
 )
-from .newviol import NormalizationPolicy, SourcePair
-from .pipeline import emit_reports, load_config, run_pipeline
+from .pipeline import _load_sources, emit_reports, load_config, run_pipeline
 from .violations import (
+    NormalizationPolicy,
     Severity,
     StateLabel,
     Violation,
@@ -46,21 +44,6 @@ EXIT_ADAPTER = 3
 
 def _read_report(path: Path, state: StateLabel) -> ViolationReport:
     return parse_report(path.read_bytes(), "csv", state)
-
-
-def _load_source_pairs(original: Path, repaired: Path) -> dict[str, SourcePair]:
-    pairs: dict[str, SourcePair] = {}
-    for path in sorted(original.rglob("*")):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(original).as_posix()
-        rep = repaired / rel
-        pairs[rel] = SourcePair.from_texts(
-            rel,
-            path.read_text(encoding="utf-8"),
-            rep.read_text(encoding="utf-8") if rep.is_file() else "",
-        )
-    return pairs
 
 
 class _Terminated(KeyboardInterrupt):
@@ -93,6 +76,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixrate(args: argparse.Namespace) -> int:
+    from . import fixrate as fixrate_mod
+
     profile = get_profile(args.profile)
     pre = _read_report(Path(args.pre), StateLabel.PRE_REPAIR)
     post = _read_report(Path(args.post), StateLabel.POST_REPAIR)
@@ -110,9 +95,11 @@ def _cmd_fixrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_newviol(args: argparse.Namespace) -> int:
+    from . import newviol as newviol_mod
+
     pre = _read_report(Path(args.pre), StateLabel.PRE_REPAIR)
     post = _read_report(Path(args.post), StateLabel.POST_REPAIR)
-    sources = _load_source_pairs(Path(args.original), Path(args.repaired))
+    sources = _load_sources(Path(args.original), Path(args.repaired))
     policy = NormalizationPolicy(args.normalize)
     verdicts = newviol_mod.detect_new_violations(pre, post, sources, policy)
     breakdown = newviol_mod.categorize_new(verdicts)
@@ -146,6 +133,9 @@ def _cmd_newviol(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from . import sampling as sampling_mod
+    from .newviol import SourcePair
+
     population: dict[str, list[Violation]] = {}
     with Path(args.new_violations).open("r", encoding="utf-8", newline="") as fh:
         for row in csv.DictReader(fh):
@@ -170,7 +160,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     target = max(target, len(population))
     sample = sampling_mod.stratified_sample(population, target, args.seed)
     if args.original and args.repaired:
-        sources = _load_source_pairs(Path(args.original), Path(args.repaired))
+        sources = _load_sources(Path(args.original), Path(args.repaired))
         sheet = sampling_mod.export_labeling_sheet(sample, sources)
     else:
         # without sources the sheet still lists every sampled item, with a
@@ -188,6 +178,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_precision(args: argparse.Namespace) -> int:
+    from . import sampling as sampling_mod
+
     records = sampling_mod.ingest_labels(Path(args.labels).read_text(encoding="utf-8"))
     tp, fp = sampling_mod.label_counts(records)
     n = tp + fp
@@ -203,6 +195,8 @@ def _cmd_precision(args: argparse.Namespace) -> int:
 
 
 def _cmd_semantic(args: argparse.Namespace) -> int:
+    from . import semantic as semantic_mod
+
     baseline_run = semantic_mod.ingest_test_results(Path(args.baseline).read_bytes())
     repaired_run = semantic_mod.ingest_test_results(Path(args.repaired).read_bytes())
     baseline = semantic_mod.filter_baseline(baseline_run)
@@ -244,6 +238,8 @@ def _cmd_semantic(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from . import metrics as metrics_mod
+
     pre_rows = metrics_mod.read_class_metrics_csv(Path(args.pre).read_bytes())
     post_rows = metrics_mod.read_class_metrics_csv(Path(args.post).read_bytes())
     pairs, exclusions = metrics_mod.pair_pre_post(

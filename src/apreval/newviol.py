@@ -23,14 +23,15 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from .errors import MissingSourceError, SpanOutOfBoundsError
-from .violations import Severity, Violation, ViolationReport, ViolationType
-
-
-class NormalizationPolicy(Enum):
-    #: lines must be byte-identical
-    EXACT = "exact"
-    #: trailing whitespace trimmed, leading whitespace collapsed away
-    LOOSE = "loose"
+# NormalizationPolicy is defined beside the report types, so that a config can
+# be loaded without this module; it stays importable from here
+from .violations import (
+    NormalizationPolicy,
+    Severity,
+    Violation,
+    ViolationReport,
+    ViolationType,
+)
 
 
 def _norm_line(line: str, policy: NormalizationPolicy) -> str:

@@ -9,10 +9,14 @@ redundantly. External tools are described by command templates and run as
 subprocesses with timeout enforcement, artifact checks, and log capture.
 Scripted stub tools ship with the package so the whole pipeline runs
 without any external toolchain.
+
+Each stage body imports the axis module it needs, so a run whose stages
+are all cached loads no analysis code at all.
 """
 
 from __future__ import annotations
 
+import _thread
 import csv
 import hashlib
 import json
@@ -21,19 +25,12 @@ import shlex
 import shutil
 import signal
 import string
-import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import fixrate as fixrate_mod
-from . import metrics as metrics_mod
-from . import newviol as newviol_mod
-from . import sampling as sampling_mod
-from . import semantic as semantic_mod
 from .errors import (
     AdapterFailureError,
     AdapterTimeoutError,
@@ -44,8 +41,8 @@ from .errors import (
     StageFailureError,
     WorkspaceLockedError,
 )
-from .newviol import NormalizationPolicy, SourcePair
 from .violations import (
+    NormalizationPolicy,
     RuleProfile,
     StateLabel,
     Violation,
@@ -55,6 +52,11 @@ from .violations import (
     parse_report,
     serialize_report,
 )
+
+if TYPE_CHECKING:
+    import subprocess
+
+    from .newviol import SourcePair
 
 ROLES = ("analyzer", "repairer", "test_runner", "metric_extractor", "compiler")
 
@@ -219,6 +221,11 @@ def _adapter_env() -> dict[str, str]:
 #: process-wide, because an interrupt stops every run in the process
 _running_adapters: set[subprocess.Popen] = set()
 
+#: adapters started so far in this process; a stage whose body changes this
+#: may have written anywhere. ``_thread`` is always loaded, ``threading`` not.
+_adapter_spawns = 0
+_adapter_spawns_lock = _thread.allocate_lock()
+
 
 def _kill_process_group(proc: subprocess.Popen) -> None:
     try:
@@ -238,6 +245,9 @@ def run_tool_adapter(
     stdout/stderr are captured to log files beside the artifacts. Returns
     the sorted relative paths of everything the tool produced.
     """
+    global _adapter_spawns
+    import subprocess
+
     if not input_dir.is_dir():
         raise StageFailureError(adapter.name, f"input directory does not exist: {input_dir}")
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -250,6 +260,8 @@ def run_tool_adapter(
     if rule is not None:
         subst["rule"] = rule
     command = adapter.command_template.format(**subst)
+    with _adapter_spawns_lock:
+        _adapter_spawns += 1
     # the adapter leads its own session, so on timeout (or interrupt) its
     # whole process group goes down with it and no child outlives the call
     with subprocess.Popen(
@@ -425,14 +437,13 @@ def _read_csv_report(path: Path, state: StateLabel) -> ViolationReport:
 
 def _load_sources(original_dir: Path, repaired_dir: Path) -> dict[str, SourcePair]:
     """Build SourcePairs for every file present in the original tree."""
+    from .newviol import SourcePair
+
     pairs: dict[str, SourcePair] = {}
-    for path in sorted(original_dir.rglob("*")):
-        if not path.is_file():
-            continue
-        rel = path.relative_to(original_dir).as_posix()
+    for rel, path in _walk_files(str(original_dir)):
         repaired_path = repaired_dir / rel
         repaired_text = repaired_path.read_text(encoding="utf-8") if repaired_path.is_file() else ""
-        pairs[rel] = SourcePair.from_texts(rel, path.read_text(encoding="utf-8"), repaired_text)
+        pairs[rel] = SourcePair.from_texts(rel, Path(path).read_text(encoding="utf-8"), repaired_text)
     return pairs
 
 
@@ -452,9 +463,12 @@ class PipelineRun:
         self.state: dict = {}
         self.summary: dict[str, str] = {}
         # file hashes and tree listings shared by the digests of one run, so
-        # that each file is read at most once; cleared whenever a stage body
-        # runs, because its adapters may write anywhere
+        # that each file is read at most once; after a stage body runs, its
+        # own directory is forgotten, or everything if it started an adapter
         self._memo: _DigestMemo = {}
+        # (digest, pairs) of repair/input against repair/output, shared by
+        # the newviol and sample bodies and dropped after sample
+        self._sources: tuple[str, dict[str, SourcePair]] | None = None
 
     # -- state bookkeeping
 
@@ -501,7 +515,6 @@ class PipelineRun:
         ):
             self.summary[name] = "cached"
             return
-        self._memo.clear()
         # forget the old record before touching its outputs, so that a stage
         # interrupted past this point (Ctrl-C, SIGKILL) is never taken as cached
         if self.state["stages"].pop(name, None) is not None:
@@ -510,6 +523,7 @@ class PipelineRun:
             shutil.rmtree(stage_dir)
         stage_dir.mkdir(parents=True)
         started = time.time()
+        spawns = _adapter_spawns
         try:
             body(stage_dir)
         except Exception as exc:
@@ -526,6 +540,11 @@ class PipelineRun:
             if isinstance(exc, (StageFailureError, AdapterFailureError)):
                 raise
             raise StageFailureError(name, str(exc)) from exc
+        finally:
+            if _adapter_spawns != spawns:
+                self._memo.clear()
+            else:
+                self._forget(stage_dir)
         self.state["stages"][name] = {
             "status": "ok",
             "input_digest": digest,
@@ -535,6 +554,24 @@ class PipelineRun:
         }
         self._save_state()
         self.summary[name] = "ran"
+
+    def _forget(self, path: Path) -> None:
+        """Drop the memo entries at, under or above ``path``."""
+        top = os.path.abspath(path)
+        stale = [
+            key for key in self._memo
+            if key == top or key.startswith(top + os.sep) or top.startswith(key + os.sep)
+        ]
+        for key in stale:
+            del self._memo[key]
+
+    def _repair_sources(self) -> dict[str, SourcePair]:
+        """SourcePairs of the repair stage's input and output, loaded once per run."""
+        trees = [self._stage_dir("repair") / "input", self._stage_dir("repair") / "output"]
+        digest = _digest_paths(trees, "", self._memo)
+        if self._sources is None or self._sources[0] != digest:
+            self._sources = (digest, _load_sources(*trees))
+        return self._sources[1]
 
     def _adapter(self, role: str) -> ToolAdapter | None:
         return self.config.adapters.get(role)
@@ -546,6 +583,8 @@ class PipelineRun:
         """Run independent adapter invocations, honoring the jobs setting."""
         if self.jobs <= 1 or len(tasks) <= 1:
             return [t() for t in tasks]
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=self.jobs) as pool:
             futures = [pool.submit(t) for t in tasks]
             try:
@@ -687,6 +726,8 @@ class PipelineRun:
         inputs = self._matching_inputs("fixrate")
 
         def body(stage_dir: Path) -> None:
+            from . import fixrate as fixrate_mod
+
             pre, post = self._load_matched_reports("fixrate")
             outcome = fixrate_mod.match_violations(pre, post)
             table = fixrate_mod.compute_fix_rates(outcome, self.profile)
@@ -706,10 +747,10 @@ class PipelineRun:
         inputs.append(self._require("newviol", self._stage_dir("repair") / "output"))
 
         def body(stage_dir: Path) -> None:
+            from . import newviol as newviol_mod
+
             pre, post = self._load_matched_reports("newviol")
-            sources = _load_sources(
-                self._stage_dir("repair") / "input", self._stage_dir("repair") / "output"
-            )
+            sources = self._repair_sources()
             verdicts = newviol_mod.detect_new_violations(pre, post, sources, self.config.normalization)
             with (stage_dir / "new_violations.csv").open("w", encoding="utf-8", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
@@ -750,12 +791,14 @@ class PipelineRun:
         params = self.config.sampling
 
         def body(stage_dir: Path) -> None:
+            from . import sampling as sampling_mod
+            from .newviol import VerdictKind
             from .violations import Severity, ViolationType
 
             population: dict[str, list[Violation]] = {}
             with new_csv.open("r", encoding="utf-8", newline="") as fh:
                 for row in csv.DictReader(fh):
-                    if row["verdict"] != newviol_mod.VerdictKind.NEW.value:
+                    if row["verdict"] != VerdictKind.NEW.value:
                         continue
                     v = Violation(
                         file_id=row["file"],
@@ -783,7 +826,7 @@ class PipelineRun:
             )
             target = max(target, len(population))  # min-one per stratum floor
             sample = sampling_mod.stratified_sample(population, target, self.config.seed)
-            sources = _load_sources(repair_in, repair_out)
+            sources = self._repair_sources()
             # fragments come from the repaired code, so index sources that way
             sheet = sampling_mod.export_labeling_sheet(sample, sources)
             (stage_dir / "sheet.csv").write_text(sheet, encoding="utf-8")
@@ -819,6 +862,8 @@ class PipelineRun:
         repair_out = self._require("semantic", self._stage_dir("repair") / "output")
 
         def body(stage_dir: Path) -> None:
+            from . import semantic as semantic_mod
+
             tasks = [
                 lambda: run_tool_adapter(runner, repair_in, stage_dir / "baseline_raw"),
                 lambda: run_tool_adapter(runner, repair_out, stage_dir / "repaired_raw"),
@@ -892,6 +937,8 @@ class PipelineRun:
         repair_out = self._require("metrics", self._stage_dir("repair") / "output")
 
         def body(stage_dir: Path) -> None:
+            from . import metrics as metrics_mod
+
             self._map_parallel(
                 [
                     lambda: run_tool_adapter(extractor, repair_in, stage_dir / "pre_raw"),
@@ -988,6 +1035,8 @@ class PipelineRun:
             for name in STAGE_ORDER:
                 if name in requested:
                     runners[name]()
+                if name == "sample":
+                    self._sources = None  # their last reader is done
         return dict(self.summary)
 
 

@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from importlib import resources
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import MalformedInputError, UnknownAdapterError
@@ -67,12 +66,17 @@ class CompileErrorClass(Enum):
     OTHER = "Other"
 
 
+def _load_data_json(name: str) -> dict:
+    # imported on first use: with zipfile, it costs every start that reads no data file
+    from importlib import resources
+
+    with resources.files("apreval.data").joinpath(name).open("r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 @lru_cache(maxsize=None)
 def _failure_patterns() -> tuple[tuple[FailureClass, tuple[str, ...], bool], ...]:
-    with resources.files("apreval.data").joinpath("failure_patterns.json").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        doc = json.load(fh)
+    doc = _load_data_json("failure_patterns.json")
     return tuple(
         (FailureClass(entry["class"]), tuple(entry["patterns"]), bool(entry.get("ci", False)))
         for entry in doc["classes"]
@@ -81,10 +85,7 @@ def _failure_patterns() -> tuple[tuple[FailureClass, tuple[str, ...], bool], ...
 
 @lru_cache(maxsize=None)
 def _compile_patterns() -> tuple[tuple[CompileErrorClass, str], ...]:
-    with resources.files("apreval.data").joinpath("compile_error_patterns.json").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        doc = json.load(fh)
+    doc = _load_data_json("compile_error_patterns.json")
     return tuple((CompileErrorClass(entry["class"]), entry["pattern"]) for entry in doc["classes"])
 
 

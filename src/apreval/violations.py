@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from importlib import resources
 from typing import IO, Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -48,6 +47,15 @@ class Severity(Enum):
 class StateLabel(Enum):
     PRE_REPAIR = "pre"
     POST_REPAIR = "post"
+
+
+class NormalizationPolicy(Enum):
+    """How source lines are compared when a finding's code is searched for."""
+
+    #: lines must be byte-identical
+    EXACT = "exact"
+    #: trailing whitespace trimmed, leading whitespace collapsed away
+    LOOSE = "loose"
 
 
 def check_rule_id(code: str) -> str:
@@ -301,6 +309,9 @@ def _csv_adapter(text: str, options: Mapping) -> Iterable[Violation]:
 
 
 def _load_json_mappings() -> dict:
+    # imported on first use: with zipfile, it costs every start that reads no data file
+    from importlib import resources
+
     with resources.files("apreval.data").joinpath("analyzer_json_mappings.json").open(
         "r", encoding="utf-8"
     ) as fh:

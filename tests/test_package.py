@@ -3,7 +3,25 @@ import subprocess
 import sys
 
 import apreval
-from apreval.pipeline import _adapter_env
+from apreval import minicorpus
+from apreval.pipeline import _adapter_env, load_config, run_pipeline
+
+#: what a process needs to decide that every stage is cached
+ORCHESTRATOR = ["apreval", "apreval.cli", "apreval.errors", "apreval.pipeline", "apreval.violations"]
+
+
+def _apreval_modules_after(code: str) -> tuple[list[str], list[str]]:
+    """Run ``code`` in a fresh interpreter; its stdout lines and the apreval modules it loaded."""
+    probe = (
+        code
+        + "\nimport json, sys\n"
+        + "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'apreval')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_adapter_env(), check=True
+    )
+    *lines, loaded = out.stdout.splitlines()
+    return lines, json.loads(loaded)
 
 
 class TestLazyPackage:
@@ -28,3 +46,27 @@ class TestLazyPackage:
 
     def test_unknown_name_is_attribute_error(self):
         assert not hasattr(apreval, "no_such_name")
+
+    def test_normalization_policy_is_one_object(self):
+        from apreval import newviol, violations
+
+        assert apreval.NormalizationPolicy is newviol.NormalizationPolicy
+        assert apreval.NormalizationPolicy is violations.NormalizationPolicy
+
+
+class TestLeanStartup:
+    def test_cli_import_loads_only_the_orchestrator(self):
+        _, loaded = _apreval_modules_after("import apreval.cli")
+        assert loaded == ORCHESTRATOR
+
+    def test_cached_run_loads_only_the_orchestrator(self, tmp_path):
+        config = minicorpus.materialize(tmp_path, seed=17)
+        run_pipeline(load_config(config))
+        lines, loaded = _apreval_modules_after(
+            "from apreval.cli import main\n"
+            f"assert main(['run', '--config', {str(config)!r}]) == 0"
+        )
+        statuses = dict(line.split() for line in lines if not line.startswith("workspace:"))
+        assert len(statuses) == 10
+        assert set(statuses.values()) == {"cached"}
+        assert loaded == ORCHESTRATOR

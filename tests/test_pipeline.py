@@ -475,6 +475,49 @@ class TestDigestPaths:
         inputs, extra = calls["metrics"]
         assert state["stages"]["metrics"]["input_digest"] == digest_paths(inputs, extra)
 
+    def test_in_process_stages_hash_each_file_once(self, digest_run, monkeypatch):
+        # these bodies start no adapter, so each forgets only its own directory
+        cfg, _ = digest_run
+        hashed: Counter[str] = Counter()
+        file_sha256 = pipeline._file_sha256
+
+        def counting(path):
+            hashed[path] += 1
+            return file_sha256(path)
+
+        monkeypatch.setattr(pipeline, "_file_sha256", counting)
+        summary = run_pipeline(cfg, force=True, stages=["fixrate", "newviol", "sample", "report"])
+        assert set(summary.values()) == {"ran"}
+        assert hashed
+        assert set(hashed.values()) == {1}
+
+    def test_cold_run_reads_each_source_once(self, tmp_path, monkeypatch):
+        # newviol and sample share one load of repair/input and repair/output
+        cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
+        repair = cfg.workspace_dir / "repair"
+        trees = {repair / "input", repair / "output"}
+        read: Counter[Path] = Counter()
+        read_text = Path.read_text
+
+        def counting(self, *args, **kwargs):
+            if trees.intersection(self.parents):
+                read[self] += 1
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        run = PipelineRun(cfg)
+        summary = run.run()
+        assert summary["newviol"] == summary["sample"] == "ran"
+        assert run._sources is None
+        originals = _rglob_files(repair / "input")
+        expected = set(originals)
+        for path in originals:
+            repaired = repair / "output" / path.relative_to(repair / "input")
+            if repaired.is_file():
+                expected.add(repaired)
+        assert set(read) == expected
+        assert set(read.values()) == {1}
+
 
 class TestPerRuleRepair:
     def test_rule_placeholder_runs_sequential_passes(self, tmp_path):
