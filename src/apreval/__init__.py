@@ -59,11 +59,9 @@ _EXPORTS = {
         "ViolationKey",
         "ViolationReport",
         "ViolationType",
-        "key_of",
         "normalize_report",
         "parse_report",
         "serialize_report",
-        "validate_report",
     ),
 }
 

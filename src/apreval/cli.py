@@ -4,13 +4,13 @@ Exit codes: 0 success, 1 usage/config error, 2 stage failure, 3 adapter
 failure, 143 a `run` stopped by SIGTERM.
 
 Each command imports the axis module it uses, so that `run` starts with
-the orchestrator alone.
+the orchestrator alone, and writes its files through that module's writer,
+the one the matching pipeline stage calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import signal
 import sys
@@ -23,27 +23,20 @@ from .errors import (
     HarnessError,
     StageFailureError,
 )
-from .pipeline import _load_sources, emit_reports, load_config, run_pipeline
-from .violations import (
-    NormalizationPolicy,
-    Severity,
-    StateLabel,
-    Violation,
-    ViolationReport,
-    ViolationType,
-    get_profile,
-    parse_report,
-    serialize_report,
+from .pipeline import (
+    SamplingParams,
+    _load_sources,
+    _read_csv_report,
+    emit_reports,
+    load_config,
+    run_pipeline,
 )
+from .violations import NormalizationPolicy, StateLabel, get_profile
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_STAGE = 2
 EXIT_ADAPTER = 3
-
-
-def _read_report(path: Path, state: StateLabel) -> ViolationReport:
-    return parse_report(path.read_bytes(), "csv", state)
 
 
 class _Terminated(KeyboardInterrupt):
@@ -79,17 +72,11 @@ def _cmd_fixrate(args: argparse.Namespace) -> int:
     from . import fixrate as fixrate_mod
 
     profile = get_profile(args.profile)
-    pre = _read_report(Path(args.pre), StateLabel.PRE_REPAIR)
-    post = _read_report(Path(args.post), StateLabel.POST_REPAIR)
+    pre = _read_csv_report(Path(args.pre), StateLabel.PRE_REPAIR)
+    post = _read_csv_report(Path(args.post), StateLabel.POST_REPAIR)
     outcome = fixrate_mod.match_violations(pre, post)
-    table = fixrate_mod.compute_fix_rates(outcome, profile)
-    summary = fixrate_mod.summarize_fix_rate(table)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "fixrate.csv").write_text(summary.csv_text, encoding="utf-8")
-    (out / "fixrate.json").write_text(summary.json_text, encoding="utf-8")
-    fixed = ViolationReport(state=StateLabel.PRE_REPAIR, entries=outcome.fixed)
-    (out / "fixed_violations.csv").write_text(serialize_report(fixed), encoding="utf-8")
+    summary = fixrate_mod.summarize_fix_rate(fixrate_mod.compute_fix_rates(outcome, profile))
+    fixrate_mod.write_fixrate(Path(args.out), outcome, summary)
     print(summary.text)
     return EXIT_OK
 
@@ -97,83 +84,27 @@ def _cmd_fixrate(args: argparse.Namespace) -> int:
 def _cmd_newviol(args: argparse.Namespace) -> int:
     from . import newviol as newviol_mod
 
-    pre = _read_report(Path(args.pre), StateLabel.PRE_REPAIR)
-    post = _read_report(Path(args.post), StateLabel.POST_REPAIR)
+    pre = _read_csv_report(Path(args.pre), StateLabel.PRE_REPAIR)
+    post = _read_csv_report(Path(args.post), StateLabel.POST_REPAIR)
     sources = _load_sources(Path(args.original), Path(args.repaired))
     policy = NormalizationPolicy(args.normalize)
     verdicts = newviol_mod.detect_new_violations(pre, post, sources, policy)
     breakdown = newviol_mod.categorize_new(verdicts)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "new_violations.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["file", "rule", "type", "severity", "start_line", "end_line",
-             "message", "verdict", "evidence_line"]
-        )
-        for vd in verdicts:
-            v = vd.violation
-            writer.writerow(
-                [v.file_id, v.rule, v.vtype.value, v.severity.value, v.start_line,
-                 v.end_line, v.message, vd.verdict.value,
-                 "" if vd.evidence is None else vd.evidence]
-            )
-    with (out / "new_matrix.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write("type,severity,count\n")
-        for (vtype, severity), count in sorted(
-            breakdown.matrix.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-        ):
-            fh.write(f"{vtype.value},{severity.value},{count}\n")
-    with (out / "new_frequency.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write("rule,count\n")
-        for rule, count in breakdown.rule_frequency:
-            fh.write(f"{rule},{count}\n")
+    newviol_mod.write_newviol(Path(args.out), verdicts, breakdown, sources)
     print(f"{len(verdicts)} post-repair violations, {breakdown.total_new} classified new")
     return EXIT_OK
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     from . import sampling as sampling_mod
-    from .newviol import SourcePair
+    from .newviol import read_new_violations
 
-    population: dict[str, list[Violation]] = {}
-    with Path(args.new_violations).open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row.get("verdict", "new") != "new":
-                continue
-            v = Violation(
-                file_id=row["file"],
-                rule=row["rule"],
-                vtype=ViolationType(row["type"]),
-                severity=Severity(row["severity"]),
-                start_line=int(row["start_line"]),
-                end_line=int(row["end_line"]),
-                message=row.get("message", ""),
-            )
-            population.setdefault(v.rule, []).append(v)
-    total = sum(len(vs) for vs in population.values())
-    if total == 0:
-        print("no new violations to sample")
-        Path(args.out).write_text(",".join(sampling_mod.SHEET_HEADER) + "\n", encoding="utf-8")
-        return EXIT_OK
-    target = sampling_mod.cochran_sample_size(total, args.confidence, args.margin)
-    target = max(target, len(population))
-    sample = sampling_mod.stratified_sample(population, target, args.seed)
-    if args.original and args.repaired:
-        sources = _load_sources(Path(args.original), Path(args.repaired))
-        sheet = sampling_mod.export_labeling_sheet(sample, sources)
-    else:
-        # without sources the sheet still lists every sampled item, with a
-        # placeholder where the flagged code would go
-        placeholder = "<fragment unavailable: rerun with --original/--repaired>"
-        sources = {}
-        for items in sample.strata.values():
-            for v in items:
-                lines = "\n".join(placeholder for _ in range(v.end_line))
-                sources[v.file_id] = SourcePair.from_texts(v.file_id, "", lines)
-        sheet = sampling_mod.export_labeling_sheet(sample, sources)
-    Path(args.out).write_text(sheet, encoding="utf-8")
-    print(f"sampled {sample.size} of {total} new violations across {len(sample.allocation)} rules")
+    new = read_new_violations(Path(args.new_violations))
+    params = SamplingParams(confidence=args.confidence, margin=args.margin)
+    sample = sampling_mod.draw_sample(new, params, args.seed)
+    sources = _load_sources(Path(args.original), Path(args.repaired))
+    sampling_mod.write_sample(Path(args.out), sample, len(new), sources)
+    print(f"sampled {sample.size} of {len(new)} new violations across {len(sample.allocation)} rules")
     return EXIT_OK
 
 
@@ -197,39 +128,17 @@ def _cmd_precision(args: argparse.Namespace) -> int:
 def _cmd_semantic(args: argparse.Namespace) -> int:
     from . import semantic as semantic_mod
 
-    baseline_run = semantic_mod.ingest_test_results(Path(args.baseline).read_bytes())
-    repaired_run = semantic_mod.ingest_test_results(Path(args.repaired).read_bytes())
-    baseline = semantic_mod.filter_baseline(baseline_run)
-    regressions = semantic_mod.diff_test_outcomes(baseline, repaired_run)
     diagnostics: dict[str, str] = {}
     if args.compile_log:
         log_dir = Path(args.compile_log)
         results_file = log_dir / "compile_results.json"
         if results_file.is_file():
-            results = json.loads(results_file.read_text(encoding="utf-8"))
-            diagnostics = {r["file"]: r["diagnostic"] for r in results if not r["ok"]}
+            diagnostics = semantic_mod.read_compile_failures(results_file)
         else:
             for diag_file in sorted(log_dir.glob("*.log")):
                 diagnostics[diag_file.stem] = diag_file.read_text(encoding="utf-8")
-    summary = semantic_mod.summarize_semantic(baseline, regressions, diagnostics)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with (out / "regressions.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["test_id", "status", "failure_kind", "missing_in_repaired_run"])
-        for reg in regressions:
-            writer.writerow(
-                [reg.test_id, reg.status.value, reg.failure_kind or "",
-                 str(reg.missing_in_repaired_run).lower()]
-            )
-    with (out / "failure_histogram.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write("failure_class,count\n")
-        for cls in semantic_mod.FailureClass:
-            fh.write(f"{cls.value},{summary.failure_histogram.get(cls, 0)}\n")
-    with (out / "compile_errors.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write("compile_error_class,count\n")
-        for cls in semantic_mod.CompileErrorClass:
-            fh.write(f"{cls.value},{summary.compile_error_histogram.get(cls, 0)}\n")
+    regressions, summary = semantic_mod.compare_runs(Path(args.baseline), Path(args.repaired), diagnostics)
+    semantic_mod.write_semantic(Path(args.out), regressions, summary)
     print(
         f"executed {summary.executed}, failed {summary.failed}, "
         f"pass rate {summary.pass_rate:.1%}, uncompilable files {summary.uncompilable_files}"
@@ -240,23 +149,9 @@ def _cmd_semantic(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from . import metrics as metrics_mod
 
-    pre_rows = metrics_mod.read_class_metrics_csv(Path(args.pre).read_bytes())
-    post_rows = metrics_mod.read_class_metrics_csv(Path(args.post).read_bytes())
-    pairs, exclusions = metrics_mod.pair_pre_post(
-        metrics_mod.aggregate_file_metrics(pre_rows),
-        metrics_mod.aggregate_file_metrics(post_rows),
-    )
+    pairs, exclusions = metrics_mod.pair_metric_files(Path(args.pre), Path(args.post))
     report = metrics_mod.structural_report(pairs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "structural_stats.csv").write_text(metrics_mod.structural_stats_csv(report), encoding="utf-8")
-    (out / "metric_medians.csv").write_text(metrics_mod.metric_medians_csv(report), encoding="utf-8")
-    (out / "signed_ranks.csv").write_text(metrics_mod.signed_ranks_csv(report), encoding="utf-8")
-    (out / "normality.csv").write_text(metrics_mod.normality_csv(report), encoding="utf-8")
-    with (out / "exclusions.csv").open("w", encoding="utf-8", newline="") as fh:
-        fh.write("file,reason\n")
-        for file_id, reason in exclusions:
-            fh.write(f"{file_id},{reason}\n")
+    metrics_mod.write_metrics(Path(args.out), pairs, exclusions, report)
     sig = ", ".join(report.significant()) or "none"
     print(f"{len(pairs)} file pairs ({len(exclusions)} excluded); significant at 0.05: {sig}")
     return EXIT_OK

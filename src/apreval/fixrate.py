@@ -13,6 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from pathlib import Path
 
 from .errors import StateMismatchError
 from .violations import (
@@ -20,6 +21,7 @@ from .violations import (
     StateLabel,
     Violation,
     ViolationReport,
+    serialize_report,
 )
 
 
@@ -33,14 +35,6 @@ class MatchOutcome:
 
     fixed: tuple[Violation, ...]
     surviving: tuple[Violation, ...]
-
-    @property
-    def pre_count(self) -> int:
-        return len(self.fixed) + len(self.surviving)
-
-    @property
-    def post_matched_count(self) -> int:
-        return len(self.surviving)
 
 
 def match_violations(pre: ViolationReport, post: ViolationReport) -> MatchOutcome:
@@ -186,3 +180,12 @@ def summarize_fix_rate(table: FixRateTable) -> FixRateSummary:
         f"{render_percent(table.fixed_total, table.pre_total):>8}"
     )
     return FixRateSummary(csv_text=csv_text, json_text=json_text, text="\n".join(lines) + "\n")
+
+
+def write_fixrate(out_dir: Path, outcome: MatchOutcome, summary: FixRateSummary) -> None:
+    """Write ``fixrate.csv``, ``fixrate.json`` and ``fixed_violations.csv``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "fixrate.csv").write_text(summary.csv_text, encoding="utf-8")
+    (out_dir / "fixrate.json").write_text(summary.json_text, encoding="utf-8")
+    fixed = ViolationReport(state=StateLabel.PRE_REPAIR, entries=outcome.fixed)
+    (out_dir / "fixed_violations.csv").write_text(serialize_report(fixed), encoding="utf-8")

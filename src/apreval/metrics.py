@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from collections import defaultdict
 from dataclasses import dataclass
+from pathlib import Path
 from statistics import median
 from typing import IO, Mapping, Sequence
 
@@ -26,6 +28,7 @@ from .stats import (
     signed_rank_direction,
     wilcoxon_signed_rank,
 )
+from .violations import decode_input
 
 METRIC_NAMES = ("noc", "npa", "dit", "lcom1", "wmc", "cbo", "rfc", "loc")
 SUM_METRICS = ("noc", "npa", "lcom1", "wmc", "cbo", "rfc", "loc")
@@ -69,14 +72,7 @@ class MetricPair:
 
 def read_class_metrics_csv(raw: bytes | str | IO) -> list[ClassMetricsRow]:
     """Parse an extractor CSV with header ``file,class,noc,...,loc``."""
-    if isinstance(raw, bytes):
-        text = raw.decode("utf-8")
-    elif isinstance(raw, str):
-        text = raw
-    else:
-        data = raw.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(decode_input(raw), newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -114,6 +110,12 @@ def aggregate_file_metrics(rows: Sequence[ClassMetricsRow]) -> list[FileMetrics]
             values[m] = max(r.values[m] for r in group)
         result.append(FileMetrics(file_id=file_id, values=values))
     return result
+
+
+def pair_metric_files(pre_csv: Path, post_csv: Path) -> tuple[list[MetricPair], list[tuple[str, str]]]:
+    """Read, roll up per file and join the extractor CSVs of the two states."""
+    pre, post = (aggregate_file_metrics(read_class_metrics_csv(p.read_bytes())) for p in (pre_csv, post_csv))
+    return pair_pre_post(pre, post)
 
 
 def pair_pre_post(
@@ -248,3 +250,43 @@ def normality_csv(report: StructuralReport) -> str:
                 f"{_na(s.normality.statistic)},{_na(s.normality.p_value)},\n"
             )
     return buf.getvalue()
+
+
+def write_metrics(
+    out_dir: Path,
+    pairs: Sequence[MetricPair],
+    exclusions: Sequence[tuple[str, str]],
+    report: StructuralReport,
+) -> None:
+    """Write the four statistics CSVs, ``exclusions.csv`` and ``metrics.json``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "structural_stats.csv").write_text(structural_stats_csv(report), encoding="utf-8")
+    (out_dir / "metric_medians.csv").write_text(metric_medians_csv(report), encoding="utf-8")
+    (out_dir / "signed_ranks.csv").write_text(signed_ranks_csv(report), encoding="utf-8")
+    (out_dir / "normality.csv").write_text(normality_csv(report), encoding="utf-8")
+    (out_dir / "exclusions.csv").write_text(
+        "file,reason\n" + "".join(f"{file_id},{reason}\n" for file_id, reason in exclusions),
+        encoding="utf-8",
+    )
+    payload = {
+        "n_pairs": len(pairs),
+        "excluded": len(exclusions),
+        "significant": list(report.significant()),
+        "per_metric": [
+            {
+                "metric": s.metric,
+                "n_effective": s.wilcoxon.n_effective,
+                "statistic": s.wilcoxon.statistic,
+                "p_value": s.wilcoxon.p_value,
+                "direction": s.wilcoxon.direction.value,
+                "median_delta": s.direction.median_delta,
+                "mean_signed_rank": s.direction.mean_signed_rank,
+                "pre_median": s.pre_median,
+                "post_median": s.post_median,
+            }
+            for s in report.per_metric
+        ],
+    }
+    (out_dir / "metrics.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )

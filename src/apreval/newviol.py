@@ -17,12 +17,14 @@ otherwise produces spurious "new" verdicts.
 
 from __future__ import annotations
 
+import csv
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
-from .errors import MissingSourceError, SpanOutOfBoundsError
+from .errors import MalformedInputError, MissingSourceError, SpanOutOfBoundsError
 # NormalizationPolicy is defined beside the report types, so that a config can
 # be loaded without this module; it stays importable from here
 from .violations import (
@@ -211,5 +213,105 @@ def categorize_new(verdicts: Iterable[NewViolationVerdict]) -> NewViolationBreak
         matrix[(v.vtype, v.severity)] += 1
         by_rule[v.rule] += 1
         total += 1
-    frequency = tuple(sorted(by_rule.items(), key=lambda kv: (-kv[1], kv[0])))
-    return NewViolationBreakdown(total_new=total, matrix=matrix, rule_frequency=frequency)
+    return NewViolationBreakdown(total_new=total, matrix=matrix, rule_frequency=_by_frequency(by_rule))
+
+
+def _by_frequency(counts: Counter[str]) -> tuple[tuple[str, int], ...]:
+    return tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+
+
+# --- new_violations.csv -------------------------------------------------------
+
+#: one row per post-repair violation, with its verdict and evidence line
+NEW_VIOLATIONS_HEADER = (
+    "file", "rule", "type", "severity", "start_line", "end_line",
+    "message", "verdict", "evidence_line",
+)
+
+
+def write_newviol(
+    out_dir: Path,
+    verdicts: Sequence[NewViolationVerdict],
+    breakdown: NewViolationBreakdown,
+    sources: Mapping[str, SourcePair],
+) -> None:
+    """Write ``new_violations.csv``, ``new_matrix.csv``, ``new_frequency.csv`` and ``notes.txt``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with (out_dir / "new_violations.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(NEW_VIOLATIONS_HEADER)
+        for vd in verdicts:
+            v = vd.violation
+            writer.writerow(
+                [v.file_id, v.rule, v.vtype.value, v.severity.value, v.start_line,
+                 v.end_line, v.message, vd.verdict.value,
+                 "" if vd.evidence is None else vd.evidence]
+            )
+    cells = sorted(breakdown.matrix.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value))
+    (out_dir / "new_matrix.csv").write_text(
+        "type,severity,count\n" + "".join(f"{t.value},{s.value},{n}\n" for (t, s), n in cells),
+        encoding="utf-8",
+    )
+    (out_dir / "new_frequency.csv").write_text(
+        "rule,count\n" + "".join(f"{rule},{n}\n" for rule, n in breakdown.rule_frequency),
+        encoding="utf-8",
+    )
+    deleted = sorted(p.file_id for p in sources.values() if p.repaired_deleted)
+    (out_dir / "notes.txt").write_text(
+        "".join(f"FileDeleted: {rel}\n" for rel in deleted), encoding="utf-8"
+    )
+
+
+def _read_new_rows(path: Path) -> tuple[int, list[tuple[int, dict[str, str]]]]:
+    """The number of rows in a ``new_violations.csv`` and its NEW rows with their line numbers."""
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        for name in NEW_VIOLATIONS_HEADER[:-1]:
+            if name not in (reader.fieldnames or ()):
+                raise MalformedInputError(f"{path}: missing column {name!r}", 1)
+        rows = 0
+        new: list[tuple[int, dict[str, str]]] = []
+        for row in reader:
+            rows += 1
+            if row["verdict"] == VerdictKind.NEW.value:
+                new.append((reader.line_num, row))
+    return rows, new
+
+
+def read_new_violations(path: Path) -> list[Violation]:
+    """The NEW violations of a ``new_violations.csv``, in file order.
+
+    A missing column or a bad value raises ``MalformedInputError``.
+    """
+    _, new = _read_new_rows(path)
+    violations: list[Violation] = []
+    for line, row in new:
+        try:
+            violations.append(
+                Violation(
+                    file_id=row["file"],
+                    rule=row["rule"],
+                    vtype=ViolationType(row["type"]),
+                    severity=Severity(row["severity"]),
+                    start_line=int(row["start_line"]),
+                    end_line=int(row["end_line"]),
+                    message=row["message"],
+                )
+            )
+        except (TypeError, ValueError) as exc:  # TypeError: a field missing from a short row
+            raise MalformedInputError(f"{path}: {exc}", line) from None
+    return violations
+
+
+def summarize_new_violations(path: Path) -> dict:
+    """The ``newviol`` section of ``summary.json``, read back from ``new_violations.csv``.
+
+    Counts come from the CSV fields as written, with no record built per row.
+    """
+    rows, new = _read_new_rows(path)
+    return {
+        "post_violations": rows,
+        "total_new": len(new),
+        "matrix": dict(Counter(f"{row['type']}/{row['severity']}" for _, row in new)),
+        "top_rules": list(_by_frequency(Counter(row["rule"] for _, row in new))),
+    }

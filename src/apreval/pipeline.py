@@ -17,7 +17,6 @@ are all cached loads no analysis code at all.
 from __future__ import annotations
 
 import _thread
-import csv
 import hashlib
 import json
 import os
@@ -45,7 +44,6 @@ from .violations import (
     NormalizationPolicy,
     RuleProfile,
     StateLabel,
-    Violation,
     ViolationReport,
     get_profile,
     normalize_report,
@@ -175,11 +173,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     unknown = set(raw_sampling) - _SAMPLING_KEYS
     if unknown:
         raise ConfigError(f"sampling.{sorted(unknown)[0]}", "unknown sampling key")
-    sampling = SamplingParams(
-        confidence=float(raw_sampling.get("confidence", 0.95)),
-        margin=float(raw_sampling.get("margin", 0.05)),
-        proportion=float(raw_sampling.get("proportion", 0.5)),
-    )
+    sampling = SamplingParams(**{key: float(value) for key, value in raw_sampling.items()})
 
     try:
         normalization = NormalizationPolicy(doc.get("normalization", "exact"))
@@ -473,10 +467,18 @@ class PipelineRun:
     # -- state bookkeeping
 
     def _load_state(self) -> None:
-        if self.state_path.is_file():
-            self.state = json.loads(self.state_path.read_text(encoding="utf-8"))
+        self.state = {"stages": {}}
+        try:
+            state = json.loads(self.state_path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            return
+        except ValueError:  # truncated or garbled: JSON or UTF-8 decoding failed
+            state = None
+        if isinstance(state, dict) and isinstance(state.get("stages"), dict):
+            self.state = state
         else:
-            self.state = {"stages": {}}
+            # without a readable record no stage can be trusted as cached
+            print(f"warning: ignoring unreadable {self.state_path}; every stage reruns", file=sys.stderr)
 
     def _save_state(self) -> None:
         # write beside state.json and swap it in, so a crash or a failed
@@ -699,11 +701,10 @@ class PipelineRun:
         repaired = self._require("analyze_post", self._stage_dir("repair") / "output")
         self._analyze("analyze_post", repaired, StateLabel.POST_REPAIR, "post_violations.csv")
 
-    def _load_matched_reports(self, stage: str) -> tuple[ViolationReport, ViolationReport]:
+    def _load_matched_reports(
+        self, pre_csv: Path, post_csv: Path, violating_txt: Path
+    ) -> tuple[ViolationReport, ViolationReport]:
         """Pre report restricted to the repaired files, plus the post report."""
-        pre_csv = self._require(stage, self._stage_dir("analyze_pre") / "pre_violations.csv")
-        post_csv = self._require(stage, self._stage_dir("analyze_post") / "post_violations.csv")
-        violating_txt = self._require(stage, self._stage_dir("repair") / "violating_files.txt")
         violating = set(violating_txt.read_text(encoding="utf-8").splitlines())
         pre_full = _read_csv_report(pre_csv, StateLabel.PRE_REPAIR)
         pre = normalize_report(
@@ -728,58 +729,27 @@ class PipelineRun:
         def body(stage_dir: Path) -> None:
             from . import fixrate as fixrate_mod
 
-            pre, post = self._load_matched_reports("fixrate")
+            pre, post = self._load_matched_reports(*inputs)
             outcome = fixrate_mod.match_violations(pre, post)
             table = fixrate_mod.compute_fix_rates(outcome, self.profile)
-            summary = fixrate_mod.summarize_fix_rate(table)
-            (stage_dir / "fixrate.csv").write_text(summary.csv_text, encoding="utf-8")
-            (stage_dir / "fixrate.json").write_text(summary.json_text, encoding="utf-8")
-            fixed_report = ViolationReport(state=StateLabel.PRE_REPAIR, entries=outcome.fixed)
-            (stage_dir / "fixed_violations.csv").write_text(
-                serialize_report(fixed_report), encoding="utf-8"
-            )
+            fixrate_mod.write_fixrate(stage_dir, outcome, fixrate_mod.summarize_fix_rate(table))
 
         self._run_stage("fixrate", inputs, self.profile.name, body)
 
     def _stage_newviol(self) -> None:
-        inputs = self._matching_inputs("newviol")
-        inputs.append(self._require("newviol", self._stage_dir("repair") / "input"))
-        inputs.append(self._require("newviol", self._stage_dir("repair") / "output"))
+        matching = self._matching_inputs("newviol")
+        inputs = matching + [
+            self._require("newviol", self._stage_dir("repair") / "input"),
+            self._require("newviol", self._stage_dir("repair") / "output"),
+        ]
 
         def body(stage_dir: Path) -> None:
             from . import newviol as newviol_mod
 
-            pre, post = self._load_matched_reports("newviol")
+            pre, post = self._load_matched_reports(*matching)
             sources = self._repair_sources()
             verdicts = newviol_mod.detect_new_violations(pre, post, sources, self.config.normalization)
-            with (stage_dir / "new_violations.csv").open("w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(
-                    ["file", "rule", "type", "severity", "start_line", "end_line",
-                     "message", "verdict", "evidence_line"]
-                )
-                for vd in verdicts:
-                    v = vd.violation
-                    writer.writerow(
-                        [v.file_id, v.rule, v.vtype.value, v.severity.value, v.start_line,
-                         v.end_line, v.message, vd.verdict.value,
-                         "" if vd.evidence is None else vd.evidence]
-                    )
-            breakdown = newviol_mod.categorize_new(verdicts)
-            with (stage_dir / "new_matrix.csv").open("w", encoding="utf-8", newline="") as fh:
-                fh.write("type,severity,count\n")
-                for (vtype, severity), count in sorted(
-                    breakdown.matrix.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value)
-                ):
-                    fh.write(f"{vtype.value},{severity.value},{count}\n")
-            with (stage_dir / "new_frequency.csv").open("w", encoding="utf-8", newline="") as fh:
-                fh.write("rule,count\n")
-                for rule, count in breakdown.rule_frequency:
-                    fh.write(f"{rule},{count}\n")
-            deleted = sorted(p.file_id for p in sources.values() if p.repaired_deleted)
-            (stage_dir / "notes.txt").write_text(
-                "".join(f"FileDeleted: {rel}\n" for rel in deleted), encoding="utf-8"
-            )
+            newviol_mod.write_newviol(stage_dir, verdicts, newviol_mod.categorize_new(verdicts), sources)
 
         extra = self.profile.name + "|" + self.config.normalization.value
         self._run_stage("newviol", inputs, extra, body)
@@ -792,57 +762,14 @@ class PipelineRun:
 
         def body(stage_dir: Path) -> None:
             from . import sampling as sampling_mod
-            from .newviol import VerdictKind
-            from .violations import Severity, ViolationType
+            from .newviol import read_new_violations
 
-            population: dict[str, list[Violation]] = {}
-            with new_csv.open("r", encoding="utf-8", newline="") as fh:
-                for row in csv.DictReader(fh):
-                    if row["verdict"] != VerdictKind.NEW.value:
-                        continue
-                    v = Violation(
-                        file_id=row["file"],
-                        rule=row["rule"],
-                        vtype=ViolationType(row["type"]),
-                        severity=Severity(row["severity"]),
-                        start_line=int(row["start_line"]),
-                        end_line=int(row["end_line"]),
-                        message=row["message"],
-                    )
-                    population.setdefault(v.rule, []).append(v)
-            total = sum(len(vs) for vs in population.values())
-            if total == 0:
-                (stage_dir / "sheet.csv").write_text(
-                    ",".join(sampling_mod.SHEET_HEADER) + "\n", encoding="utf-8"
-                )
-                (stage_dir / "allocation.json").write_text(
-                    json.dumps({"population": 0, "target_n": 0, "allocation": {}},
-                               indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8",
-                )
-                return
-            target = sampling_mod.cochran_sample_size(
-                total, params.confidence, params.margin, params.proportion
-            )
-            target = max(target, len(population))  # min-one per stratum floor
-            sample = sampling_mod.stratified_sample(population, target, self.config.seed)
-            sources = self._repair_sources()
+            new = read_new_violations(new_csv)
+            sample = sampling_mod.draw_sample(new, params, self.config.seed)
             # fragments come from the repaired code, so index sources that way
-            sheet = sampling_mod.export_labeling_sheet(sample, sources)
-            (stage_dir / "sheet.csv").write_text(sheet, encoding="utf-8")
-            (stage_dir / "allocation.json").write_text(
-                json.dumps(
-                    {
-                        "population": total,
-                        "target_n": sample.size,
-                        "allocation": dict(sorted(sample.allocation.items())),
-                        "seed": self.config.seed,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n",
-                encoding="utf-8",
+            sampling_mod.write_sample(
+                stage_dir / "sheet.csv", sample, len(new), self._repair_sources(),
+                stage_dir / "allocation.json",
             )
 
         extra = json.dumps(
@@ -872,58 +799,17 @@ class PipelineRun:
                 tasks.append(lambda: run_tool_adapter(compiler, repair_out, stage_dir / "compile_raw"))
             self._map_parallel(tasks)
 
-            original_run = semantic_mod.ingest_test_results(
-                (stage_dir / "baseline_raw" / "results.csv").read_bytes()
-            )
-            repaired_run = semantic_mod.ingest_test_results(
-                (stage_dir / "repaired_raw" / "results.csv").read_bytes()
-            )
-            baseline = semantic_mod.filter_baseline(original_run)
-            regressions = semantic_mod.diff_test_outcomes(baseline, repaired_run)
             diagnostics: dict[str, str] = {}
             if compiler is not None:
-                results = json.loads(
-                    (stage_dir / "compile_raw" / "compile_results.json").read_text(encoding="utf-8")
+                diagnostics = semantic_mod.read_compile_failures(
+                    stage_dir / "compile_raw" / "compile_results.json"
                 )
-                diagnostics = {r["file"]: r["diagnostic"] for r in results if not r["ok"]}
-            summary = semantic_mod.summarize_semantic(baseline, regressions, diagnostics)
-
-            with (stage_dir / "regressions.csv").open("w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["test_id", "status", "failure_kind", "missing_in_repaired_run"])
-                for reg in regressions:
-                    writer.writerow(
-                        [reg.test_id, reg.status.value, reg.failure_kind or "",
-                         str(reg.missing_in_repaired_run).lower()]
-                    )
-            with (stage_dir / "failure_histogram.csv").open("w", encoding="utf-8", newline="") as fh:
-                fh.write("failure_class,count\n")
-                for cls in semantic_mod.FailureClass:
-                    fh.write(f"{cls.value},{summary.failure_histogram.get(cls, 0)}\n")
-            with (stage_dir / "compile_errors.csv").open("w", encoding="utf-8", newline="") as fh:
-                fh.write("compile_error_class,count\n")
-                for cls in semantic_mod.CompileErrorClass:
-                    fh.write(f"{cls.value},{summary.compile_error_histogram.get(cls, 0)}\n")
-            payload = {
-                "executed": summary.executed,
-                "failed": summary.failed,
-                "pass_rate": summary.pass_rate,
-                "excluded_simulation_artifacts": summary.excluded_simulation_artifacts,
-                "failure_histogram": {
-                    cls.value: n for cls, n in sorted(
-                        summary.failure_histogram.items(), key=lambda kv: kv[0].value
-                    )
-                },
-                "compile_error_histogram": {
-                    cls.value: n for cls, n in sorted(
-                        summary.compile_error_histogram.items(), key=lambda kv: kv[0].value
-                    )
-                },
-                "uncompilable_files": summary.uncompilable_files,
-            }
-            (stage_dir / "semantic.json").write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            regressions, summary = semantic_mod.compare_runs(
+                stage_dir / "baseline_raw" / "results.csv",
+                stage_dir / "repaired_raw" / "results.csv",
+                diagnostics,
             )
+            semantic_mod.write_semantic(stage_dir, regressions, summary)
 
         extra = _adapter_fingerprint(runner) + "|" + _adapter_fingerprint(compiler)
         self._run_stage("semantic", [repair_in, repair_out], extra, body)
@@ -945,55 +831,10 @@ class PipelineRun:
                     lambda: run_tool_adapter(extractor, repair_out, stage_dir / "post_raw"),
                 ]
             )
-            pre_rows = metrics_mod.read_class_metrics_csv(
-                (stage_dir / "pre_raw" / "class_metrics.csv").read_bytes()
+            pairs, exclusions = metrics_mod.pair_metric_files(
+                stage_dir / "pre_raw" / "class_metrics.csv", stage_dir / "post_raw" / "class_metrics.csv"
             )
-            post_rows = metrics_mod.read_class_metrics_csv(
-                (stage_dir / "post_raw" / "class_metrics.csv").read_bytes()
-            )
-            pairs, exclusions = metrics_mod.pair_pre_post(
-                metrics_mod.aggregate_file_metrics(pre_rows),
-                metrics_mod.aggregate_file_metrics(post_rows),
-            )
-            report = metrics_mod.structural_report(pairs)
-            (stage_dir / "structural_stats.csv").write_text(
-                metrics_mod.structural_stats_csv(report), encoding="utf-8"
-            )
-            (stage_dir / "metric_medians.csv").write_text(
-                metrics_mod.metric_medians_csv(report), encoding="utf-8"
-            )
-            (stage_dir / "signed_ranks.csv").write_text(
-                metrics_mod.signed_ranks_csv(report), encoding="utf-8"
-            )
-            (stage_dir / "normality.csv").write_text(
-                metrics_mod.normality_csv(report), encoding="utf-8"
-            )
-            with (stage_dir / "exclusions.csv").open("w", encoding="utf-8", newline="") as fh:
-                fh.write("file,reason\n")
-                for file_id, reason in exclusions:
-                    fh.write(f"{file_id},{reason}\n")
-            payload = {
-                "n_pairs": len(pairs),
-                "excluded": len(exclusions),
-                "significant": list(report.significant()),
-                "per_metric": [
-                    {
-                        "metric": s.metric,
-                        "n_effective": s.wilcoxon.n_effective,
-                        "statistic": s.wilcoxon.statistic,
-                        "p_value": s.wilcoxon.p_value,
-                        "direction": s.wilcoxon.direction.value,
-                        "median_delta": s.direction.median_delta,
-                        "mean_signed_rank": s.direction.mean_signed_rank,
-                        "pre_median": s.pre_median,
-                        "post_median": s.post_median,
-                    }
-                    for s in report.per_metric
-                ],
-            }
-            (stage_dir / "metrics.json").write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            metrics_mod.write_metrics(stage_dir, pairs, exclusions, metrics_mod.structural_report(pairs))
 
         self._run_stage("metrics", [repair_in, repair_out], _adapter_fingerprint(extractor), body)
 
@@ -1020,21 +861,9 @@ class PipelineRun:
         self.workspace.mkdir(parents=True, exist_ok=True)
         with _WorkspaceLock(self.workspace):
             self._load_state()
-            runners = {
-                "prepare": self._stage_prepare,
-                "analyze_pre": self._stage_analyze_pre,
-                "repair": self._stage_repair,
-                "analyze_post": self._stage_analyze_post,
-                "fixrate": self._stage_fixrate,
-                "newviol": self._stage_newviol,
-                "sample": self._stage_sample,
-                "semantic": self._stage_semantic,
-                "metrics": self._stage_metrics,
-                "report": self._stage_report,
-            }
             for name in STAGE_ORDER:
                 if name in requested:
-                    runners[name]()
+                    getattr(self, f"_stage_{name}")()
                 if name == "sample":
                     self._sources = None  # their last reader is done
         return dict(self.summary)
@@ -1088,42 +917,18 @@ def emit_reports(workspace: Path) -> dict:
 
     new_csv = workspace / "newviol" / "new_violations.csv"
     if new_csv.is_file():
-        with new_csv.open("r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        new_rows = [r for r in rows if r["verdict"] == "new"]
-        matrix: dict[str, int] = {}
-        for r in new_rows:
-            key = f"{r['type']}/{r['severity']}"
-            matrix[key] = matrix.get(key, 0) + 1
-        freq: dict[str, int] = {}
-        for r in new_rows:
-            freq[r["rule"]] = freq.get(r["rule"], 0) + 1
-        summary["newviol"] = {
-            "post_violations": len(rows),
-            "total_new": len(new_rows),
-            "matrix": dict(sorted(matrix.items())),
-            "top_rules": sorted(freq.items(), key=lambda kv: (-kv[1], kv[0])),
-        }
+        from .newviol import summarize_new_violations
+
+        summary["newviol"] = summarize_new_violations(new_csv)
     else:
         summary["newviol"] = {"status": "skipped"}
 
-    allocation_json = workspace / "sample" / "allocation.json"
-    if allocation_json.is_file():
-        summary["sample"] = json.loads(allocation_json.read_text(encoding="utf-8"))
-    else:
-        summary["sample"] = {"status": "skipped"}
-
-    semantic_json = workspace / "semantic" / "semantic.json"
-    if semantic_json.is_file():
-        summary["semantic"] = json.loads(semantic_json.read_text(encoding="utf-8"))
-    else:
-        summary["semantic"] = {"status": "skipped"}
-
-    metrics_json = workspace / "metrics" / "metrics.json"
-    if metrics_json.is_file():
-        summary["metrics"] = json.loads(metrics_json.read_text(encoding="utf-8"))
-    else:
-        summary["metrics"] = {"status": "skipped"}
+    for stage, name in (("sample", "allocation.json"), ("semantic", "semantic.json"),
+                        ("metrics", "metrics.json")):
+        path = workspace / stage / name
+        summary[stage] = (
+            json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {"status": "skipped"}
+        )
 
     (report_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (
     ConflictingVerdictsError,
@@ -29,6 +31,9 @@ from .errors import (
 from .newviol import SourcePair, extract_fragment
 from .stats import Direction, StatResult
 from .violations import Violation
+
+if TYPE_CHECKING:
+    from .pipeline import SamplingParams
 
 #: z critical values for the supported confidence levels
 Z_TABLE = {0.90: 1.645, 0.95: 1.96, 0.99: 2.576}
@@ -64,20 +69,6 @@ def cochran_sample_size(
     n0 = z * z * proportion * (1.0 - proportion) / (margin * margin)
     corrected = n0 / (1.0 + (n0 - 1.0) / population_size)
     return min(math.ceil(corrected), population_size)
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    population_size: int
-    confidence: float = 0.95
-    margin: float = 0.05
-    proportion: float = 0.5
-
-    @property
-    def target_n(self) -> int:
-        return cochran_sample_size(
-            self.population_size, self.confidence, self.margin, self.proportion
-        )
 
 
 @dataclass(frozen=True)
@@ -158,6 +149,23 @@ def stratified_sample(
     return StratifiedSample(strata=strata, allocation=alloc, seed=seed)
 
 
+def draw_sample(new: Iterable[Violation], params: SamplingParams, seed: int) -> StratifiedSample:
+    """Stratify the new violations by rule and draw a Cochran-sized sample.
+
+    The target is raised to one item per rule when Cochran asks for fewer;
+    no violations give an empty sample.
+    """
+    population: dict[str, list[Violation]] = {}
+    for v in new:
+        population.setdefault(v.rule, []).append(v)
+    target = 0
+    if population:
+        total = sum(len(vs) for vs in population.values())
+        target = cochran_sample_size(total, params.confidence, params.margin, params.proportion)
+        target = max(target, len(population))
+    return stratified_sample(population, target, seed)
+
+
 def export_labeling_sheet(
     sample: StratifiedSample, sources: Mapping[str, SourcePair]
 ) -> str:
@@ -187,6 +195,27 @@ def export_labeling_sheet(
                  fragment_text, "", "", ""]
             )
     return buf.getvalue()
+
+
+def write_sample(
+    sheet: Path,
+    sample: StratifiedSample,
+    population_size: int,
+    sources: Mapping[str, SourcePair],
+    allocation: Path | None = None,
+) -> None:
+    """Write the labeling sheet and, when ``allocation`` is given, the allocation JSON."""
+    sheet.write_text(export_labeling_sheet(sample, sources), encoding="utf-8")
+    if allocation is None:
+        return
+    payload = {
+        "population": population_size,
+        "target_n": sample.size,
+        "allocation": dict(sample.allocation),
+    }
+    if population_size:  # an empty population draws nothing, so no seed is recorded
+        payload["seed"] = sample.seed
+    allocation.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 class LabelVerdict(Enum):

@@ -16,9 +16,11 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from .errors import MalformedInputError, UnknownAdapterError
+from .errors import MalformedInputError
+from .violations import decode_input
 
 RESULTS_CSV_HEADER = ("test_id", "target_file", "status", "failure_kind")
 
@@ -124,7 +126,7 @@ def classify_compile_error(diagnostic: str) -> CompileErrorMatch:
 # --- ingestion ----------------------------------------------------------------
 
 
-def _csv_results_adapter(text: str) -> Iterable[TestOutcome]:
+def _parse_results_csv(text: str) -> Iterable[TestOutcome]:
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -153,25 +155,13 @@ def _csv_results_adapter(text: str) -> Iterable[TestOutcome]:
             raise MalformedInputError(str(exc), lineno) from None
 
 
-RESULT_ADAPTERS = {"csv": _csv_results_adapter}
-
-
-def ingest_test_results(raw: bytes | str | IO, adapter: str = "csv") -> list[TestOutcome]:
+def ingest_test_results(raw: bytes | str | IO) -> list[TestOutcome]:
     """Normalize a runner's result file into TestOutcome records.
 
     Output is sorted by test id; a duplicated test id is malformed input
     because the pre/post diff needs one outcome per test per state.
     """
-    if adapter not in RESULT_ADAPTERS:
-        raise UnknownAdapterError(adapter, list(RESULT_ADAPTERS))
-    if isinstance(raw, bytes):
-        text = raw.decode("utf-8")
-    elif isinstance(raw, str):
-        text = raw
-    else:
-        data = raw.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    outcomes = sorted(RESULT_ADAPTERS[adapter](text), key=lambda o: o.test_id)
+    outcomes = sorted(_parse_results_csv(decode_input(raw)), key=lambda o: o.test_id)
     for a, b in zip(outcomes, outcomes[1:]):
         if a.test_id == b.test_id:
             raise MalformedInputError(f"duplicate test id {a.test_id!r}")
@@ -274,4 +264,56 @@ def summarize_semantic(
         excluded_simulation_artifacts=excluded,
         compile_error_histogram=dict(compile_hist),
         uncompilable_files=len(diagnostics),
+    )
+
+
+def compare_runs(
+    baseline_csv: Path, repaired_csv: Path, compile_diagnostics: Mapping[str, str]
+) -> tuple[list[Regression], SemanticSummary]:
+    """Regressions and their summary from the result files of the original and repaired code."""
+    baseline = filter_baseline(ingest_test_results(baseline_csv.read_bytes()))
+    regressions = diff_test_outcomes(baseline, ingest_test_results(repaired_csv.read_bytes()))
+    return regressions, summarize_semantic(baseline, regressions, compile_diagnostics)
+
+
+def read_compile_failures(results_json: Path) -> dict[str, str]:
+    """Diagnostics of the files a compiler's ``compile_results.json`` rejects."""
+    results = json.loads(results_json.read_text(encoding="utf-8"))
+    return {r["file"]: r["diagnostic"] for r in results if not r["ok"]}
+
+
+def write_semantic(out_dir: Path, regressions: Sequence[Regression], summary: SemanticSummary) -> None:
+    """Write ``regressions.csv``, ``failure_histogram.csv``, ``compile_errors.csv`` and ``semantic.json``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with (out_dir / "regressions.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["test_id", "status", "failure_kind", "missing_in_repaired_run"])
+        for reg in regressions:
+            writer.writerow(
+                [reg.test_id, reg.status.value, reg.failure_kind or "",
+                 str(reg.missing_in_repaired_run).lower()]
+            )
+    (out_dir / "failure_histogram.csv").write_text(
+        "failure_class,count\n"
+        + "".join(f"{cls.value},{summary.failure_histogram.get(cls, 0)}\n" for cls in FailureClass),
+        encoding="utf-8",
+    )
+    (out_dir / "compile_errors.csv").write_text(
+        "compile_error_class,count\n"
+        + "".join(
+            f"{cls.value},{summary.compile_error_histogram.get(cls, 0)}\n" for cls in CompileErrorClass
+        ),
+        encoding="utf-8",
+    )
+    payload = {
+        "executed": summary.executed,
+        "failed": summary.failed,
+        "pass_rate": summary.pass_rate,
+        "excluded_simulation_artifacts": summary.excluded_simulation_artifacts,
+        "failure_histogram": {cls.value: n for cls, n in summary.failure_histogram.items()},
+        "compile_error_histogram": {cls.value: n for cls, n in summary.compile_error_histogram.items()},
+        "uncompilable_files": summary.uncompilable_files,
+    }
+    (out_dir / "semantic.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -106,11 +106,6 @@ class Violation:
         return (self.start_line, self.end_line)
 
 
-def key_of(v: Violation) -> ViolationKey:
-    """Project a violation onto its matching key."""
-    return v.key
-
-
 @dataclass(frozen=True)
 class RuleProfile:
     """An ordered set of rule ids; order is the tool's application order."""
@@ -127,9 +122,6 @@ class RuleProfile:
     @property
     def application_order(self) -> tuple[str, ...]:
         return self.rules
-
-    def __contains__(self, rule: str) -> bool:
-        return rule in set(self.rules)
 
 
 #: The 30 repairable rules, in the repair tool's application order.
@@ -197,34 +189,6 @@ def normalize_report(report: ViolationReport) -> ViolationReport:
     return replace(report, entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class ReportWarning:
-    kind: str  # "out_of_profile" | "duplicate_entry" | "blank_file_id"
-    detail: str
-
-
-def validate_report(report: ViolationReport, profile: RuleProfile) -> list[ReportWarning]:
-    """Lint a report against a profile; never mutates the report."""
-    warnings: list[ReportWarning] = []
-    in_profile = set(profile.rules)
-    seen_rules: set[str] = set()
-    for v in report.entries:
-        if v.rule not in in_profile and v.rule not in seen_rules:
-            warnings.append(ReportWarning("out_of_profile", f"rule {v.rule} is not in profile {profile.name!r}"))
-            seen_rules.add(v.rule)
-        if not v.file_id.strip():
-            warnings.append(ReportWarning("blank_file_id", f"entry at {v.key} has a blank file id"))
-    counts: dict[tuple, int] = {}
-    for v in report.entries:
-        counts[_sort_key(v)] = counts.get(_sort_key(v), 0) + 1
-    for k, n in sorted(counts.items()):
-        if n > 1:
-            warnings.append(
-                ReportWarning("duplicate_entry", f"{n} byte-identical entries for {k[0]}:{k[1]}@{k[2]}-{k[3]}")
-            )
-    return warnings
-
-
 # --- adapters ----------------------------------------------------------------
 
 _ENUM_ALIASES_TYPE = {
@@ -261,7 +225,8 @@ def _parse_line_no(raw: str, name: str, line: int) -> int:
         raise MalformedInputError(f"{name} must be an integer, got {raw!r}", line) from None
 
 
-def _decode(raw: bytes | str | IO) -> str:
+def decode_input(raw: bytes | str | IO) -> str:
+    """The text of a report or result file given as bytes, text or an open file."""
     if isinstance(raw, bytes):
         try:
             return raw.decode("utf-8")
@@ -271,7 +236,7 @@ def _decode(raw: bytes | str | IO) -> str:
         return raw
     data = raw.read()
     if isinstance(data, bytes):
-        return _decode(data)
+        return decode_input(data)
     return data
 
 
@@ -388,11 +353,6 @@ ADAPTERS = {
 }
 
 
-def register_adapter(name: str, fn) -> None:
-    """Register a report adapter: ``fn(text, options) -> iterable of Violation``."""
-    ADAPTERS[name] = fn
-
-
 def parse_report(
     raw: bytes | str | IO,
     adapter: str = "csv",
@@ -403,7 +363,7 @@ def parse_report(
     """Ingest a raw analyzer report through a named adapter and normalize it."""
     if adapter not in ADAPTERS:
         raise UnknownAdapterError(adapter, list(ADAPTERS))
-    text = _decode(raw)
+    text = decode_input(raw)
     entries = tuple(ADAPTERS[adapter](text, options or {}))
     return normalize_report(ViolationReport(state=state, entries=entries, profile=profile))
 

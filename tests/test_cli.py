@@ -49,6 +49,21 @@ class TestRun:
         config_path = minicorpus.materialize(tmp_path, seed=17)
         assert main(["run", "--config", str(config_path), "--stages", "fixrate"]) == 2
 
+    def test_corrupt_state_reruns_every_stage(self, tmp_path, capsys):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        assert main(["run", "--config", str(config_path)]) == 0
+        ws = tmp_path / "workspace"
+        summary = (ws / "report" / "summary.json").read_bytes()
+        state = ws / "state.json"
+        state.write_bytes(state.read_bytes()[:40])
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path)]) == 0
+        captured = capsys.readouterr()
+        statuses = [line.split()[1] for line in captured.out.splitlines() if not line.startswith("workspace:")]
+        assert statuses == ["ran"] * 10
+        assert str(state) in captured.err
+        assert (ws / "report" / "summary.json").read_bytes() == summary
+
 
 class TestFixrateCommand:
     def test_golden_fixture_through_cli(self, tmp_path, capsys):
@@ -120,6 +135,24 @@ class TestSampleAndPrecision:
         out = capsys.readouterr().out
         assert "true positives: 4/5" in out
 
+    def test_missing_column_is_a_clear_error(self, mini, tmp_path, capsys):
+        ws = mini / "workspace"
+        text = (ws / "newviol" / "new_violations.csv").read_text(encoding="utf-8")
+        bad = tmp_path / "new_violations.csv"
+        bad.write_text(text.replace(",verdict,", ",label,", 1), encoding="utf-8")
+        code = main([
+            "sample",
+            "--new-violations", str(bad),
+            "--original", str(ws / "repair" / "input"),
+            "--repaired", str(ws / "repair" / "output"),
+            "--seed", "17",
+            "--out", str(tmp_path / "sheet.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "missing column 'verdict'" in err
+
     def test_seed_reproducibility(self, mini, tmp_path):
         ws = mini / "workspace"
         args = [
@@ -169,6 +202,62 @@ class TestMetricsCommand:
         assert (out / "structural_stats.csv").is_file()
         assert (out / "metric_medians.csv").is_file()
         assert (out / "signed_ranks.csv").is_file()
+
+
+def _axis_args(ws):
+    """Each axis command's flags, pointed at its pipeline stage's own inputs."""
+    return {
+        "fixrate": [
+            "--pre", ws / "analyze_pre" / "pre_violations.csv",
+            "--post", ws / "analyze_post" / "post_violations.csv",
+        ],
+        "newviol": [
+            "--pre", ws / "analyze_pre" / "pre_violations.csv",
+            "--post", ws / "analyze_post" / "post_violations.csv",
+            "--original", ws / "repair" / "input",
+            "--repaired", ws / "repair" / "output",
+        ],
+        "semantic": [
+            "--baseline", ws / "semantic" / "baseline_raw" / "results.csv",
+            "--repaired", ws / "semantic" / "repaired_raw" / "results.csv",
+            "--compile-log", ws / "semantic" / "compile_raw",
+        ],
+        "metrics": [
+            "--pre", ws / "metrics" / "pre_raw" / "class_metrics.csv",
+            "--post", ws / "metrics" / "post_raw" / "class_metrics.csv",
+        ],
+    }
+
+
+class TestStageParity:
+    """An axis command writes what its pipeline stage writes, byte for byte."""
+
+    @pytest.mark.parametrize("stage", ["fixrate", "newviol", "semantic", "metrics"])
+    def test_out_dir_matches_stage_dir(self, mini, tmp_path, stage):
+        ws = mini / "workspace"
+        out = tmp_path / stage
+        args = [str(a) for a in _axis_args(ws)[stage]]
+        assert main([stage, *args, "--out", str(out)]) == 0
+        stage_files = sorted(p.name for p in (ws / stage).iterdir() if p.is_file())
+        assert stage_files
+        assert sorted(p.name for p in out.iterdir()) == stage_files
+        for name in stage_files:
+            assert (out / name).read_bytes() == (ws / stage / name).read_bytes(), name
+
+    def test_sample_sheet_matches_stage(self, mini, tmp_path):
+        ws = mini / "workspace"
+        seed = json.loads((mini / "config.json").read_text(encoding="utf-8"))["seed"]
+        sheet = tmp_path / "sheet.csv"
+        code = main([
+            "sample",
+            "--new-violations", str(ws / "newviol" / "new_violations.csv"),
+            "--original", str(ws / "repair" / "input"),
+            "--repaired", str(ws / "repair" / "output"),
+            "--seed", str(seed),
+            "--out", str(sheet),
+        ])
+        assert code == 0
+        assert sheet.read_bytes() == (ws / "sample" / "sheet.csv").read_bytes()
 
 
 class TestReportCommand:

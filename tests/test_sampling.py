@@ -15,7 +15,6 @@ from apreval.newviol import SourcePair
 from apreval.sampling import (
     LabelVerdict,
     SHEET_HEADER,
-    SamplePlan,
     allocate_proportional,
     cochran_sample_size,
     exact_binomial_test,
@@ -54,10 +53,6 @@ class TestCochran:
             cochran_sample_size(100, margin=0.0)
         with pytest.raises(InvalidParameterError):
             cochran_sample_size(100, proportion=1.0)
-
-    def test_plan_carries_target(self):
-        plan = SamplePlan(population_size=2120)
-        assert plan.target_n == 326
 
     @given(st.integers(min_value=1, max_value=50000))
     @settings(max_examples=80)

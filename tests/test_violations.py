@@ -16,12 +16,10 @@ from apreval.violations import (
     Severity,
     StateLabel,
     ViolationType,
-    key_of,
     normalize_path,
     normalize_report,
     parse_report,
     serialize_report,
-    validate_report,
 )
 
 from conftest import mkreport, mkviol, random_violation
@@ -42,15 +40,15 @@ class TestViolationModel:
 
     def test_key_is_pure_projection(self):
         v = mkviol("A.java", "S1118", 3, 3)
-        assert key_of(v) == ("A.java", "S1118", 3, 3)
+        assert v.key == ("A.java", "S1118", 3, 3)
 
     def test_key_ignores_message(self):
         a = mkviol(message="one thing")
         b = mkviol(message="another thing")
-        assert key_of(a) == key_of(b)
+        assert a.key == b.key
 
     def test_key_distinguishes_end_line(self):
-        assert key_of(mkviol(start=3, end=3)) != key_of(mkviol(start=3, end=4))
+        assert mkviol(start=3, end=3).key != mkviol(start=3, end=4).key
 
     def test_replace_yields_fresh_key(self):
         v = mkviol("./A.java", "S1118", 3, 3)
@@ -251,21 +249,3 @@ class TestAnalyzerJsonAdapter:
     def test_invalid_json(self):
         with pytest.raises(MalformedInputError):
             parse_report("{not json", "analyzer-json", StateLabel.PRE_REPAIR)
-
-
-class TestValidateReport:
-    def test_in_profile_report_is_clean(self):
-        report = mkreport([mkviol(rule="S1118"), mkviol(rule="S2164", start=4)])
-        assert validate_report(report, SORALD_30) == []
-
-    def test_out_of_profile_rule_warned_once(self):
-        report = mkreport([mkviol(rule="S9999"), mkviol(rule="S9999", start=7)])
-        warnings = validate_report(report, SORALD_30)
-        assert [w.kind for w in warnings] == ["out_of_profile"]
-
-    def test_duplicate_full_tuple_flagged_but_retained(self):
-        v = mkviol(message="same")
-        report = mkreport([v, v])
-        warnings = validate_report(report, SORALD_30)
-        assert [w.kind for w in warnings] == ["duplicate_entry"]
-        assert len(report.entries) == 2
