@@ -21,6 +21,8 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -33,13 +35,8 @@ from .violations import (
     Violation,
     ViolationReport,
     ViolationType,
+    csv_writer,
 )
-
-
-def _norm_line(line: str, policy: NormalizationPolicy) -> str:
-    if policy is NormalizationPolicy.EXACT:
-        return line
-    return line.strip()
 
 
 @dataclass(frozen=True)
@@ -105,22 +102,33 @@ def extract_fragment(pair: SourcePair, span: tuple[int, int]) -> Fragment:
 
 
 class _LineIndex:
-    """One original file's normalized lines and where each distinct line sits.
+    """One original file's normalized lines and where the wanted ones sit.
 
-    Built once per file and policy, so a fragment search only visits the
-    positions of the fragment's first line: O(lines) to build, then
-    O(candidate starts) per lookup instead of a window slid over the file.
+    Only the lines a caller will look fragments up by (their first lines)
+    get a position list, so a search visits just the positions of the
+    fragment's first line: O(lines) to build, then O(candidate starts) per
+    lookup instead of a window slid over the file.
     """
 
-    def __init__(self, lines: tuple[str, ...], normalization: NormalizationPolicy) -> None:
+    def __init__(
+        self, lines: tuple[str, ...], normalization: NormalizationPolicy, firsts: Iterable[str]
+    ) -> None:
         self.normalization = normalization
-        self.lines = tuple(_norm_line(l, normalization) for l in lines)
+        self.lines = self._normalized(lines)
+        wanted = set(self._normalized(firsts))
         self.positions: dict[str, list[int]] = {}
         for i, line in enumerate(self.lines):
-            self.positions.setdefault(line, []).append(i)
+            if line in wanted:
+                self.positions.setdefault(line, []).append(i)
+
+    def _normalized(self, lines: Iterable[str]) -> Iterable[str]:
+        # EXACT hands back what it was given: a tuple stays a tuple
+        if self.normalization is NormalizationPolicy.EXACT:
+            return lines
+        return tuple(map(str.strip, lines))
 
     def find(self, fragment: Fragment) -> int | None:
-        needle = tuple(_norm_line(l, self.normalization) for l in fragment.lines)
+        needle = self._normalized(fragment.lines)
         k = len(needle)
         if k == 0:
             return None
@@ -143,7 +151,7 @@ def fragment_in_original(
     Multi-line fragments must match as an unbroken block. Returns ``None``
     when the fragment does not occur.
     """
-    return _LineIndex(pair.original_lines, normalization).find(fragment)
+    return _LineIndex(pair.original_lines, normalization, fragment.lines[:1]).find(fragment)
 
 
 def detect_new_violations(
@@ -160,27 +168,27 @@ def detect_new_violations(
     """
     pre_keys = {v.key for v in pre.entries}
     verdicts: list[NewViolationVerdict] = []
-    # canonical reports group entries by file, so one live index suffices
-    index_file: str | None = None
-    index: _LineIndex | None = None
-    for v in post.entries:
-        pair = sources.get(v.file_id)
+    # canonical reports group entries by file: one index per file, holding
+    # just the first lines of that file's fragments
+    for file_id, group in groupby(post.entries, key=attrgetter("file_id")):
+        pair = sources.get(file_id)
         if pair is None:
-            raise MissingSourceError(v.file_id)
-        fragment = extract_fragment(pair, v.span)
-        if v.file_id != index_file:
-            index_file, index = v.file_id, _LineIndex(pair.original_lines, normalization)
-        found_at = index.find(fragment)
-        if found_at is not None:
-            verdicts.append(
-                NewViolationVerdict(v, VerdictKind.NOT_NEW_FRAGMENT_FOUND, evidence=found_at)
-            )
-        elif v.key in pre_keys:
-            verdicts.append(
-                NewViolationVerdict(v, VerdictKind.NOT_NEW_KEY_MATCH, evidence=v.start_line)
-            )
-        else:
-            verdicts.append(NewViolationVerdict(v, VerdictKind.NEW))
+            raise MissingSourceError(file_id)
+        entries = list(group)
+        fragments = [extract_fragment(pair, v.span) for v in entries]
+        index = _LineIndex(pair.original_lines, normalization, (f.lines[0] for f in fragments))
+        for v, fragment in zip(entries, fragments):
+            found_at = index.find(fragment)
+            if found_at is not None:
+                verdicts.append(
+                    NewViolationVerdict(v, VerdictKind.NOT_NEW_FRAGMENT_FOUND, evidence=found_at)
+                )
+            elif v.key in pre_keys:
+                verdicts.append(
+                    NewViolationVerdict(v, VerdictKind.NOT_NEW_KEY_MATCH, evidence=v.start_line)
+                )
+            else:
+                verdicts.append(NewViolationVerdict(v, VerdictKind.NEW))
     return verdicts
 
 
@@ -238,7 +246,7 @@ def write_newviol(
     """Write ``new_violations.csv``, ``new_matrix.csv``, ``new_frequency.csv`` and ``notes.txt``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "new_violations.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh)
         writer.writerow(NEW_VIOLATIONS_HEADER)
         for vd in verdicts:
             v = vd.violation

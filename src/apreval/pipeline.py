@@ -46,7 +46,6 @@ from .violations import (
     StateLabel,
     ViolationReport,
     get_profile,
-    normalize_report,
     parse_report,
     serialize_report,
 )
@@ -463,6 +462,9 @@ class PipelineRun:
         # (digest, pairs) of repair/input against repair/output, shared by
         # the newviol and sample bodies and dropped after sample
         self._sources: tuple[str, dict[str, SourcePair]] | None = None
+        # absolute path -> (sha256, report) of the normalized reports, seeded
+        # by the analyze stages and dropped after newviol, their last reader
+        self._reports: dict[str, tuple[bytes, ViolationReport]] = {}
 
     # -- state bookkeeping
 
@@ -567,6 +569,19 @@ class PipelineRun:
         for key in stale:
             del self._memo[key]
 
+    def _report(self, path: Path, state: StateLabel) -> ViolationReport:
+        """The normalized report in ``path``, parsed at most once per run.
+
+        An entry is checked against the file's sha256 in the memo, which the
+        reading stage's input digest has just filled.
+        """
+        key = os.path.abspath(path)
+        sha = _memo_sha256(key, self._memo)
+        entry = self._reports.get(key)
+        if entry is None or entry[0] != sha:
+            entry = self._reports[key] = (sha, _read_csv_report(path, state))
+        return entry[1]
+
     def _repair_sources(self) -> dict[str, SourcePair]:
         """SourcePairs of the repair stage's input and output, loaded once per run."""
         trees = [self._stage_dir("repair") / "input", self._stage_dir("repair") / "output"]
@@ -651,7 +666,11 @@ class PipelineRun:
                 state,
                 options=self.config.report_adapter_options,
             )
-            (stage_dir / out_name).write_text(serialize_report(report), encoding="utf-8")
+            data = serialize_report(report).encode("utf-8")
+            out = stage_dir / out_name
+            out.write_bytes(data)
+            # a CSV re-read gives this same report back, so later stages need not parse
+            self._reports[os.path.abspath(out)] = (hashlib.sha256(data).digest(), report)
 
         extra = _adapter_fingerprint(analyzer) + "|" + self.config.report_adapter
         self._run_stage(name, [sources], extra, body)
@@ -670,7 +689,7 @@ class PipelineRun:
         compilable_txt = self._require("repair", self._stage_dir("prepare") / "compilable.txt")
 
         def body(stage_dir: Path) -> None:
-            pre = _read_csv_report(pre_csv, StateLabel.PRE_REPAIR)
+            pre = self._report(pre_csv, StateLabel.PRE_REPAIR)
             compilable = compilable_txt.read_text(encoding="utf-8").splitlines()
             violating = prepare_corpus_violating(compilable, pre, self.profile)
             (stage_dir / "violating_files.txt").write_text(
@@ -706,15 +725,13 @@ class PipelineRun:
     ) -> tuple[ViolationReport, ViolationReport]:
         """Pre report restricted to the repaired files, plus the post report."""
         violating = set(violating_txt.read_text(encoding="utf-8").splitlines())
-        pre_full = _read_csv_report(pre_csv, StateLabel.PRE_REPAIR)
-        pre = normalize_report(
-            ViolationReport(
-                state=StateLabel.PRE_REPAIR,
-                entries=tuple(v for v in pre_full.entries if v.file_id in violating),
-            )
+        pre_full = self._report(pre_csv, StateLabel.PRE_REPAIR)
+        # a filtered canonical report is still in canonical order
+        pre = ViolationReport(
+            state=StateLabel.PRE_REPAIR,
+            entries=tuple(v for v in pre_full.entries if v.file_id in violating),
         )
-        post = _read_csv_report(post_csv, StateLabel.POST_REPAIR)
-        return pre, post
+        return pre, self._report(post_csv, StateLabel.POST_REPAIR)
 
     def _matching_inputs(self, stage: str) -> list[Path]:
         return [
@@ -864,7 +881,9 @@ class PipelineRun:
             for name in STAGE_ORDER:
                 if name in requested:
                     getattr(self, f"_stage_{name}")()
-                if name == "sample":
+                if name == "newviol":
+                    self._reports.clear()  # their last reader is done
+                elif name == "sample":
                     self._sources = None  # their last reader is done
         return dict(self.summary)
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .newviol import SourcePair, extract_fragment
 from .stats import Direction, StatResult
-from .violations import Violation
+from .violations import Violation, csv_writer
 
 if TYPE_CHECKING:
     from .pipeline import SamplingParams
@@ -176,7 +176,7 @@ def export_labeling_sheet(
     blank. Output is deterministic for a given sample.
     """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv_writer(buf)
     writer.writerow(SHEET_HEADER)
     item_no = 0
     for rule in sorted(sample.strata):

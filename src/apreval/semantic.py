@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import MalformedInputError
-from .violations import decode_input
+from .violations import csv_writer, decode_input
 
 RESULTS_CSV_HEADER = ("test_id", "target_file", "status", "failure_kind")
 
@@ -286,7 +286,7 @@ def write_semantic(out_dir: Path, regressions: Sequence[Regression], summary: Se
     """Write ``regressions.csv``, ``failure_histogram.csv``, ``compile_errors.csv`` and ``semantic.json``."""
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "regressions.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv_writer(fh)
         writer.writerow(["test_id", "status", "failure_kind", "missing_in_repaired_run"])
         for reg in regressions:
             writer.writerow(

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import IO, Iterable, Mapping, NamedTuple
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import (
     ConfigError,
@@ -26,7 +26,7 @@ from .errors import (
     UnknownAdapterError,
 )
 
-RULE_ID_RE = re.compile(r"^S\d{1,5}$")
+RULE_ID_RE = re.compile(r"S\d{1,5}")
 
 #: Header of the native normalized violation CSV.
 CSV_HEADER = ("file", "rule", "type", "severity", "start_line", "end_line", "message")
@@ -60,7 +60,7 @@ class NormalizationPolicy(Enum):
 
 def check_rule_id(code: str) -> str:
     """Validate an analyzer rule code (``S`` + 1-5 digits) and return it."""
-    if not RULE_ID_RE.match(code):
+    if not RULE_ID_RE.fullmatch(code):
         raise ValueError(f"invalid rule id {code!r}; expected 'S' followed by 1-5 digits")
     return code
 
@@ -240,8 +240,39 @@ def decode_input(raw: bytes | str | IO) -> str:
     return data
 
 
-def _csv_adapter(text: str, options: Mapping) -> Iterable[Violation]:
+def _file_id(raw: str, field: str, line: int | None = None) -> str:
+    """A finding's file in canonical form; blank once canonical means missing."""
+    path = normalize_path(raw)
+    if not path.strip():
+        raise MissingRequiredFieldError(field, line)
+    return path
+
+
+def _check_csv_field(text: str, what: str) -> None:
+    """Refuse a field that the native CSV could not read back on every Python version.
+
+    Python 3.10's csv reader rejects NUL (later ones accept it), and every
+    version rejects a field longer than ``csv.field_size_limit()``.
+    """
+    if "\0" in text:
+        raise MalformedInputError(f"{what} contains a NUL character")
+    limit = csv.field_size_limit()
+    if len(text) > limit:
+        raise MalformedInputError(f"{what} holds a field longer than {limit} characters")
+
+
+def _csv_rows(text: str) -> Iterator[list[str]]:
     reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise MalformedInputError(str(exc), reader.line_num) from None
+
+
+def _csv_adapter(text: str, options: Mapping) -> Iterable[Violation]:
+    if "\0" in text:  # see _check_csv_field
+        raise MalformedInputError("report contains a NUL character")
+    reader = _csv_rows(text)
     try:
         header = next(reader)
     except StopIteration:
@@ -261,7 +292,7 @@ def _csv_adapter(text: str, options: Mapping) -> Iterable[Violation]:
                 raise MissingRequiredFieldError(required, lineno)
         try:
             yield Violation(
-                file_id=rec["file"],
+                file_id=_file_id(rec["file"], "file", lineno),
                 rule=rec["rule"].strip(),
                 vtype=_parse_vtype(rec["type"], lineno),
                 severity=_parse_severity(rec["severity"], lineno),
@@ -332,18 +363,20 @@ def _analyzer_json_adapter(text: str, options: Mapping) -> Iterable[Violation]:
             severity = Severity(m["severity_map"][raw_sev])
         except KeyError as exc:
             raise MalformedInputError(f"unmapped enum value {exc} (issue {i})") from None
-        message = get(f["message"], required=False) or ""
+        message = str(get(f["message"], required=False) or "")
+        for what, value in (("file", component), ("message", message)):
+            _check_csv_field(value, f"issue {i}: {what}")
         try:
             yield Violation(
-                file_id=component,
+                file_id=_file_id(component, f"{f['file']} (issue {i})"),
                 rule=rule,
                 vtype=vtype,
                 severity=severity,
                 start_line=int(start_line),
                 end_line=int(end_line),
-                message=str(message),
+                message=message,
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an Infinity line
             raise MalformedInputError(f"issue {i}: {exc}") from None
 
 
@@ -368,10 +401,33 @@ def parse_report(
     return normalize_report(ViolationReport(state=state, entries=entries, profile=profile))
 
 
+class _LFRows:
+    """The target of ``csv_writer``: each row goes out with LF instead of CRLF."""
+
+    def __init__(self, write):
+        self._write = write
+
+    def write(self, row: str):
+        return self._write(row[:-2] + "\n")
+
+
+def csv_writer(fh):
+    """A ``csv.writer`` on ``fh`` that ends rows in LF and quotes any field holding CR or LF.
+
+    Python 3.13 quotes both characters whatever the line terminator; earlier
+    versions quote only the terminator's own, so with LF rows they leave a
+    bare CR unquoted and a reader takes it for a line end. Handing the writer
+    CRLF as its terminator gets the 3.13 quoting on every version; the
+    writer passes each whole row to one ``write`` call, which swaps the
+    terminator for LF. Rows holding no CR keep the bytes of a plain LF writer.
+    """
+    return csv.writer(_LFRows(fh.write), lineterminator="\r\n")
+
+
 def serialize_report(report: ViolationReport) -> str:
     """Render a report in the native normalized CSV format (UTF-8, LF)."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv_writer(buf)
     writer.writerow(CSV_HEADER)
     for v in report.entries:
         writer.writerow(

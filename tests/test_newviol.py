@@ -13,6 +13,7 @@ from apreval.newviol import (
     extract_fragment,
     fragment_in_original,
     NewViolationVerdict,
+    _LineIndex,
 )
 from apreval.violations import Severity, StateLabel, ViolationType
 
@@ -104,6 +105,30 @@ class TestFragmentInOriginal:
                     expected = i + 1
                     break
             assert fragment_in_original(frag, pair, policy) == expected
+
+
+class TestLineIndex:
+    ORIGINAL = ("a();", "b();", "  b();  ", "c();", "b();", "c();")
+
+    def test_only_requested_first_lines_are_indexed(self):
+        exact = _LineIndex(self.ORIGINAL, NormalizationPolicy.EXACT, ["b();", "b();", "absent();"])
+        assert exact.positions == {"b();": [1, 4]}
+        assert exact.lines is self.ORIGINAL  # EXACT keeps the caller's tuple
+        loose = _LineIndex(self.ORIGINAL, NormalizationPolicy.LOOSE, ["   b();"])
+        assert loose.positions == {"b();": [1, 2, 4]}
+        assert loose.lines[2] == "b();"
+
+    def test_first_occurrence_wins(self):
+        index = _LineIndex(self.ORIGINAL, NormalizationPolicy.EXACT, ["b();"])
+        assert index.find(Fragment("A.java", ("b();", "c();"), (7, 8))) == 5
+        assert index.find(Fragment("A.java", ("b();",), (9, 9))) == 2
+        loose = _LineIndex(self.ORIGINAL, NormalizationPolicy.LOOSE, ["b();"])
+        assert loose.find(Fragment("A.java", ("b();", "c();"), (1, 2))) == 3
+
+    def test_fragment_must_start_on_a_requested_line(self):
+        index = _LineIndex(self.ORIGINAL, NormalizationPolicy.EXACT, ["b();"])
+        assert index.positions.get("c();") is None
+        assert index.find(Fragment("A.java", ("c();",), (1, 1))) is None
 
 
 # --- three-stage detection -----------------------------------------------------

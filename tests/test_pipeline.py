@@ -519,6 +519,108 @@ class TestDigestPaths:
         assert set(read.values()) == {1}
 
 
+def _count_parses(monkeypatch) -> list[int]:
+    """Record one entry per ``parse_report`` call the pipeline makes."""
+    calls: list[int] = []
+    parse_report = pipeline.parse_report
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return parse_report(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "parse_report", counting)
+    return calls
+
+
+def _workspace_bytes(cfg) -> dict[str, bytes]:
+    """Every workspace file but ``state.json`` and the adapter logs."""
+    return {
+        p.relative_to(cfg.workspace_dir).as_posix(): p.read_bytes()
+        for p in _rglob_files(cfg.workspace_dir)
+        if p.name != "state.json" and not p.name.startswith("adapter_")
+    }
+
+
+IN_PROCESS_STAGES = ["fixrate", "newviol", "sample", "report"]
+
+
+@pytest.fixture(scope="module")
+def parsed_run(tmp_path_factory):
+    """A cold run over the bundled corpus, counting its report parses."""
+    cfg = load_config(minicorpus.materialize(tmp_path_factory.mktemp("parsed"), seed=17))
+    with pytest.MonkeyPatch.context() as m:
+        parses = _count_parses(m)
+        run = PipelineRun(cfg)
+        summary = run.run()
+    return cfg, run, summary, len(parses)
+
+
+def _drop_first_finding(cfg) -> None:
+    path = cfg.workspace_dir / "analyze_pre" / "pre_violations.csv"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text(lines[0] + "".join(lines[2:]), encoding="utf-8")
+
+
+class TestReportsParsedOnce:
+    def test_cold_run_parses_each_analyzer_output_once(self, parsed_run):
+        # the analyze stages parse the raw analyzer output; repair, fixrate
+        # and newviol reuse those reports instead of re-reading their CSVs
+        _, run, summary, parses = parsed_run
+        assert set(summary.values()) == {"ran"}
+        assert parses == 2
+        assert run._reports == {}  # dropped after newviol
+
+    def test_rerun_reading_from_disk_is_byte_identical(self, parsed_run, monkeypatch):
+        cfg, _, _, _ = parsed_run
+        cold = _workspace_bytes(cfg)
+        parses = _count_parses(monkeypatch)
+        summary = run_pipeline(cfg, force=True, stages=IN_PROCESS_STAGES)
+        assert set(summary.values()) == {"ran"}
+        assert len(parses) == 2  # fixrate reads pre and post; newviol reuses them
+        assert _workspace_bytes(cfg) == cold
+
+    def test_edited_pre_report_matches_fresh_workspace(self, tmp_path):
+        edited = load_config(minicorpus.materialize(tmp_path / "edited", seed=17))
+        run_pipeline(edited)
+        before = (edited.workspace_dir / "report" / "summary.json").read_bytes()
+        _drop_first_finding(edited)
+        summary = run_pipeline(edited)
+        assert summary["analyze_pre"] == "cached"
+        assert summary["repair"] == summary["fixrate"] == summary["newviol"] == "ran"
+        assert (edited.workspace_dir / "report" / "summary.json").read_bytes() != before
+
+        fresh = load_config(minicorpus.materialize(tmp_path / "fresh", seed=17))
+        run_pipeline(fresh, stages=["prepare", "analyze_pre"])
+        _drop_first_finding(fresh)
+        run_pipeline(fresh)
+        assert _workspace_bytes(edited) == _workspace_bytes(fresh)
+
+    def test_report_rewritten_mid_run_is_read_again(self, tmp_path):
+        # a repairer that also edits the pre report after the repair stage
+        # has read it: the seeded report is stale, and fixrate and newviol
+        # must read the file instead
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        pre_csv = tmp_path / "workspace" / "analyze_pre" / "pre_violations.csv"
+        meddler = tmp_path / "meddler.py"
+        meddler.write_text(
+            "import subprocess, sys\n"
+            "from pathlib import Path\n"
+            "subprocess.run([sys.executable, '-m', 'apreval.stubs', 'repairer', sys.argv[1], sys.argv[2]],\n"
+            "               check=True)\n"
+            "lines = Path(sys.argv[3]).read_text(encoding='utf-8').splitlines(keepends=True)\n"
+            "Path(sys.argv[3]).write_text(lines[0] + ''.join(lines[2:]), encoding='utf-8')\n",
+            encoding="utf-8",
+        )
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["adapters"]["repairer"]["command"] = f"{PY} {meddler} {{input}} {{output}} {pre_csv}"
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        cfg = load_config(config_path)
+        run_pipeline(cfg)
+        cold = _workspace_bytes(cfg)
+        run_pipeline(cfg, force=True, stages=IN_PROCESS_STAGES)
+        assert _workspace_bytes(cfg) == cold
+
+
 class TestPerRuleRepair:
     def test_rule_placeholder_runs_sequential_passes(self, tmp_path):
         config_path = minicorpus.materialize(tmp_path, seed=17)

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 
 import pytest
@@ -6,16 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apreval.errors import (
+    HarnessError,
     MalformedInputError,
     MissingRequiredFieldError,
     UnknownAdapterError,
 )
 from apreval.violations import (
+    CSV_HEADER,
     SORALD_30,
     RuleProfile,
     Severity,
     StateLabel,
     ViolationType,
+    check_rule_id,
+    csv_writer,
     normalize_path,
     normalize_report,
     parse_report,
@@ -190,6 +196,116 @@ class TestCsvAdapter:
         text = serialize_report(mkreport([mkviol()]))
         assert "\r" not in text
 
+    @pytest.mark.parametrize("message", ["a\rb", "a\r\nb", "a\nb", "\r"])
+    def test_field_with_cr_or_lf_is_quoted(self, message):
+        text = serialize_report(mkreport([mkviol(message=message)]))
+        assert text.endswith(f',"{message}"\n')
+        assert parse_report(text, "csv").entries[0].message == message
+
+    def test_nul_rejected(self):
+        text = "file,rule,type,severity,start_line,end_line,message\nA.java,S1118,Bug,Low,1,1,a\0b\n"
+        with pytest.raises(MalformedInputError):
+            parse_report(text, "csv")
+
+    def test_field_too_long_is_malformed_input(self):
+        text = f"file,rule,type,severity,start_line,end_line,message\nA.java,S1118,Bug,Low,1,1,{'x' * (csv.field_size_limit() + 1)}\n"
+        with pytest.raises(MalformedInputError) as err:
+            parse_report(text, "csv")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("file_id", [" ", "./", "./ ", "././\t"])
+    def test_file_blank_once_canonical_rejected(self, file_id):
+        text = f"file,rule,type,severity,start_line,end_line,message\n{file_id},S1118,Bug,Low,1,1,\n"
+        with pytest.raises(MissingRequiredFieldError) as err:
+            parse_report(text, "csv")
+        assert err.value.field == "file"
+
+
+#: what a field may hold: CSV and line-end specials, spaces, path parts,
+#: non-ASCII, and now and then any character at all (NUL included)
+_FIELD_TEXT = st.text(
+    st.sampled_from(list('\r\n",; ./\\\t') + ["é", "日", "\u2028", "\x85", "a", "B", "1"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=12,
+)
+
+
+def _quoted(field: str) -> str:
+    return '"' + field.replace('"', '""') + '"'
+
+
+@st.composite
+def csv_reports(draw):
+    """Native CSV text, every field quoted so that any character can appear."""
+    rows = [",".join(CSV_HEADER)]
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(1, 50))
+        fields = [
+            draw(_FIELD_TEXT | st.sampled_from(["A.java", "./dir//B.java", "dir\\C.java"])),
+            draw(st.sampled_from(["S1118", " S2164 ", "S1\n", "S42"])),
+            draw(st.sampled_from(["Bug", "codesmell", " CODE_SMELL", "Vulnerability"])),
+            draw(st.sampled_from(["High", "medium", "LOW "])),
+            str(start),
+            str(start + draw(st.integers(0, 3))),
+            draw(_FIELD_TEXT),
+        ]
+        rows.append(",".join(map(_quoted, fields)))
+    return "\n".join(rows) + "\n"
+
+
+@st.composite
+def json_reports(draw):
+    """A SonarQube export whose component, rule, lines and message vary."""
+    issues = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(1, 50))
+        issues.append(_sonar_issue(
+            "proj:" + draw(_FIELD_TEXT | st.sampled_from(["src/A.java", "./B.java"])),
+            "java:" + draw(st.sampled_from(["S1118", "S2164", "S42", "S1118\n"])),
+            start,
+            start + draw(st.integers(0, 3)),
+            severity=draw(st.sampled_from(["MAJOR", "BLOCKER", "INFO"])),
+            message=draw(_FIELD_TEXT),
+        ))
+    return _sonar_export(issues)
+
+
+class TestRoundTrip:
+    """Every report an adapter accepts comes back unchanged from its own CSV.
+
+    The pipeline hands later stages the report its analyze stage parsed,
+    not a re-read of the CSV it wrote, so the two must never differ.
+    """
+
+    @staticmethod
+    def _accepted(text, adapter):
+        try:
+            return parse_report(text, adapter)
+        except HarnessError:
+            return None
+
+    @given(csv_reports())
+    @settings(max_examples=300)
+    def test_csv_report_round_trips(self, text):
+        report = self._accepted(text, "csv")
+        if report is not None:
+            assert parse_report(serialize_report(report), "csv") == report
+
+    @given(json_reports())
+    @settings(max_examples=300)
+    def test_analyzer_json_report_round_trips(self, text):
+        report = self._accepted(text, "analyzer-json")
+        if report is not None:
+            assert parse_report(serialize_report(report), "csv") == report
+
+    @given(st.lists(st.lists(_FIELD_TEXT.filter(lambda f: "\r" not in f) | st.integers(), min_size=1,
+                             max_size=5), max_size=5))
+    def test_rows_without_cr_keep_their_bytes(self, rows):
+        ours, plain = io.StringIO(), io.StringIO()
+        csv_writer(ours).writerows(rows)
+        csv.writer(plain, lineterminator="\n").writerows(rows)
+        assert ours.getvalue() == plain.getvalue()
+
 
 def _sonar_export(issues):
     return json.dumps({"total": len(issues), "issues": issues})
@@ -249,3 +365,35 @@ class TestAnalyzerJsonAdapter:
     def test_invalid_json(self):
         with pytest.raises(MalformedInputError):
             parse_report("{not json", "analyzer-json", StateLabel.PRE_REPAIR)
+
+    def test_rule_with_trailing_newline_rejected(self):
+        with pytest.raises(ValueError):
+            check_rule_id("S1118\n")
+        with pytest.raises(MalformedInputError):
+            parse_report(_sonar_export([_sonar_issue("p:A.java", "java:S1118\n", 1, 1)]), "analyzer-json")
+
+    @pytest.mark.parametrize("component", ["proj: ", "proj:", "proj:./"])
+    def test_blank_file_rejected(self, component):
+        with pytest.raises(MissingRequiredFieldError) as err:
+            parse_report(_sonar_export([_sonar_issue(component, "java:S1118", 1, 1)]), "analyzer-json")
+        assert "component" in err.value.field
+
+    def test_nul_rejected(self):
+        with pytest.raises(MalformedInputError):
+            parse_report(_sonar_export([_sonar_issue("p:A.java", "java:S1118", 1, 1, message="a\0")]),
+                         "analyzer-json")
+
+    def test_message_too_long_for_a_csv_field_rejected(self):
+        limit = csv.field_size_limit()
+        fits = parse_report(_sonar_export([_sonar_issue("p:A.java", "java:S1118", 1, 1, message="x" * limit)]),
+                            "analyzer-json")
+        assert parse_report(serialize_report(fits), "csv") == fits
+        with pytest.raises(MalformedInputError):
+            parse_report(_sonar_export([_sonar_issue("p:A.java", "java:S1118", 1, 1, message="x" * (limit + 1))]),
+                         "analyzer-json")
+
+    def test_infinite_line_rejected(self):
+        raw = _sonar_export([_sonar_issue("p:A.java", "java:S1118", 1, 1)]).replace('"startLine": 1',
+                                                                                    '"startLine": Infinity')
+        with pytest.raises(MalformedInputError):
+            parse_report(raw, "analyzer-json")
