@@ -133,7 +133,7 @@ def _cmd_semantic(args: argparse.Namespace) -> int:
         log_dir = Path(args.compile_log)
         results_file = log_dir / "compile_results.json"
         if results_file.is_file():
-            diagnostics = semantic_mod.read_compile_failures(results_file)
+            _, diagnostics = semantic_mod.read_compile_results(results_file)
         else:
             for diag_file in sorted(log_dir.glob("*.log")):
                 diagnostics[diag_file.stem] = diag_file.read_text(encoding="utf-8")

@@ -10,7 +10,6 @@ signed-rank test, and the direction summary.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 from collections import defaultdict
@@ -28,7 +27,7 @@ from .stats import (
     signed_rank_direction,
     wilcoxon_signed_rank,
 )
-from .violations import decode_input
+from .violations import csv_writer, decode_input, read_csv_table
 
 METRIC_NAMES = ("noc", "npa", "dit", "lcom1", "wmc", "cbo", "rfc", "loc")
 SUM_METRICS = ("noc", "npa", "lcom1", "wmc", "cbo", "rfc", "loc")
@@ -72,24 +71,13 @@ class MetricPair:
 
 def read_class_metrics_csv(raw: bytes | str | IO) -> list[ClassMetricsRow]:
     """Parse an extractor CSV with header ``file,class,noc,...,loc``."""
-    reader = csv.reader(io.StringIO(decode_input(raw), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    if tuple(h.strip().lower() for h in header) != METRICS_CSV_HEADER:
-        raise MalformedInputError(f"unexpected header {header!r}", 1)
     rows: list[ClassMetricsRow] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(METRICS_CSV_HEADER):
-            raise MalformedInputError(f"expected {len(METRICS_CSV_HEADER)} fields, got {len(row)}", lineno)
+    for line, row in read_csv_table(decode_input(raw), METRICS_CSV_HEADER, fold_case=True):
         try:
             values = {m: int(v) for m, v in zip(METRIC_NAMES, row[2:])}
             rows.append(ClassMetricsRow(file_id=row[0], class_name=row[1], values=values))
         except ValueError as exc:
-            raise MalformedInputError(str(exc), lineno) from None
+            raise MalformedInputError(str(exc), line) from None
     return rows
 
 
@@ -264,10 +252,10 @@ def write_metrics(
     (out_dir / "metric_medians.csv").write_text(metric_medians_csv(report), encoding="utf-8")
     (out_dir / "signed_ranks.csv").write_text(signed_ranks_csv(report), encoding="utf-8")
     (out_dir / "normality.csv").write_text(normality_csv(report), encoding="utf-8")
-    (out_dir / "exclusions.csv").write_text(
-        "file,reason\n" + "".join(f"{file_id},{reason}\n" for file_id, reason in exclusions),
-        encoding="utf-8",
-    )
+    with (out_dir / "exclusions.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv_writer(fh)
+        writer.writerow(["file", "reason"])
+        writer.writerows(exclusions)
     payload = {
         "n_pairs": len(pairs),
         "excluded": len(exclusions),

@@ -274,15 +274,18 @@ def _read_new_rows(path: Path) -> tuple[int, list[tuple[int, dict[str, str]]]]:
     """The number of rows in a ``new_violations.csv`` and its NEW rows with their line numbers."""
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        for name in NEW_VIOLATIONS_HEADER[:-1]:
-            if name not in (reader.fieldnames or ()):
-                raise MalformedInputError(f"{path}: missing column {name!r}", 1)
-        rows = 0
-        new: list[tuple[int, dict[str, str]]] = []
-        for row in reader:
-            rows += 1
-            if row["verdict"] == VerdictKind.NEW.value:
-                new.append((reader.line_num, row))
+        try:
+            for name in NEW_VIOLATIONS_HEADER[:-1]:
+                if name not in (reader.fieldnames or ()):
+                    raise MalformedInputError(f"{path}: missing column {name!r}", 1)
+            rows = 0
+            new: list[tuple[int, dict[str, str]]] = []
+            for row in reader:
+                rows += 1
+                if row["verdict"] == VerdictKind.NEW.value:
+                    new.append((reader.line_num, row))
+        except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+            raise MalformedInputError(f"{path}: {exc}", reader.line_num) from None
     return rows, new
 
 

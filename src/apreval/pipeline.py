@@ -301,10 +301,9 @@ def prepare_corpus_compile(
     results_path = out_dir / "compile_results.json"
     if not results_path.is_file():
         raise MissingArtifactError(compiler.name, "compile_results.json")
-    results = json.loads(results_path.read_text(encoding="utf-8"))
-    compilable = sorted(r["file"] for r in results if r["ok"])
-    rejected = {r["file"]: r["diagnostic"] for r in results if not r["ok"]}
-    return compilable, rejected
+    from .semantic import read_compile_results
+
+    return read_compile_results(results_path)
 
 
 def prepare_corpus_violating(
@@ -818,7 +817,7 @@ class PipelineRun:
 
             diagnostics: dict[str, str] = {}
             if compiler is not None:
-                diagnostics = semantic_mod.read_compile_failures(
+                _, diagnostics = semantic_mod.read_compile_results(
                     stage_dir / "compile_raw" / "compile_results.json"
                 )
             regressions, summary = semantic_mod.compare_runs(

@@ -10,7 +10,6 @@ precision threshold.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .newviol import SourcePair, extract_fragment
 from .stats import Direction, StatResult
-from .violations import Violation, csv_writer
+from .violations import Violation, csv_writer, read_csv_table
 
 if TYPE_CHECKING:
     from .pipeline import SamplingParams
@@ -231,13 +230,13 @@ class LabelRecord:
     evaluator_id: str
 
 
-def _parse_verdict(raw: str, row_no: int, column: str) -> LabelVerdict:
+def _parse_verdict(raw: str, line: int, column: str) -> LabelVerdict:
     token = raw.strip().upper()
     if token == "":
         return LabelVerdict.UNLABELED
     if token in ("TP", "FP"):
         return LabelVerdict(token)
-    raise MalformedInputError(f"{column} must be TP or FP, got {raw!r}", row_no)
+    raise MalformedInputError(f"{column} must be TP or FP, got {raw!r}", line)
 
 
 def ingest_labels(sheet_text: str) -> list[LabelRecord]:
@@ -248,30 +247,16 @@ def ingest_labels(sheet_text: str) -> list[LabelRecord]:
     verdicts are rejected, since precision cannot be computed over
     unlabeled items.
     """
-    reader = csv.reader(io.StringIO(sheet_text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    if tuple(h.strip() for h in header) != SHEET_HEADER:
-        raise MalformedInputError(f"unexpected sheet header {header!r}", 1)
     records: list[LabelRecord] = []
-    for row_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(SHEET_HEADER):
-            raise MalformedInputError(f"expected {len(SHEET_HEADER)} fields, got {len(row)}", row_no)
-        rec = dict(zip(SHEET_HEADER, row))
-        e1 = _parse_verdict(rec["evaluator1_verdict"], row_no, "evaluator1_verdict")
-        e2 = _parse_verdict(rec["evaluator2_verdict"], row_no, "evaluator2_verdict")
-        adj = _parse_verdict(rec["adjudicated_verdict"], row_no, "adjudicated_verdict")
-        item = rec["item_id"]
+    for line, row in read_csv_table(sheet_text, SHEET_HEADER):
+        item = row[0]
+        e1, e2, adj = (_parse_verdict(raw, line, column) for raw, column in zip(row[-3:], SHEET_HEADER[-3:]))
         if e1 is LabelVerdict.UNLABELED or e2 is LabelVerdict.UNLABELED:
-            raise UnlabeledRowError(f"item {item!r} (row {row_no}) lacks an evaluator verdict")
+            raise UnlabeledRowError(f"item {item!r} (line {line}) lacks an evaluator verdict")
         if e1 is not e2:
             if adj is LabelVerdict.UNLABELED:
                 raise ConflictingVerdictsError(
-                    f"item {item!r} (row {row_no}): evaluators disagree and no adjudicated verdict is present"
+                    f"item {item!r} (line {line}): evaluators disagree and no adjudicated verdict is present"
                 )
             records.append(LabelRecord(item_id=item, verdict=adj, evaluator_id="adjudicator"))
         else:

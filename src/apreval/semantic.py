@@ -9,8 +9,6 @@ shipped as editable data files, keeping the module runner-agnostic.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -20,7 +18,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import MalformedInputError
-from .violations import csv_writer, decode_input
+from .violations import csv_writer, decode_input, read_csv_table
 
 RESULTS_CSV_HEADER = ("test_id", "target_file", "status", "failure_kind")
 
@@ -127,23 +125,11 @@ def classify_compile_error(diagnostic: str) -> CompileErrorMatch:
 
 
 def _parse_results_csv(text: str) -> Iterable[TestOutcome]:
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        return
-    if tuple(h.strip() for h in header) != RESULTS_CSV_HEADER:
-        raise MalformedInputError(f"unexpected header {header!r}", 1)
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(RESULTS_CSV_HEADER):
-            raise MalformedInputError(f"expected {len(RESULTS_CSV_HEADER)} fields, got {len(row)}", lineno)
-        test_id, target_file, status_raw, failure_kind = row
+    for line, (test_id, target_file, status_raw, failure_kind) in read_csv_table(text, RESULTS_CSV_HEADER):
         try:
             status = TestStatus(status_raw.strip().lower())
         except ValueError:
-            raise MalformedInputError(f"unknown status {status_raw!r}", lineno) from None
+            raise MalformedInputError(f"unknown status {status_raw!r}", line) from None
         try:
             yield TestOutcome(
                 test_id=test_id,
@@ -152,7 +138,7 @@ def _parse_results_csv(text: str) -> Iterable[TestOutcome]:
                 failure_kind=failure_kind if status is TestStatus.FAIL else None,
             )
         except ValueError as exc:
-            raise MalformedInputError(str(exc), lineno) from None
+            raise MalformedInputError(str(exc), line) from None
 
 
 def ingest_test_results(raw: bytes | str | IO) -> list[TestOutcome]:
@@ -276,10 +262,29 @@ def compare_runs(
     return regressions, summarize_semantic(baseline, regressions, compile_diagnostics)
 
 
-def read_compile_failures(results_json: Path) -> dict[str, str]:
-    """Diagnostics of the files a compiler's ``compile_results.json`` rejects."""
-    results = json.loads(results_json.read_text(encoding="utf-8"))
-    return {r["file"]: r["diagnostic"] for r in results if not r["ok"]}
+def read_compile_results(results_json: Path) -> tuple[list[str], dict[str, str]]:
+    """The files a compiler's ``compile_results.json`` accepts, sorted, and its diagnostics of the rest."""
+    try:
+        results = json.loads(results_json.read_text(encoding="utf-8"))
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise MalformedInputError(f"{results_json}: {exc}") from None
+    if not isinstance(results, list):
+        raise MalformedInputError(f"{results_json}: expected a list of records")
+    compilable: list[str] = []
+    rejected: dict[str, str] = {}
+    for i, r in enumerate(results):
+        if not (
+            isinstance(r, dict) and isinstance(r.get("file"), str) and "ok" in r
+            and (r["ok"] or isinstance(r.get("diagnostic"), str))
+        ):
+            raise MalformedInputError(
+                f"{results_json}: record {i} needs a string file, ok and, when not ok, a string diagnostic"
+            )
+        if r["ok"]:
+            compilable.append(r["file"])
+        else:
+            rejected[r["file"]] = r["diagnostic"]
+    return sorted(compilable), rejected
 
 
 def write_semantic(out_dir: Path, regressions: Sequence[Regression], summary: SemanticSummary) -> None:

@@ -169,7 +169,6 @@ class ViolationReport:
 
     state: StateLabel
     entries: tuple[Violation, ...]
-    profile: RuleProfile | None = None
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -261,47 +260,28 @@ def _check_csv_field(text: str, what: str) -> None:
         raise MalformedInputError(f"{what} holds a field longer than {limit} characters")
 
 
-def _csv_rows(text: str) -> Iterator[list[str]]:
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        yield from reader
-    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-        raise MalformedInputError(str(exc), reader.line_num) from None
-
-
 def _csv_adapter(text: str, options: Mapping) -> Iterable[Violation]:
     if "\0" in text:  # see _check_csv_field
         raise MalformedInputError("report contains a NUL character")
-    reader = _csv_rows(text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedInputError("empty stream: expected a header row", 1) from None
-    if tuple(h.strip() for h in header) != CSV_HEADER:
-        raise MalformedInputError(
-            f"unexpected header {header!r}; expected {','.join(CSV_HEADER)}", 1
-        )
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise MalformedInputError(f"expected {len(CSV_HEADER)} fields, got {len(row)}", lineno)
-        rec = dict(zip(CSV_HEADER, row))
-        for required in ("file", "rule", "type", "severity", "start_line", "end_line"):
-            if not rec[required].strip():
-                raise MissingRequiredFieldError(required, lineno)
+    if not text:
+        raise MalformedInputError("empty stream: expected a header row", 1)
+    for line, row in read_csv_table(text, CSV_HEADER):
+        for name, value in zip(CSV_HEADER[:-1], row):  # every field but the message
+            if not value.strip():
+                raise MissingRequiredFieldError(name, line)
+        file_id, rule, vtype, severity, start_line, end_line, message = row
         try:
             yield Violation(
-                file_id=_file_id(rec["file"], "file", lineno),
-                rule=rec["rule"].strip(),
-                vtype=_parse_vtype(rec["type"], lineno),
-                severity=_parse_severity(rec["severity"], lineno),
-                start_line=_parse_line_no(rec["start_line"], "start_line", lineno),
-                end_line=_parse_line_no(rec["end_line"], "end_line", lineno),
-                message=rec["message"],
+                file_id=_file_id(file_id, "file", line),
+                rule=rule.strip(),
+                vtype=_parse_vtype(vtype, line),
+                severity=_parse_severity(severity, line),
+                start_line=_parse_line_no(start_line, "start_line", line),
+                end_line=_parse_line_no(end_line, "end_line", line),
+                message=message,
             )
         except ValueError as exc:
-            raise MalformedInputError(str(exc), lineno) from None
+            raise MalformedInputError(str(exc), line) from None
 
 
 def _load_json_mappings() -> dict:
@@ -391,14 +371,13 @@ def parse_report(
     adapter: str = "csv",
     state: StateLabel = StateLabel.PRE_REPAIR,
     options: Mapping | None = None,
-    profile: RuleProfile | None = None,
 ) -> ViolationReport:
     """Ingest a raw analyzer report through a named adapter and normalize it."""
     if adapter not in ADAPTERS:
         raise UnknownAdapterError(adapter, list(ADAPTERS))
     text = decode_input(raw)
     entries = tuple(ADAPTERS[adapter](text, options or {}))
-    return normalize_report(ViolationReport(state=state, entries=entries, profile=profile))
+    return normalize_report(ViolationReport(state=state, entries=entries))
 
 
 class _LFRows:
@@ -422,6 +401,36 @@ def csv_writer(fh):
     terminator for LF. Rows holding no CR keep the bytes of a plain LF writer.
     """
     return csv.writer(_LFRows(fh.write), lineterminator="\r\n")
+
+
+def read_csv_table(
+    text: str, header: tuple[str, ...], *, fold_case: bool = False
+) -> Iterator[tuple[int, list[str]]]:
+    """The non-blank rows under ``header``, each with the physical line it starts on.
+
+    Header names are compared stripped (and lower-cased with ``fold_case``);
+    an empty text has no rows. A wrong header, a row of another width or a
+    ``csv.Error`` raises ``MalformedInputError``.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    width = len(header)
+    line = 1
+    try:
+        first = next(reader, None)
+        if first is None:
+            return
+        names = tuple(h.strip().lower() if fold_case else h.strip() for h in first)
+        if names != header:
+            raise MalformedInputError(f"unexpected header {first!r}; expected {','.join(header)}", 1)
+        line = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != width:
+                    raise MalformedInputError(f"expected {width} fields, got {len(row)}", line)
+                yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
+        raise MalformedInputError(str(exc), line) from None
 
 
 def serialize_report(report: ViolationReport) -> str:

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -153,6 +154,31 @@ class TestSampleAndPrecision:
         assert err.startswith("error: ")
         assert "missing column 'verdict'" in err
 
+    def test_over_long_field_in_new_violations_is_a_clear_error(self, mini, tmp_path, capsys):
+        ws = mini / "workspace"
+        text = (ws / "newviol" / "new_violations.csv").read_text(encoding="utf-8")
+        bad = tmp_path / "new_violations.csv"
+        bad.write_text(text + "A.java," + "x" * (csv.field_size_limit() + 1) + "\n", encoding="utf-8")
+        code = main([
+            "sample",
+            "--new-violations", str(bad),
+            "--original", str(ws / "repair" / "input"),
+            "--repaired", str(ws / "repair" / "output"),
+            "--seed", "17",
+            "--out", str(tmp_path / "sheet.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_malformed_labels_are_a_clear_error(self, tmp_path, capsys):
+        labels = tmp_path / "labeled.csv"
+        row = ["item1", "A.java", "S1118", "1", "1", "x" * (csv.field_size_limit() + 1), "TP", "TP", ""]
+        labels.write_text(",".join(SHEET_HEADER) + "\n" + ",".join(row) + "\n", encoding="utf-8")
+        assert main(["precision", "--labels", str(labels)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "(line 2)" in err
+
     def test_seed_reproducibility(self, mini, tmp_path):
         ws = mini / "workspace"
         args = [
@@ -185,6 +211,31 @@ class TestSemanticCommand:
         assert (out / "regressions.csv").is_file()
         assert (out / "failure_histogram.csv").is_file()
         assert (out / "compile_errors.csv").is_file()
+
+
+    @pytest.mark.parametrize("results", [
+        "[{",
+        '{"file": "A.java", "ok": true}',
+        '[{"file": "A.java", "diagnostic": ""}]',
+        '[{"file": "A.java", "ok": false}]',
+        '["A.java"]',
+    ], ids=["invalid-json", "not-a-list", "no-ok", "rejected-without-diagnostic", "not-an-object"])
+    def test_malformed_compile_results_are_a_clear_error(self, mini, tmp_path, capsys, results):
+        ws = mini / "workspace"
+        log_dir = tmp_path / "compile"
+        log_dir.mkdir()
+        (log_dir / "compile_results.json").write_text(results, encoding="utf-8")
+        code = main([
+            "semantic",
+            "--baseline", str(ws / "semantic" / "baseline_raw" / "results.csv"),
+            "--repaired", str(ws / "semantic" / "repaired_raw" / "results.csv"),
+            "--compile-log", str(log_dir),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "compile_results.json" in err
 
 
 class TestMetricsCommand:

@@ -1,3 +1,4 @@
+import csv
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from apreval.metrics import (
     signed_ranks_csv,
     structural_report,
     structural_stats_csv,
+    write_metrics,
 )
 from apreval.stats import Direction
 
@@ -55,6 +57,14 @@ class TestCsv:
     def test_bad_header(self):
         with pytest.raises(MalformedInputError):
             read_class_metrics_csv("file,klass,noc\nx,y,1\n")
+
+
+    def test_exclusions_csv_quotes_a_comma_in_a_file_id(self, tmp_path):
+        exclusions = [("a,b.java", "PostAbsent"), ("C.java", "PreAbsent")]
+        write_metrics(tmp_path, [], exclusions, structural_report([]))
+        text = (tmp_path / "exclusions.csv").read_text(encoding="utf-8")
+        assert text == 'file,reason\n"a,b.java",PostAbsent\nC.java,PreAbsent\n'
+        assert list(csv.reader(text.splitlines()))[1:] == [list(e) for e in exclusions]
 
 
 class TestAggregate:

@@ -13,6 +13,9 @@ from apreval.errors import (
     MissingRequiredFieldError,
     UnknownAdapterError,
 )
+from apreval.metrics import METRICS_CSV_HEADER, read_class_metrics_csv
+from apreval.sampling import SHEET_HEADER, ingest_labels
+from apreval.semantic import RESULTS_CSV_HEADER, ingest_test_results
 from apreval.violations import (
     CSV_HEADER,
     SORALD_30,
@@ -25,10 +28,74 @@ from apreval.violations import (
     normalize_path,
     normalize_report,
     parse_report,
+    read_csv_table,
     serialize_report,
 )
 
 from conftest import mkreport, mkviol, random_violation
+
+
+#: each tool-output reader: (reader, header, a good row, the good row with one bad value)
+TOOL_OUTPUT_READERS = {
+    "report": (parse_report, CSV_HEADER,
+               ["A.java", "S1118", "Bug", "Low", "1", "1", "m"], {4: "x"}),
+    "test results": (ingest_test_results, RESULTS_CSV_HEADER,
+                     ["T.t1", "A.java", "fail", "m"], {2: "maybe"}),
+    "class metrics": (read_class_metrics_csv, METRICS_CSV_HEADER,
+                      ["A.java", "m", "0", "1", "1", "0", "4", "2", "6", "37"], {2: "x"}),
+    "labels": (ingest_labels, SHEET_HEADER,
+               ["item1", "A.java", "S1118", "1", "1", "m", "TP", "TP", ""], {6: "maybe"}),
+}
+
+
+def _table(header, rows):
+    buf = io.StringIO()
+    writer = csv_writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _with_text(row, text):
+    """``row`` with ``text`` in the free-text field, marked by the value "m"."""
+    return [text if f == "m" else f for f in row]
+
+
+@pytest.mark.parametrize("name", sorted(TOOL_OUTPUT_READERS))
+class TestToolOutputReaders:
+    def test_bad_row_after_two_line_field_reports_its_physical_line(self, name):
+        read, header, good, bad = TOOL_OUTPUT_READERS[name]
+        text = _table(header, [_with_text(good, "two\nlines"), [bad.get(i, f) for i, f in enumerate(good)]])
+        with pytest.raises(MalformedInputError) as err:
+            read(text)
+        assert err.value.line == 4
+
+    def test_field_over_the_size_limit_is_malformed_input(self, name):
+        read, header, good, _ = TOOL_OUTPUT_READERS[name]
+        text = _table(header, [good, _with_text(good, "x" * (csv.field_size_limit() + 1))])
+        with pytest.raises(MalformedInputError) as err:
+            read(text)
+        assert err.value.line == 3
+
+
+class TestReadCsvTable:
+    def test_rows_carry_their_physical_lines(self):
+        text = 'a,b\n1,"x\r\ny"\n\n2,z\r\n'
+        assert list(read_csv_table(text, ("a", "b"))) == [(2, ["1", "x\r\ny"]), (5, ["2", "z"])]
+
+    def test_empty_text_has_no_rows(self):
+        assert list(read_csv_table("", ("a", "b"))) == []
+
+    def test_header_names_are_stripped_and_folded_on_request(self):
+        assert list(read_csv_table(" A , b\n1,2\n", ("a", "b"), fold_case=True)) == [(2, ["1", "2"])]
+        with pytest.raises(MalformedInputError) as err:
+            list(read_csv_table("A,b\n", ("a", "b")))
+        assert err.value.line == 1
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(MalformedInputError) as err:
+            list(read_csv_table("a,b\n1,2\n1,2,3\n", ("a", "b")))
+        assert err.value.line == 3
 
 
 class TestViolationModel:
