@@ -21,7 +21,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby
+from itertools import groupby, takewhile
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -271,21 +271,30 @@ def write_newviol(
 
 
 def _read_new_rows(path: Path) -> tuple[int, list[tuple[int, dict[str, str]]]]:
-    """The number of rows in a ``new_violations.csv`` and its NEW rows with their line numbers."""
+    """The number of rows in a ``new_violations.csv`` and its NEW rows, each with the line it starts on."""
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        pulled: list[str] = []  # the physical lines read since the last row ended
+
+        def start() -> int:
+            # DictReader passes over blank rows, each one line holding only its terminator
+            blanks = sum(1 for _ in takewhile(("\n", "\r\n", "\r").__contains__, pulled))
+            return reader.reader.line_num - len(pulled) + 1 + blanks
+
+        reader = csv.DictReader(pulled.append(text) or text for text in fh)
         try:
             for name in NEW_VIOLATIONS_HEADER[:-1]:
                 if name not in (reader.fieldnames or ()):
                     raise MalformedInputError(f"{path}: missing column {name!r}", 1)
+            pulled.clear()
             rows = 0
             new: list[tuple[int, dict[str, str]]] = []
             for row in reader:
                 rows += 1
                 if row["verdict"] == VerdictKind.NEW.value:
-                    new.append((reader.line_num, row))
+                    new.append((start(), row))
+                pulled.clear()
         except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-            raise MalformedInputError(f"{path}: {exc}", reader.line_num) from None
+            raise MalformedInputError(f"{path}: {exc}", start()) from None
     return rows, new
 
 

@@ -494,21 +494,38 @@ class PipelineRun:
             tmp.unlink(missing_ok=True)
             raise
 
-    def _stage_dir(self, name: str) -> Path:
-        return self.workspace / name
+    def _drop(self, name: str) -> None:
+        """Forget a stage: its record leaves state.json, then its directory goes.
 
-    def _require(self, stage: str, path: Path) -> Path:
-        if not path.exists():
-            raise MissingStageOutputError(stage, str(path))
-        return path
+        In this order a stage interrupted past this point (Ctrl-C, SIGKILL)
+        is never taken as cached.
+        """
+        if self.state["stages"].pop(name, None) is not None:
+            self._save_state()
+        stage_dir = self.workspace / name
+        if stage_dir.exists():
+            shutil.rmtree(stage_dir)
 
-    def _run_stage(self, name: str, inputs: Sequence[Path], extra: str, body: Callable[[Path], None]) -> None:
+    def _run_stage(
+        self, name: str, inputs: Sequence[Path], extra: str, body: Callable[[Path], None],
+        role: str | None = None,
+    ) -> None:
+        """Skip, reuse, or (re)build one stage, and record which.
+
+        A stage whose adapter ``role`` is unbound is dropped, so no output of
+        an earlier run outlives it; a missing input raises
+        :class:`MissingStageOutputError` naming the first one missing.
+        """
+        if role is not None and self.config.adapters.get(role) is None:
+            self._drop(name)
+            self.summary[name] = f"skipped ({role} role not bound)"
+            return
         try:
             digest = _digest_paths(inputs, extra, self._memo)
         except FileNotFoundError as exc:
             raise MissingStageOutputError(name, str(exc)) from None
         record = self.state["stages"].get(name)
-        stage_dir = self._stage_dir(name)
+        stage_dir = self.workspace / name
         if (
             not self.force
             and record is not None
@@ -518,12 +535,7 @@ class PipelineRun:
         ):
             self.summary[name] = "cached"
             return
-        # forget the old record before touching its outputs, so that a stage
-        # interrupted past this point (Ctrl-C, SIGKILL) is never taken as cached
-        if self.state["stages"].pop(name, None) is not None:
-            self._save_state()
-        if stage_dir.exists():
-            shutil.rmtree(stage_dir)
+        self._drop(name)
         stage_dir.mkdir(parents=True)
         started = time.time()
         spawns = _adapter_spawns
@@ -581,19 +593,17 @@ class PipelineRun:
             entry = self._reports[key] = (sha, _read_csv_report(path, state))
         return entry[1]
 
+    def _repair_trees(self) -> list[Path]:
+        """The repair stage's input and output trees."""
+        return [self.workspace / "repair" / "input", self.workspace / "repair" / "output"]
+
     def _repair_sources(self) -> dict[str, SourcePair]:
         """SourcePairs of the repair stage's input and output, loaded once per run."""
-        trees = [self._stage_dir("repair") / "input", self._stage_dir("repair") / "output"]
+        trees = self._repair_trees()
         digest = _digest_paths(trees, "", self._memo)
         if self._sources is None or self._sources[0] != digest:
             self._sources = (digest, _load_sources(*trees))
         return self._sources[1]
-
-    def _adapter(self, role: str) -> ToolAdapter | None:
-        return self.config.adapters.get(role)
-
-    def _skip(self, name: str, reason: str) -> None:
-        self.summary[name] = f"skipped ({reason})"
 
     def _map_parallel(self, tasks: Sequence[Callable[[], object]]) -> list[object]:
         """Run independent adapter invocations, honoring the jobs setting."""
@@ -617,7 +627,7 @@ class PipelineRun:
     # -- stages
 
     def _stage_prepare(self) -> None:
-        compiler = self._adapter("compiler")
+        compiler = self.config.adapters.get("compiler")
         corpus = self.config.corpus_dir
         if not corpus.is_dir():
             raise StageFailureError("prepare", f"corpus directory does not exist: {corpus}")
@@ -646,10 +656,8 @@ class PipelineRun:
         self._run_stage("prepare", [corpus], _adapter_fingerprint(compiler), body)
 
     def _analyze(self, name: str, sources: Path, state: StateLabel, out_name: str) -> None:
-        analyzer = self._adapter("analyzer")
-        if analyzer is None:
-            self._skip(name, "analyzer role not bound")
-            return
+        analyzer = self.config.adapters.get("analyzer")
+        options = self.config.report_adapter_options
 
         def body(stage_dir: Path) -> None:
             artifacts = run_tool_adapter(analyzer, sources, stage_dir / "raw")
@@ -659,12 +667,7 @@ class PipelineRun:
                 report_file = stage_dir / "raw" / artifacts[0]
             else:
                 raise MissingArtifactError(analyzer.name, "<analysis report>")
-            report = parse_report(
-                report_file.read_bytes(),
-                self.config.report_adapter,
-                state,
-                options=self.config.report_adapter_options,
-            )
+            report = parse_report(report_file.read_bytes(), self.config.report_adapter, state, options)
             data = serialize_report(report).encode("utf-8")
             out = stage_dir / out_name
             out.write_bytes(data)
@@ -672,20 +675,19 @@ class PipelineRun:
             self._reports[os.path.abspath(out)] = (hashlib.sha256(data).digest(), report)
 
         extra = _adapter_fingerprint(analyzer) + "|" + self.config.report_adapter
-        self._run_stage(name, [sources], extra, body)
+        if options:  # left out when empty, so that workspaces without options keep their digests
+            extra += "|" + json.dumps(options, sort_keys=True)
+        self._run_stage(name, [sources], extra, body, role="analyzer")
 
     def _stage_analyze_pre(self) -> None:
-        sources = self._require("analyze_pre", self._stage_dir("prepare") / "sources")
+        sources = self.workspace / "prepare" / "sources"
         self._analyze("analyze_pre", sources, StateLabel.PRE_REPAIR, "pre_violations.csv")
 
     def _stage_repair(self) -> None:
-        repairer = self._adapter("repairer")
-        if repairer is None:
-            self._skip("repair", "repairer role not bound")
-            return
-        sources = self._require("repair", self._stage_dir("prepare") / "sources")
-        pre_csv = self._require("repair", self._stage_dir("analyze_pre") / "pre_violations.csv")
-        compilable_txt = self._require("repair", self._stage_dir("prepare") / "compilable.txt")
+        repairer = self.config.adapters.get("repairer")
+        sources = self.workspace / "prepare" / "sources"
+        pre_csv = self.workspace / "analyze_pre" / "pre_violations.csv"
+        compilable_txt = self.workspace / "prepare" / "compilable.txt"
 
         def body(stage_dir: Path) -> None:
             pre = self._report(pre_csv, StateLabel.PRE_REPAIR)
@@ -713,16 +715,15 @@ class PipelineRun:
                 run_tool_adapter(repairer, input_dir, output_dir)
 
         extra = _adapter_fingerprint(repairer) + "|" + self.profile.name
-        self._run_stage("repair", [sources, pre_csv, compilable_txt], extra, body)
+        self._run_stage("repair", [sources, pre_csv, compilable_txt], extra, body, role="repairer")
 
     def _stage_analyze_post(self) -> None:
-        repaired = self._require("analyze_post", self._stage_dir("repair") / "output")
+        repaired = self.workspace / "repair" / "output"
         self._analyze("analyze_post", repaired, StateLabel.POST_REPAIR, "post_violations.csv")
 
-    def _load_matched_reports(
-        self, pre_csv: Path, post_csv: Path, violating_txt: Path
-    ) -> tuple[ViolationReport, ViolationReport]:
+    def _load_matched_reports(self) -> tuple[ViolationReport, ViolationReport]:
         """Pre report restricted to the repaired files, plus the post report."""
+        pre_csv, post_csv, violating_txt = self._matching_inputs()
         violating = set(violating_txt.read_text(encoding="utf-8").splitlines())
         pre_full = self._report(pre_csv, StateLabel.PRE_REPAIR)
         # a filtered canonical report is still in canonical order
@@ -732,48 +733,38 @@ class PipelineRun:
         )
         return pre, self._report(post_csv, StateLabel.POST_REPAIR)
 
-    def _matching_inputs(self, stage: str) -> list[Path]:
+    def _matching_inputs(self) -> list[Path]:
         return [
-            self._require(stage, self._stage_dir("analyze_pre") / "pre_violations.csv"),
-            self._require(stage, self._stage_dir("analyze_post") / "post_violations.csv"),
-            self._require(stage, self._stage_dir("repair") / "violating_files.txt"),
+            self.workspace / "analyze_pre" / "pre_violations.csv",
+            self.workspace / "analyze_post" / "post_violations.csv",
+            self.workspace / "repair" / "violating_files.txt",
         ]
 
     def _stage_fixrate(self) -> None:
-        inputs = self._matching_inputs("fixrate")
-
         def body(stage_dir: Path) -> None:
             from . import fixrate as fixrate_mod
 
-            pre, post = self._load_matched_reports(*inputs)
+            pre, post = self._load_matched_reports()
             outcome = fixrate_mod.match_violations(pre, post)
             table = fixrate_mod.compute_fix_rates(outcome, self.profile)
             fixrate_mod.write_fixrate(stage_dir, outcome, fixrate_mod.summarize_fix_rate(table))
 
-        self._run_stage("fixrate", inputs, self.profile.name, body)
+        self._run_stage("fixrate", self._matching_inputs(), self.profile.name, body)
 
     def _stage_newviol(self) -> None:
-        matching = self._matching_inputs("newviol")
-        inputs = matching + [
-            self._require("newviol", self._stage_dir("repair") / "input"),
-            self._require("newviol", self._stage_dir("repair") / "output"),
-        ]
-
         def body(stage_dir: Path) -> None:
             from . import newviol as newviol_mod
 
-            pre, post = self._load_matched_reports(*matching)
+            pre, post = self._load_matched_reports()
             sources = self._repair_sources()
             verdicts = newviol_mod.detect_new_violations(pre, post, sources, self.config.normalization)
             newviol_mod.write_newviol(stage_dir, verdicts, newviol_mod.categorize_new(verdicts), sources)
 
         extra = self.profile.name + "|" + self.config.normalization.value
-        self._run_stage("newviol", inputs, extra, body)
+        self._run_stage("newviol", self._matching_inputs() + self._repair_trees(), extra, body)
 
     def _stage_sample(self) -> None:
-        new_csv = self._require("sample", self._stage_dir("newviol") / "new_violations.csv")
-        repair_in = self._require("sample", self._stage_dir("repair") / "input")
-        repair_out = self._require("sample", self._stage_dir("repair") / "output")
+        new_csv = self.workspace / "newviol" / "new_violations.csv"
         params = self.config.sampling
 
         def body(stage_dir: Path) -> None:
@@ -793,16 +784,12 @@ class PipelineRun:
              "proportion": params.proportion, "seed": self.config.seed},
             sort_keys=True,
         )
-        self._run_stage("sample", [new_csv, repair_in, repair_out], extra, body)
+        self._run_stage("sample", [new_csv, *self._repair_trees()], extra, body)
 
     def _stage_semantic(self) -> None:
-        runner = self._adapter("test_runner")
-        if runner is None:
-            self._skip("semantic", "test_runner role not bound")
-            return
-        compiler = self._adapter("compiler")
-        repair_in = self._require("semantic", self._stage_dir("repair") / "input")
-        repair_out = self._require("semantic", self._stage_dir("repair") / "output")
+        runner = self.config.adapters.get("test_runner")
+        compiler = self.config.adapters.get("compiler")
+        repair_in, repair_out = self._repair_trees()
 
         def body(stage_dir: Path) -> None:
             from . import semantic as semantic_mod
@@ -828,15 +815,11 @@ class PipelineRun:
             semantic_mod.write_semantic(stage_dir, regressions, summary)
 
         extra = _adapter_fingerprint(runner) + "|" + _adapter_fingerprint(compiler)
-        self._run_stage("semantic", [repair_in, repair_out], extra, body)
+        self._run_stage("semantic", [repair_in, repair_out], extra, body, role="test_runner")
 
     def _stage_metrics(self) -> None:
-        extractor = self._adapter("metric_extractor")
-        if extractor is None:
-            self._skip("metrics", "metric_extractor role not bound")
-            return
-        repair_in = self._require("metrics", self._stage_dir("repair") / "input")
-        repair_out = self._require("metrics", self._stage_dir("repair") / "output")
+        extractor = self.config.adapters.get("metric_extractor")
+        repair_in, repair_out = self._repair_trees()
 
         def body(stage_dir: Path) -> None:
             from . import metrics as metrics_mod
@@ -852,16 +835,15 @@ class PipelineRun:
             )
             metrics_mod.write_metrics(stage_dir, pairs, exclusions, metrics_mod.structural_report(pairs))
 
-        self._run_stage("metrics", [repair_in, repair_out], _adapter_fingerprint(extractor), body)
+        self._run_stage(
+            "metrics", [repair_in, repair_out], _adapter_fingerprint(extractor), body, role="metric_extractor"
+        )
 
     def _stage_report(self) -> None:
-        inputs = [self._require("report", self._stage_dir("fixrate") / "fixrate.json")]
-        for optional in (
-            self._stage_dir("newviol"), self._stage_dir("sample"),
-            self._stage_dir("semantic"), self._stage_dir("metrics"),
-        ):
-            if optional.is_dir():
-                inputs.append(optional)
+        inputs = [self.workspace / "fixrate" / "fixrate.json"]
+        for optional in ("newviol", "sample", "semantic", "metrics"):
+            if (self.workspace / optional).is_dir():
+                inputs.append(self.workspace / optional)
 
         def body(stage_dir: Path) -> None:
             emit_reports(self.workspace)

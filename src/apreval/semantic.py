@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import MalformedInputError
-from .violations import csv_writer, decode_input, read_csv_table
+from .violations import csv_writer, decode_input, load_data_json, read_csv_table
 
 RESULTS_CSV_HEADER = ("test_id", "target_file", "status", "failure_kind")
 
@@ -66,17 +66,9 @@ class CompileErrorClass(Enum):
     OTHER = "Other"
 
 
-def _load_data_json(name: str) -> dict:
-    # imported on first use: with zipfile, it costs every start that reads no data file
-    from importlib import resources
-
-    with resources.files("apreval.data").joinpath(name).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 @lru_cache(maxsize=None)
 def _failure_patterns() -> tuple[tuple[FailureClass, tuple[str, ...], bool], ...]:
-    doc = _load_data_json("failure_patterns.json")
+    doc = load_data_json("failure_patterns.json")
     return tuple(
         (FailureClass(entry["class"]), tuple(entry["patterns"]), bool(entry.get("ci", False)))
         for entry in doc["classes"]
@@ -85,7 +77,7 @@ def _failure_patterns() -> tuple[tuple[FailureClass, tuple[str, ...], bool], ...
 
 @lru_cache(maxsize=None)
 def _compile_patterns() -> tuple[tuple[CompileErrorClass, str], ...]:
-    doc = _load_data_json("compile_error_patterns.json")
+    doc = load_data_json("compile_error_patterns.json")
     return tuple((CompileErrorClass(entry["class"]), entry["pattern"]) for entry in doc["classes"])
 
 

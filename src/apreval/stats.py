@@ -170,6 +170,15 @@ def _exact_two_sided_p(ranks: list[float], w_small: float) -> float:
     return min(1.0, 2.0 * lower / 2 ** len(ranks))
 
 
+def _direction(mean_signed_rank: float) -> Direction:
+    """The direction a mean signed rank implies: its sign, NONE at zero."""
+    if mean_signed_rank > 0:
+        return Direction.INCREASE
+    if mean_signed_rank < 0:
+        return Direction.DECREASE
+    return Direction.NONE
+
+
 def wilcoxon_signed_rank(series: PairedSeries) -> StatResult:
     """Two-sided Wilcoxon signed-rank test on one metric's paired deltas.
 
@@ -203,19 +212,12 @@ def wilcoxon_signed_rank(series: PairedSeries) -> StatResult:
         z = (w_small - mean_w - correction) / se
         p = min(1.0, 2.0 * _normal_sf(abs(z)))
 
-    mean_signed = (w_plus - w_minus) / n
-    if mean_signed > 0:
-        direction = Direction.INCREASE
-    elif mean_signed < 0:
-        direction = Direction.DECREASE
-    else:
-        direction = Direction.NONE
     return StatResult(
         test_name="wilcoxon_signed_rank",
         statistic=w_small,
         p_value=p,
         n_effective=n,
-        direction=direction,
+        direction=_direction((w_plus - w_minus) / n),
     )
 
 
@@ -237,10 +239,6 @@ def signed_rank_direction(series: PairedSeries) -> DirectionSummary:
     if not nonzero:
         return DirectionSummary(median_delta=median, mean_signed_rank=None, direction=Direction.NONE)
     mean_signed = sum(math.copysign(r, d) for r, d in zip(ranks, nonzero)) / len(nonzero)
-    if mean_signed > 0:
-        direction = Direction.INCREASE
-    elif mean_signed < 0:
-        direction = Direction.DECREASE
-    else:
-        direction = Direction.NONE
-    return DirectionSummary(median_delta=median, mean_signed_rank=mean_signed, direction=direction)
+    return DirectionSummary(
+        median_delta=median, mean_signed_rank=mean_signed, direction=_direction(mean_signed)
+    )

@@ -284,18 +284,17 @@ def _csv_adapter(text: str, options: Mapping) -> Iterable[Violation]:
             raise MalformedInputError(str(exc), line) from None
 
 
-def _load_json_mappings() -> dict:
+def load_data_json(name: str) -> dict:
+    """A JSON table packaged in ``apreval.data``."""
     # imported on first use: with zipfile, it costs every start that reads no data file
     from importlib import resources
 
-    with resources.files("apreval.data").joinpath("analyzer_json_mappings.json").open(
-        "r", encoding="utf-8"
-    ) as fh:
+    with resources.files("apreval.data").joinpath(name).open("r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def _analyzer_json_adapter(text: str, options: Mapping) -> Iterable[Violation]:
-    mappings = _load_json_mappings()
+    mappings = load_data_json("analyzer_json_mappings.json")
     mapping_name = options.get("mapping", "sonarqube-9")
     if mapping_name not in mappings:
         raise UnknownAdapterError(mapping_name, list(mappings))

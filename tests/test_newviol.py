@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from apreval.errors import MissingSourceError, SpanOutOfBoundsError
+from apreval.errors import MalformedInputError, MissingSourceError, SpanOutOfBoundsError
 from apreval.newviol import (
     Fragment,
     NormalizationPolicy,
@@ -12,8 +12,10 @@ from apreval.newviol import (
     detect_new_violations,
     extract_fragment,
     fragment_in_original,
+    NEW_VIOLATIONS_HEADER,
     NewViolationVerdict,
     _LineIndex,
+    read_new_violations,
 )
 from apreval.violations import Severity, StateLabel, ViolationType
 
@@ -458,3 +460,22 @@ class TestCategorize:
         assert breakdown.matrix[(ViolationType.CODE_SMELL, Severity.LOW)] == 2
         assert breakdown.matrix[(ViolationType.BUG, Severity.HIGH)] == 1
         assert breakdown.rule_frequency == (("S1106", 2), ("S103", 1), ("S2164", 1))
+
+
+class TestReadNewViolations:
+    @pytest.mark.parametrize("rows, line", [
+        # a quoted two-line message on the bad row itself
+        ('A.java,S1118,CodeSmell,Low,1,x,"two\nlines",new,\n', 2),
+        # a two-line row, blank lines (LF and CRLF), then a two-line bad row
+        ('A.java,S1118,CodeSmell,Low,1,1,"x\r\ny",new,\n\n\r\n'
+         'B.java,S1118,CodeSmell,Low,1,x,"p\nq",new,\n', 6),
+        # a not-new row with a blank line inside its message
+        ('A.java,S1118,CodeSmell,Low,1,1,"x\n\ny",not_new_key_match,\n'
+         'B.java,S1118,CodeSmell,Low,1,x,m,new,\n', 5),
+    ], ids=["two-line-bad-row", "after-blank-lines", "after-a-not-new-row"])
+    def test_bad_row_reports_the_line_it_starts_on(self, tmp_path, rows, line):
+        path = tmp_path / "new_violations.csv"
+        path.write_text(",".join(NEW_VIOLATIONS_HEADER) + "\n" + rows, encoding="utf-8", newline="")
+        with pytest.raises(MalformedInputError) as err:
+            read_new_violations(path)
+        assert err.value.line == line

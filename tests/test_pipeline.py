@@ -19,10 +19,12 @@ from apreval.errors import (
     MissingArtifactError,
     MissingStageOutputError,
     NonZeroExitError,
+    StageFailureError,
     WorkspaceLockedError,
 )
 from apreval.pipeline import (
     STAGE_ORDER,
+    PipelineConfig,
     PipelineRun,
     SamplingParams,
     ToolAdapter,
@@ -350,9 +352,9 @@ def _spy_stage_inputs(monkeypatch) -> dict[str, tuple[list[Path], str]]:
     calls: dict[str, tuple[list[Path], str]] = {}
     run_stage = PipelineRun._run_stage
 
-    def spy(self, name, inputs, extra, body):
+    def spy(self, name, inputs, extra, body, role=None):
         calls[name] = (list(inputs), extra)
-        return run_stage(self, name, inputs, extra, body)
+        return run_stage(self, name, inputs, extra, body, role=role)
 
     monkeypatch.setattr(PipelineRun, "_run_stage", spy)
     return calls
@@ -760,6 +762,110 @@ class TestFailureIsolation:
         (cfg.workspace_dir / ".lock").write_text("12345", encoding="utf-8")
         with pytest.raises(WorkspaceLockedError):
             run_pipeline(cfg, stages=["prepare"])
+
+
+def _edit_config(config_path: Path, edit) -> PipelineConfig:
+    doc = json.loads(config_path.read_text(encoding="utf-8"))
+    edit(doc)
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_config(config_path)
+
+
+def _unbind(*roles):
+    def edit(doc):
+        for role in roles:
+            doc["adapters"][role] = "skip"
+    return edit
+
+
+#: writes one SonarQube-style issue without ``textRange.endLine`` per Java file
+_JSON_ANALYZER = """\
+import json, sys
+from pathlib import Path
+src, out = Path(sys.argv[1]), Path(sys.argv[2])
+issues = [
+    {"component": "proj:" + p.relative_to(src).as_posix(), "rule": "java:S1118",
+     "textRange": {"startLine": 1}, "severity": "MAJOR", "type": "CODE_SMELL", "message": "m"}
+    for p in sorted(src.rglob("*.java"))
+]
+out.mkdir(parents=True, exist_ok=True)
+(out / "report.json").write_text(json.dumps({"total": len(issues), "issues": issues}))
+"""
+
+
+class TestStageFate:
+    def test_unbound_roles_drop_their_axes(self, tmp_path):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        run_pipeline(load_config(config_path))
+        cfg = _edit_config(config_path, _unbind("test_runner", "metric_extractor"))
+        summary = run_pipeline(cfg)
+        assert summary["semantic"] == "skipped (test_runner role not bound)"
+        assert summary["metrics"] == "skipped (metric_extractor role not bound)"
+        assert summary["report"] == "ran"
+        report = json.loads((cfg.workspace_dir / "report" / "summary.json").read_text())
+        assert report["semantic"] == {"status": "skipped"}
+        assert report["metrics"] == {"status": "skipped"}
+        assert not (cfg.workspace_dir / "report" / "structural_stats.csv").exists()
+        state = json.loads((cfg.workspace_dir / "state.json").read_text())
+        for stage in ("semantic", "metrics"):
+            assert not (cfg.workspace_dir / stage).exists()
+            assert stage not in state["stages"]
+        assert run_pipeline(cfg)["report"] == "cached"
+
+    def test_unbound_repairer_drops_repair(self, tmp_path):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        run_pipeline(load_config(config_path), stages=["prepare", "analyze_pre", "repair", "analyze_post"])
+        cfg = _edit_config(config_path, _unbind("repairer"))
+        run = PipelineRun(cfg)
+        with pytest.raises(MissingStageOutputError) as err:
+            run.run(stages=["repair", "analyze_post"])
+        assert run.summary["repair"] == "skipped (repairer role not bound)"
+        assert err.value.stage == "analyze_post"
+        assert err.value.path == str(cfg.workspace_dir / "repair" / "output")
+        assert not (cfg.workspace_dir / "repair").exists()
+        state = json.loads((cfg.workspace_dir / "state.json").read_text())
+        assert "repair" not in state["stages"]
+        assert state["stages"]["analyze_post"]["status"] == "ok"
+
+    @pytest.mark.parametrize("stage, missing", [
+        ("repair", "prepare/sources"),
+        ("fixrate", "analyze_pre/pre_violations.csv"),
+        ("sample", "newviol/new_violations.csv"),
+        ("report", "fixrate/fixrate.json"),
+    ])
+    def test_missing_input_names_stage_and_path(self, tmp_path, stage, missing):
+        cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
+        with pytest.raises(MissingStageOutputError) as err:
+            run_pipeline(cfg, stages=[stage])
+        path = str(cfg.workspace_dir / missing)
+        assert (err.value.stage, err.value.path) == (stage, path)
+        assert str(err.value) == f"required output of stage {stage!r} not found: {path}"
+        assert not (cfg.workspace_dir / stage).exists()
+
+    def test_unbound_role_skips_before_inputs_are_read(self, tmp_path):
+        cfg = _edit_config(minicorpus.materialize(tmp_path, seed=17), _unbind("analyzer"))
+        assert run_pipeline(cfg, stages=["analyze_pre"]) == {
+            "analyze_pre": "skipped (analyzer role not bound)"
+        }
+
+    def test_report_adapter_options_change_reruns_analysis(self, tmp_path):
+        script = tmp_path / "json_analyzer.py"
+        script.write_text(_JSON_ANALYZER, encoding="utf-8")
+
+        def json_analyzer(fallback):
+            def edit(doc):
+                doc["adapters"]["analyzer"] = {"command": f"{{python}} {script} {{input}} {{output}}",
+                                               "expected_artifacts": ["report.json"]}
+                doc["report_adapter"] = "analyzer-json"
+                doc["report_adapter_options"] = {"end_line_fallback": fallback}
+            return edit
+
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        cfg = _edit_config(config_path, json_analyzer(True))
+        assert run_pipeline(cfg, stages=["prepare", "analyze_pre"])["analyze_pre"] == "ran"
+        cfg = _edit_config(config_path, json_analyzer(False))
+        with pytest.raises(StageFailureError, match="textRange.endLine"):
+            run_pipeline(cfg, stages=["prepare", "analyze_pre"])
 
 
 class TestEmitReports:
