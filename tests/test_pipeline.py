@@ -422,6 +422,26 @@ class TestDigestPaths:
         with pytest.raises(FileNotFoundError):
             digest_paths([tmp_path / "nope"])
 
+    def test_stage_digests_are_pinned(self, digest_run):
+        # the spy records whatever the code passes; only fixed values catch a
+        # reordered input list or fingerprint, which would rerun every
+        # existing workspace
+        cfg, _ = digest_run
+        state = json.loads((cfg.workspace_dir / "state.json").read_text(encoding="utf-8"))
+        digests = {name: record["input_digest"] for name, record in state["stages"].items()}
+        assert digests == {
+            "prepare": "d6b5ac4fcb507c05365c9998ca27155633b717fa71845457a4c30dc11bcdb5d5",
+            "analyze_pre": "500d9ea92b7e8f00cdf9044ca73512ccbbecdc24e966921253a382711666357f",
+            "repair": "26c6f521f78335171da6fe2509ae0829a24de5d4a5fd57eb16a9651b2f7222fb",
+            "analyze_post": "dff9a735d3dd87a6780501bef81f8337ec74650c18c3a1471c69e5fc0ab1a20f",
+            "fixrate": "9b1ae9c9a5c15f55593640dc4b8ced816872030b9f9078af9900702f3a411e5b",
+            "newviol": "5045cff7bf83dd8ef6bd372675c490e12129be043d72667a1309916d633186b3",
+            "sample": "7dd6a9c3d09e37c84be6bd41a4285507a3608ed8093d89e3e79601f928c5c58a",
+            "semantic": "22930cf765a9b3c97ec7ccbb8d7571b980ee6a94bbd7d039b34d628c72e4c76b",
+            "metrics": "104c56d12c16ecc5ac44a9300831143fd84f4a992e44fecefec055dc93e178fd",
+            "report": "94b3d44a541de92149be30ddf9b4695835eae4840f5e4a40d5e4761a8af39b2e",
+        }
+
     def test_stage_digests_match_memoless_reference(self, digest_run, monkeypatch):
         cfg, cold_calls = digest_run
         assert len(cold_calls) == len(STAGE_ORDER)
