@@ -29,6 +29,7 @@ class MalformedInputError(HarnessError):
     """Input stream could not be parsed; carries line/offset when known."""
 
     def __init__(self, message: str, line: int | None = None):
+        self.message = message
         self.line = line
         where = f" (line {line})" if line is not None else ""
         super().__init__(f"{message}{where}")

@@ -17,11 +17,10 @@ otherwise produces spurious "new" verdicts.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import groupby, takewhile
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -36,6 +35,8 @@ from .violations import (
     ViolationReport,
     ViolationType,
     csv_writer,
+    decode_input,
+    read_csv_table,
 )
 
 
@@ -272,36 +273,26 @@ def write_newviol(
 
 def _read_new_rows(path: Path) -> tuple[int, list[tuple[int, dict[str, str]]]]:
     """The number of rows in a ``new_violations.csv`` and its NEW rows, each with the line it starts on."""
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        pulled: list[str] = []  # the physical lines read since the last row ended
-
-        def start() -> int:
-            # DictReader passes over blank rows, each one line holding only its terminator
-            blanks = sum(1 for _ in takewhile(("\n", "\r\n", "\r").__contains__, pulled))
-            return reader.reader.line_num - len(pulled) + 1 + blanks
-
-        reader = csv.DictReader(pulled.append(text) or text for text in fh)
-        try:
-            for name in NEW_VIOLATIONS_HEADER[:-1]:
-                if name not in (reader.fieldnames or ()):
-                    raise MalformedInputError(f"{path}: missing column {name!r}", 1)
-            pulled.clear()
-            rows = 0
-            new: list[tuple[int, dict[str, str]]] = []
-            for row in reader:
-                rows += 1
-                if row["verdict"] == VerdictKind.NEW.value:
-                    new.append((start(), row))
-                pulled.clear()
-        except csv.Error as exc:  # such as a field longer than csv.field_size_limit()
-            raise MalformedInputError(f"{path}: {exc}", start()) from None
+    rows = 0
+    new: list[tuple[int, dict[str, str]]] = []
+    try:
+        text = decode_input(path.read_bytes())
+        if not text:
+            raise MalformedInputError("empty file: expected a header row", 1)
+        for line, fields in read_csv_table(text, NEW_VIOLATIONS_HEADER):
+            rows += 1
+            row = dict(zip(NEW_VIOLATIONS_HEADER, fields))
+            if row["verdict"] == VerdictKind.NEW.value:
+                new.append((line, row))
+    except MalformedInputError as exc:
+        raise MalformedInputError(f"{path}: {exc.message}", exc.line) from None
     return rows, new
 
 
 def read_new_violations(path: Path) -> list[Violation]:
     """The NEW violations of a ``new_violations.csv``, in file order.
 
-    A missing column or a bad value raises ``MalformedInputError``.
+    A wrong header, a short or long row or a bad value raises ``MalformedInputError``.
     """
     _, new = _read_new_rows(path)
     violations: list[Violation] = []
@@ -318,7 +309,7 @@ def read_new_violations(path: Path) -> list[Violation]:
                     message=row["message"],
                 )
             )
-        except (TypeError, ValueError) as exc:  # TypeError: a field missing from a short row
+        except ValueError as exc:
             raise MalformedInputError(f"{path}: {exc}", line) from None
     return violations
 

@@ -1,14 +1,15 @@
 """End-to-end orchestration: corpus prep, tool adapters, cached stages.
 
-A run walks a fixed stage order (prepare, analyze pre/post around the
-repair, then the four analysis axes, then report emission). Each stage
-persists its outputs under ``workspace/<stage>/`` and records a content
-digest of its declared inputs; a stage reruns only when that digest
-changes or ``--force`` is given, so slow external tools are never invoked
-redundantly. External tools are described by command templates and run as
-subprocesses with timeout enforcement, artifact checks, and log capture.
-Scripted stub tools ship with the package so the whole pipeline runs
-without any external toolchain.
+A run walks the ``STAGES`` table in order (prepare, analyze pre/post around
+the repair, then the four analysis axes, then report emission); that table
+is the one place that declares each stage's inputs, config fingerprint,
+adapter role and body. Each stage persists its outputs under
+``workspace/<stage>/`` and records a content digest of its inputs; a stage
+reruns only when that digest changes or ``--force`` is given, so slow
+external tools are never invoked redundantly. External tools are described
+by command templates and run as subprocesses with timeout enforcement,
+artifact checks, and log capture. Scripted stub tools ship with the package
+so the whole pipeline runs without any external toolchain.
 
 Each stage body imports the axis module it needs, so a run whose stages
 are all cached loads no analysis code at all.
@@ -26,9 +27,10 @@ import signal
 import string
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AdapterFailureError,
@@ -56,11 +58,6 @@ if TYPE_CHECKING:
     from .newviol import SourcePair
 
 ROLES = ("analyzer", "repairer", "test_runner", "metric_extractor", "compiler")
-
-STAGE_ORDER = (
-    "prepare", "analyze_pre", "repair", "analyze_post", "fixrate",
-    "newviol", "sample", "semantic", "metrics", "report",
-)
 
 _ALLOWED_PLACEHOLDERS = {"input", "output", "workdir", "python", "rule"}
 
@@ -441,6 +438,34 @@ def _load_sources(original_dir: Path, repaired_dir: Path) -> dict[str, SourcePai
 
 # --- the run itself -----------------------------------------------------------
 
+#: workspace paths read by a stage other than the one that writes them
+_SOURCES = "prepare/sources"
+_COMPILABLE = "prepare/compilable.txt"
+_PRE_CSV = "analyze_pre/pre_violations.csv"
+_POST_CSV = "analyze_post/post_violations.csv"
+_VIOLATING = "repair/violating_files.txt"
+_REPAIR_OUT = "repair/output"
+_TREES = ("repair/input", _REPAIR_OUT)
+_MATCHED = (_PRE_CSV, _POST_CSV, _VIOLATING)
+_NEW_CSV = "newviol/new_violations.csv"
+_FIXRATE_JSON = "fixrate/fixrate.json"
+
+
+class Stage(NamedTuple):
+    """One stage: the inputs and config fingerprint it is cached on, and its body.
+
+    ``inputs(run)`` lists the paths whose content, with ``extra(run)``, makes
+    up the stage's input digest; ``body(run, stage_dir)`` builds
+    ``workspace/<name>/``. A stage whose adapter ``role`` is unbound is
+    skipped.
+    """
+
+    name: str
+    inputs: Callable[[PipelineRun], list[Path]]
+    extra: Callable[[PipelineRun], str]
+    body: Callable[[PipelineRun, Path], object]
+    role: str | None = None
+
 
 class PipelineRun:
     """One pipeline execution over a workspace."""
@@ -464,6 +489,9 @@ class PipelineRun:
         # absolute path -> (sha256, report) of the normalized reports, seeded
         # by the analyze stages and dropped after newviol, their last reader
         self._reports: dict[str, tuple[bytes, ViolationReport]] = {}
+
+    def _at(self, *rels: str) -> list[Path]:
+        return [self.workspace / rel for rel in rels]
 
     # -- state bookkeeping
 
@@ -506,49 +534,42 @@ class PipelineRun:
         if stage_dir.exists():
             shutil.rmtree(stage_dir)
 
-    def _run_stage(
-        self, name: str, inputs: Sequence[Path], extra: str, body: Callable[[Path], None],
-        role: str | None = None,
-    ) -> None:
+    def _run_stage(self, stage: Stage) -> None:
         """Skip, reuse, or (re)build one stage, and record which.
 
-        A stage whose adapter ``role`` is unbound is dropped, so no output of
-        an earlier run outlives it; a missing input raises
+        A stage whose adapter role is unbound is dropped, so no output of an
+        earlier run outlives it; a missing input raises
         :class:`MissingStageOutputError` naming the first one missing.
         """
-        if role is not None and self.config.adapters.get(role) is None:
+        name = stage.name
+        if stage.role is not None and self.config.adapters.get(stage.role) is None:
             self._drop(name)
-            self.summary[name] = f"skipped ({role} role not bound)"
+            self.summary[name] = f"skipped ({stage.role} role not bound)"
             return
         try:
-            digest = _digest_paths(inputs, extra, self._memo)
+            digest = _digest_paths(stage.inputs(self), stage.extra(self), self._memo)
         except FileNotFoundError as exc:
             raise MissingStageOutputError(name, str(exc)) from None
-        record = self.state["stages"].get(name)
+        previous = self.state["stages"].get(name)
         stage_dir = self.workspace / name
         if (
             not self.force
-            and record is not None
-            and record.get("status") == "ok"
-            and record.get("input_digest") == digest
+            and previous is not None
+            and previous.get("status") == "ok"
+            and previous.get("input_digest") == digest
             and stage_dir.is_dir()
         ):
             self.summary[name] = "cached"
             return
         self._drop(name)
         stage_dir.mkdir(parents=True)
-        started = time.time()
+        record = {"input_digest": digest, "started": time.time()}
         spawns = _adapter_spawns
         try:
-            body(stage_dir)
+            stage.body(self, stage_dir)
         except Exception as exc:
-            self.state["stages"][name] = {
-                "status": "failed",
-                "input_digest": digest,
-                "error": str(exc),
-                "started": started,
-                "finished": time.time(),
-            }
+            record.update(status="failed", error=str(exc), finished=time.time())
+            self.state["stages"][name] = record
             self._save_state()
             # adapter failures keep their own type so the CLI can map them
             # to a distinct exit code
@@ -560,13 +581,9 @@ class PipelineRun:
                 self._memo.clear()
             else:
                 self._forget(stage_dir)
-        self.state["stages"][name] = {
-            "status": "ok",
-            "input_digest": digest,
-            "output_digest": _digest_paths([stage_dir], "", self._memo),
-            "started": started,
-            "finished": time.time(),
-        }
+        output_digest = _digest_paths([stage_dir], "", self._memo)
+        record.update(status="ok", output_digest=output_digest, finished=time.time())
+        self.state["stages"][name] = record
         self._save_state()
         self.summary[name] = "ran"
 
@@ -593,13 +610,18 @@ class PipelineRun:
             entry = self._reports[key] = (sha, _read_csv_report(path, state))
         return entry[1]
 
-    def _repair_trees(self) -> list[Path]:
-        """The repair stage's input and output trees."""
-        return [self.workspace / "repair" / "input", self.workspace / "repair" / "output"]
+    def _load_matched_reports(self) -> tuple[ViolationReport, ViolationReport]:
+        """Pre report restricted to the repaired files, plus the post report."""
+        pre_csv, post_csv, violating_txt = self._at(*_MATCHED)
+        violating = set(violating_txt.read_text(encoding="utf-8").splitlines())
+        pre = self._report(pre_csv, StateLabel.PRE_REPAIR)
+        # a filtered canonical report is still in canonical order
+        pre = replace(pre, entries=tuple(v for v in pre.entries if v.file_id in violating))
+        return pre, self._report(post_csv, StateLabel.POST_REPAIR)
 
     def _repair_sources(self) -> dict[str, SourcePair]:
         """SourcePairs of the repair stage's input and output, loaded once per run."""
-        trees = self._repair_trees()
+        trees = self._at(*_TREES)
         digest = _digest_paths(trees, "", self._memo)
         if self._sources is None or self._sources[0] != digest:
             self._sources = (digest, _load_sources(*trees))
@@ -624,232 +646,6 @@ class PipelineRun:
                     _kill_process_group(proc)
                 raise
 
-    # -- stages
-
-    def _stage_prepare(self) -> None:
-        compiler = self.config.adapters.get("compiler")
-        corpus = self.config.corpus_dir
-        if not corpus.is_dir():
-            raise StageFailureError("prepare", f"corpus directory does not exist: {corpus}")
-
-        def body(stage_dir: Path) -> None:
-            if compiler is not None:
-                compilable, rejected = prepare_corpus_compile(corpus, compiler, stage_dir / "raw")
-            else:
-                compilable = sorted(
-                    p.relative_to(corpus).as_posix() for p in corpus.rglob("*") if p.is_file()
-                )
-                rejected = {}
-            sources = stage_dir / "sources"
-            sources.mkdir()
-            for rel in compilable:
-                dest = sources / rel
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                shutil.copyfile(corpus / rel, dest)
-            (stage_dir / "rejected.json").write_text(
-                json.dumps(rejected, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-            (stage_dir / "compilable.txt").write_text(
-                "".join(f"{rel}\n" for rel in compilable), encoding="utf-8"
-            )
-
-        self._run_stage("prepare", [corpus], _adapter_fingerprint(compiler), body)
-
-    def _analyze(self, name: str, sources: Path, state: StateLabel, out_name: str) -> None:
-        analyzer = self.config.adapters.get("analyzer")
-        options = self.config.report_adapter_options
-
-        def body(stage_dir: Path) -> None:
-            artifacts = run_tool_adapter(analyzer, sources, stage_dir / "raw")
-            if analyzer.expected_artifacts:
-                report_file = stage_dir / "raw" / analyzer.expected_artifacts[0]
-            elif artifacts:
-                report_file = stage_dir / "raw" / artifacts[0]
-            else:
-                raise MissingArtifactError(analyzer.name, "<analysis report>")
-            report = parse_report(report_file.read_bytes(), self.config.report_adapter, state, options)
-            data = serialize_report(report).encode("utf-8")
-            out = stage_dir / out_name
-            out.write_bytes(data)
-            # a CSV re-read gives this same report back, so later stages need not parse
-            self._reports[os.path.abspath(out)] = (hashlib.sha256(data).digest(), report)
-
-        extra = _adapter_fingerprint(analyzer) + "|" + self.config.report_adapter
-        if options:  # left out when empty, so that workspaces without options keep their digests
-            extra += "|" + json.dumps(options, sort_keys=True)
-        self._run_stage(name, [sources], extra, body, role="analyzer")
-
-    def _stage_analyze_pre(self) -> None:
-        sources = self.workspace / "prepare" / "sources"
-        self._analyze("analyze_pre", sources, StateLabel.PRE_REPAIR, "pre_violations.csv")
-
-    def _stage_repair(self) -> None:
-        repairer = self.config.adapters.get("repairer")
-        sources = self.workspace / "prepare" / "sources"
-        pre_csv = self.workspace / "analyze_pre" / "pre_violations.csv"
-        compilable_txt = self.workspace / "prepare" / "compilable.txt"
-
-        def body(stage_dir: Path) -> None:
-            pre = self._report(pre_csv, StateLabel.PRE_REPAIR)
-            compilable = compilable_txt.read_text(encoding="utf-8").splitlines()
-            violating = prepare_corpus_violating(compilable, pre, self.profile)
-            (stage_dir / "violating_files.txt").write_text(
-                "".join(f"{rel}\n" for rel in violating), encoding="utf-8"
-            )
-            input_dir = stage_dir / "input"
-            input_dir.mkdir()
-            for rel in violating:
-                dest = input_dir / rel
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                shutil.copyfile(sources / rel, dest)
-            output_dir = stage_dir / "output"
-            if "{rule}" in repairer.command_template:
-                # one sequential pass per profile rule, in application order
-                current = input_dir
-                for i, rule in enumerate(self.profile.application_order):
-                    pass_dir = stage_dir / f"pass_{i:02d}_{rule}"
-                    run_tool_adapter(repairer, current, pass_dir, rule=rule)
-                    current = pass_dir
-                shutil.copytree(current, output_dir, ignore=shutil.ignore_patterns("adapter_*.log"))
-            else:
-                run_tool_adapter(repairer, input_dir, output_dir)
-
-        extra = _adapter_fingerprint(repairer) + "|" + self.profile.name
-        self._run_stage("repair", [sources, pre_csv, compilable_txt], extra, body, role="repairer")
-
-    def _stage_analyze_post(self) -> None:
-        repaired = self.workspace / "repair" / "output"
-        self._analyze("analyze_post", repaired, StateLabel.POST_REPAIR, "post_violations.csv")
-
-    def _load_matched_reports(self) -> tuple[ViolationReport, ViolationReport]:
-        """Pre report restricted to the repaired files, plus the post report."""
-        pre_csv, post_csv, violating_txt = self._matching_inputs()
-        violating = set(violating_txt.read_text(encoding="utf-8").splitlines())
-        pre_full = self._report(pre_csv, StateLabel.PRE_REPAIR)
-        # a filtered canonical report is still in canonical order
-        pre = ViolationReport(
-            state=StateLabel.PRE_REPAIR,
-            entries=tuple(v for v in pre_full.entries if v.file_id in violating),
-        )
-        return pre, self._report(post_csv, StateLabel.POST_REPAIR)
-
-    def _matching_inputs(self) -> list[Path]:
-        return [
-            self.workspace / "analyze_pre" / "pre_violations.csv",
-            self.workspace / "analyze_post" / "post_violations.csv",
-            self.workspace / "repair" / "violating_files.txt",
-        ]
-
-    def _stage_fixrate(self) -> None:
-        def body(stage_dir: Path) -> None:
-            from . import fixrate as fixrate_mod
-
-            pre, post = self._load_matched_reports()
-            outcome = fixrate_mod.match_violations(pre, post)
-            table = fixrate_mod.compute_fix_rates(outcome, self.profile)
-            fixrate_mod.write_fixrate(stage_dir, outcome, fixrate_mod.summarize_fix_rate(table))
-
-        self._run_stage("fixrate", self._matching_inputs(), self.profile.name, body)
-
-    def _stage_newviol(self) -> None:
-        def body(stage_dir: Path) -> None:
-            from . import newviol as newviol_mod
-
-            pre, post = self._load_matched_reports()
-            sources = self._repair_sources()
-            verdicts = newviol_mod.detect_new_violations(pre, post, sources, self.config.normalization)
-            newviol_mod.write_newviol(stage_dir, verdicts, newviol_mod.categorize_new(verdicts), sources)
-
-        extra = self.profile.name + "|" + self.config.normalization.value
-        self._run_stage("newviol", self._matching_inputs() + self._repair_trees(), extra, body)
-
-    def _stage_sample(self) -> None:
-        new_csv = self.workspace / "newviol" / "new_violations.csv"
-        params = self.config.sampling
-
-        def body(stage_dir: Path) -> None:
-            from . import sampling as sampling_mod
-            from .newviol import read_new_violations
-
-            new = read_new_violations(new_csv)
-            sample = sampling_mod.draw_sample(new, params, self.config.seed)
-            # fragments come from the repaired code, so index sources that way
-            sampling_mod.write_sample(
-                stage_dir / "sheet.csv", sample, len(new), self._repair_sources(),
-                stage_dir / "allocation.json",
-            )
-
-        extra = json.dumps(
-            {"confidence": params.confidence, "margin": params.margin,
-             "proportion": params.proportion, "seed": self.config.seed},
-            sort_keys=True,
-        )
-        self._run_stage("sample", [new_csv, *self._repair_trees()], extra, body)
-
-    def _stage_semantic(self) -> None:
-        runner = self.config.adapters.get("test_runner")
-        compiler = self.config.adapters.get("compiler")
-        repair_in, repair_out = self._repair_trees()
-
-        def body(stage_dir: Path) -> None:
-            from . import semantic as semantic_mod
-
-            tasks = [
-                lambda: run_tool_adapter(runner, repair_in, stage_dir / "baseline_raw"),
-                lambda: run_tool_adapter(runner, repair_out, stage_dir / "repaired_raw"),
-            ]
-            if compiler is not None:
-                tasks.append(lambda: run_tool_adapter(compiler, repair_out, stage_dir / "compile_raw"))
-            self._map_parallel(tasks)
-
-            diagnostics: dict[str, str] = {}
-            if compiler is not None:
-                _, diagnostics = semantic_mod.read_compile_results(
-                    stage_dir / "compile_raw" / "compile_results.json"
-                )
-            regressions, summary = semantic_mod.compare_runs(
-                stage_dir / "baseline_raw" / "results.csv",
-                stage_dir / "repaired_raw" / "results.csv",
-                diagnostics,
-            )
-            semantic_mod.write_semantic(stage_dir, regressions, summary)
-
-        extra = _adapter_fingerprint(runner) + "|" + _adapter_fingerprint(compiler)
-        self._run_stage("semantic", [repair_in, repair_out], extra, body, role="test_runner")
-
-    def _stage_metrics(self) -> None:
-        extractor = self.config.adapters.get("metric_extractor")
-        repair_in, repair_out = self._repair_trees()
-
-        def body(stage_dir: Path) -> None:
-            from . import metrics as metrics_mod
-
-            self._map_parallel(
-                [
-                    lambda: run_tool_adapter(extractor, repair_in, stage_dir / "pre_raw"),
-                    lambda: run_tool_adapter(extractor, repair_out, stage_dir / "post_raw"),
-                ]
-            )
-            pairs, exclusions = metrics_mod.pair_metric_files(
-                stage_dir / "pre_raw" / "class_metrics.csv", stage_dir / "post_raw" / "class_metrics.csv"
-            )
-            metrics_mod.write_metrics(stage_dir, pairs, exclusions, metrics_mod.structural_report(pairs))
-
-        self._run_stage(
-            "metrics", [repair_in, repair_out], _adapter_fingerprint(extractor), body, role="metric_extractor"
-        )
-
-    def _stage_report(self) -> None:
-        inputs = [self.workspace / "fixrate" / "fixrate.json"]
-        for optional in ("newviol", "sample", "semantic", "metrics"):
-            if (self.workspace / optional).is_dir():
-                inputs.append(self.workspace / optional)
-
-        def body(stage_dir: Path) -> None:
-            emit_reports(self.workspace)
-
-        self._run_stage("report", inputs, "", body)
-
     def run(self, stages: Sequence[str] | None = None) -> dict[str, str]:
         """Execute the requested stages (all by default) in canonical order."""
         requested = set(stages) if stages else set(STAGE_ORDER)
@@ -859,14 +655,213 @@ class PipelineRun:
         self.workspace.mkdir(parents=True, exist_ok=True)
         with _WorkspaceLock(self.workspace):
             self._load_state()
-            for name in STAGE_ORDER:
-                if name in requested:
-                    getattr(self, f"_stage_{name}")()
-                if name == "newviol":
+            for stage in STAGES:
+                if stage.name in requested:
+                    self._run_stage(stage)
+                if stage.name == "newviol":
                     self._reports.clear()  # their last reader is done
-                elif name == "sample":
+                elif stage.name == "sample":
                     self._sources = None  # their last reader is done
         return dict(self.summary)
+
+
+# --- the stages ---------------------------------------------------------------
+
+
+def _under(*rels: str) -> Callable[[PipelineRun], list[Path]]:
+    return lambda run: run._at(*rels)
+
+
+def _fingerprint(*roles: str) -> Callable[[PipelineRun], str]:
+    return lambda run: "|".join(_adapter_fingerprint(run.config.adapters.get(role)) for role in roles)
+
+
+def _corpus(run: PipelineRun) -> list[Path]:
+    corpus = run.config.corpus_dir
+    if not corpus.is_dir():
+        raise StageFailureError("prepare", f"corpus directory does not exist: {corpus}")
+    return [corpus]
+
+
+def _prepare(run: PipelineRun, stage_dir: Path) -> None:
+    compiler = run.config.adapters.get("compiler")
+    corpus = run.config.corpus_dir
+    if compiler is not None:
+        compilable, rejected = prepare_corpus_compile(corpus, compiler, stage_dir / "raw")
+    else:
+        compilable = sorted(
+            p.relative_to(corpus).as_posix() for p in corpus.rglob("*") if p.is_file()
+        )
+        rejected = {}
+    sources = run.workspace / _SOURCES
+    sources.mkdir()
+    for rel in compilable:
+        dest = sources / rel
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(corpus / rel, dest)
+    (stage_dir / "rejected.json").write_text(
+        json.dumps(rejected, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    (run.workspace / _COMPILABLE).write_text(
+        "".join(f"{rel}\n" for rel in compilable), encoding="utf-8"
+    )
+
+
+def _analyzer_fingerprint(run: PipelineRun) -> str:
+    extra = _fingerprint("analyzer")(run) + "|" + run.config.report_adapter
+    options = run.config.report_adapter_options
+    if options:  # left out when empty, so that workspaces without options keep their digests
+        extra += "|" + json.dumps(options, sort_keys=True)
+    return extra
+
+
+def _analyze(tree: str, state: StateLabel, out_csv: str, run: PipelineRun, stage_dir: Path) -> None:
+    analyzer = run.config.adapters["analyzer"]
+    artifacts = run_tool_adapter(analyzer, run.workspace / tree, stage_dir / "raw")
+    if analyzer.expected_artifacts:
+        report_file = stage_dir / "raw" / analyzer.expected_artifacts[0]
+    elif artifacts:
+        report_file = stage_dir / "raw" / artifacts[0]
+    else:
+        raise MissingArtifactError(analyzer.name, "<analysis report>")
+    options = run.config.report_adapter_options
+    report = parse_report(report_file.read_bytes(), run.config.report_adapter, state, options)
+    data = serialize_report(report).encode("utf-8")
+    out = run.workspace / out_csv
+    out.write_bytes(data)
+    # a CSV re-read gives this same report back, so later stages need not parse
+    run._reports[os.path.abspath(out)] = (hashlib.sha256(data).digest(), report)
+
+
+def _repair(run: PipelineRun, stage_dir: Path) -> None:
+    repairer = run.config.adapters["repairer"]
+    sources, pre_csv, compilable_txt = run._at(_SOURCES, _PRE_CSV, _COMPILABLE)
+    pre = run._report(pre_csv, StateLabel.PRE_REPAIR)
+    compilable = compilable_txt.read_text(encoding="utf-8").splitlines()
+    violating = prepare_corpus_violating(compilable, pre, run.profile)
+    (run.workspace / _VIOLATING).write_text(
+        "".join(f"{rel}\n" for rel in violating), encoding="utf-8"
+    )
+    input_dir, output_dir = run._at(*_TREES)
+    input_dir.mkdir()
+    for rel in violating:
+        dest = input_dir / rel
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(sources / rel, dest)
+    if "{rule}" in repairer.command_template:
+        # one sequential pass per profile rule, in application order
+        current = input_dir
+        for i, rule in enumerate(run.profile.application_order):
+            pass_dir = stage_dir / f"pass_{i:02d}_{rule}"
+            run_tool_adapter(repairer, current, pass_dir, rule=rule)
+            current = pass_dir
+        shutil.copytree(current, output_dir, ignore=shutil.ignore_patterns("adapter_*.log"))
+    else:
+        run_tool_adapter(repairer, input_dir, output_dir)
+
+
+def _fixrate(run: PipelineRun, stage_dir: Path) -> None:
+    from . import fixrate as fixrate_mod
+
+    pre, post = run._load_matched_reports()
+    outcome = fixrate_mod.match_violations(pre, post)
+    table = fixrate_mod.compute_fix_rates(outcome, run.profile)
+    fixrate_mod.write_fixrate(stage_dir, outcome, fixrate_mod.summarize_fix_rate(table))
+
+
+def _newviol(run: PipelineRun, stage_dir: Path) -> None:
+    from . import newviol as newviol_mod
+
+    pre, post = run._load_matched_reports()
+    sources = run._repair_sources()
+    verdicts = newviol_mod.detect_new_violations(pre, post, sources, run.config.normalization)
+    newviol_mod.write_newviol(stage_dir, verdicts, newviol_mod.categorize_new(verdicts), sources)
+
+
+def _sample(run: PipelineRun, stage_dir: Path) -> None:
+    from . import sampling as sampling_mod
+    from .newviol import read_new_violations
+
+    new = read_new_violations(run.workspace / _NEW_CSV)
+    sample = sampling_mod.draw_sample(new, run.config.sampling, run.config.seed)
+    # fragments come from the repaired code, so index sources that way
+    sampling_mod.write_sample(
+        stage_dir / "sheet.csv", sample, len(new), run._repair_sources(),
+        stage_dir / "allocation.json",
+    )
+
+
+def _semantic(run: PipelineRun, stage_dir: Path) -> None:
+    from . import semantic as semantic_mod
+
+    runner = run.config.adapters["test_runner"]
+    compiler = run.config.adapters.get("compiler")
+    repair_in, repair_out = run._at(*_TREES)
+    tasks = [
+        lambda: run_tool_adapter(runner, repair_in, stage_dir / "baseline_raw"),
+        lambda: run_tool_adapter(runner, repair_out, stage_dir / "repaired_raw"),
+    ]
+    if compiler is not None:
+        tasks.append(lambda: run_tool_adapter(compiler, repair_out, stage_dir / "compile_raw"))
+    run._map_parallel(tasks)
+
+    diagnostics: dict[str, str] = {}
+    if compiler is not None:
+        _, diagnostics = semantic_mod.read_compile_results(
+            stage_dir / "compile_raw" / "compile_results.json"
+        )
+    regressions, summary = semantic_mod.compare_runs(
+        stage_dir / "baseline_raw" / "results.csv",
+        stage_dir / "repaired_raw" / "results.csv",
+        diagnostics,
+    )
+    semantic_mod.write_semantic(stage_dir, regressions, summary)
+
+
+def _metrics(run: PipelineRun, stage_dir: Path) -> None:
+    from . import metrics as metrics_mod
+
+    extractor = run.config.adapters["metric_extractor"]
+    repair_in, repair_out = run._at(*_TREES)
+    run._map_parallel(
+        [
+            lambda: run_tool_adapter(extractor, repair_in, stage_dir / "pre_raw"),
+            lambda: run_tool_adapter(extractor, repair_out, stage_dir / "post_raw"),
+        ]
+    )
+    pairs, exclusions = metrics_mod.pair_metric_files(
+        stage_dir / "pre_raw" / "class_metrics.csv", stage_dir / "post_raw" / "class_metrics.csv"
+    )
+    metrics_mod.write_metrics(stage_dir, pairs, exclusions, metrics_mod.structural_report(pairs))
+
+
+def _report_inputs(run: PipelineRun) -> list[Path]:
+    # the axes after fix rate are optional, so only those present are read
+    optional = run._at("newviol", "sample", "semantic", "metrics")
+    return run._at(_FIXRATE_JSON) + [path for path in optional if path.is_dir()]
+
+
+#: every stage, in run order
+STAGES = (
+    Stage("prepare", _corpus, _fingerprint("compiler"), _prepare),
+    Stage("analyze_pre", _under(_SOURCES), _analyzer_fingerprint,
+          partial(_analyze, _SOURCES, StateLabel.PRE_REPAIR, _PRE_CSV), "analyzer"),
+    Stage("repair", _under(_SOURCES, _PRE_CSV, _COMPILABLE),
+          lambda run: _fingerprint("repairer")(run) + "|" + run.profile.name, _repair, "repairer"),
+    Stage("analyze_post", _under(_REPAIR_OUT), _analyzer_fingerprint,
+          partial(_analyze, _REPAIR_OUT, StateLabel.POST_REPAIR, _POST_CSV), "analyzer"),
+    Stage("fixrate", _under(*_MATCHED), lambda run: run.profile.name, _fixrate),
+    Stage("newviol", _under(*_MATCHED, *_TREES),
+          lambda run: run.profile.name + "|" + run.config.normalization.value, _newviol),
+    Stage("sample", _under(_NEW_CSV, *_TREES),
+          lambda run: json.dumps({**asdict(run.config.sampling), "seed": run.config.seed}, sort_keys=True),
+          _sample),
+    Stage("semantic", _under(*_TREES), _fingerprint("test_runner", "compiler"), _semantic, "test_runner"),
+    Stage("metrics", _under(*_TREES), _fingerprint("metric_extractor"), _metrics, "metric_extractor"),
+    Stage("report", _report_inputs, lambda run: "", lambda run, stage_dir: emit_reports(run.workspace)),
+)
+
+STAGE_ORDER = tuple(stage.name for stage in STAGES)
 
 
 def run_pipeline(
@@ -910,12 +905,12 @@ def emit_reports(workspace: Path) -> dict:
     report_dir = workspace / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
 
-    fixrate_json = workspace / "fixrate" / "fixrate.json"
+    fixrate_json = workspace / _FIXRATE_JSON
     if not fixrate_json.is_file():
         raise MissingStageOutputError("fixrate", str(fixrate_json))
     summary: dict = {"fixrate": json.loads(fixrate_json.read_text(encoding="utf-8"))}
 
-    new_csv = workspace / "newviol" / "new_violations.csv"
+    new_csv = workspace / _NEW_CSV
     if new_csv.is_file():
         from .newviol import summarize_new_violations
 

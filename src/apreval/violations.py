@@ -420,7 +420,9 @@ def read_csv_table(
             return
         names = tuple(h.strip().lower() if fold_case else h.strip() for h in first)
         if names != header:
-            raise MalformedInputError(f"unexpected header {first!r}; expected {','.join(header)}", 1)
+            missing = [name for name in header if name not in names]
+            problem = f"missing column {missing[0]!r}" if missing else f"unexpected header {first!r}"
+            raise MalformedInputError(f"{problem}; expected {','.join(header)}", 1)
         line = reader.line_num + 1
         for row in reader:
             if row:

@@ -1,10 +1,12 @@
 import csv
 import json
+import shutil
 
 import pytest
 
 from apreval import minicorpus
 from apreval.cli import main
+from apreval.newviol import NEW_VIOLATIONS_HEADER
 from apreval.sampling import SHEET_HEADER
 
 from test_fixrate import golden_reports
@@ -45,6 +47,15 @@ class TestRun:
         doc["adapters"]["analyzer"].pop("expected_artifacts", None)
         config_path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == 3
+
+    def test_missing_corpus_fails_prepare(self, tmp_path, capsys):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        corpus = (tmp_path / "corpus").resolve()
+        shutil.rmtree(corpus)
+        assert main(["run", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"stage 'prepare' failed: corpus directory does not exist: {corpus}" in err
+        assert not (tmp_path / "workspace" / "state.json").exists()
 
     def test_stage_subset_with_missing_upstream(self, tmp_path):
         config_path = minicorpus.materialize(tmp_path, seed=17)
@@ -153,6 +164,27 @@ class TestSampleAndPrecision:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "missing column 'verdict'" in err
+
+    def test_short_row_in_new_violations_is_a_clear_error(self, mini, tmp_path, capsys):
+        ws = mini / "workspace"
+        bad = tmp_path / "new_violations.csv"
+        bad.write_text(
+            ",".join(NEW_VIOLATIONS_HEADER) + "\nA.java,S1118,CodeSmell,Low,1,1,m,new,\nB.java,S1118\n",
+            encoding="utf-8",
+        )
+        code = main([
+            "sample",
+            "--new-violations", str(bad),
+            "--original", str(ws / "repair" / "input"),
+            "--repaired", str(ws / "repair" / "output"),
+            "--seed", "17",
+            "--out", str(tmp_path / "sheet.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "(line 3)" in err
+        assert not (tmp_path / "sheet.csv").exists()
 
     def test_over_long_field_in_new_violations_is_a_clear_error(self, mini, tmp_path, capsys):
         ws = mini / "workspace"

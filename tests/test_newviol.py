@@ -16,6 +16,7 @@ from apreval.newviol import (
     NewViolationVerdict,
     _LineIndex,
     read_new_violations,
+    summarize_new_violations,
 )
 from apreval.violations import Severity, StateLabel, ViolationType
 
@@ -479,3 +480,21 @@ class TestReadNewViolations:
         with pytest.raises(MalformedInputError) as err:
             read_new_violations(path)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("reader", [read_new_violations, summarize_new_violations])
+    def test_short_row_is_refused(self, tmp_path, reader):
+        path = tmp_path / "new_violations.csv"
+        path.write_text(
+            ",".join(NEW_VIOLATIONS_HEADER) + "\nA.java,S1118,CodeSmell,Low,1,1,m,new,\nB.java,S1118\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedInputError) as err:
+            reader(path)
+        assert err.value.line == 3
+        assert str(err.value) == f"{path}: expected 9 fields, got 2 (line 3)"
+
+    def test_empty_file_is_refused(self, tmp_path):
+        path = tmp_path / "new_violations.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(MalformedInputError, match="empty file"):
+            read_new_violations(path)

@@ -352,9 +352,9 @@ def _spy_stage_inputs(monkeypatch) -> dict[str, tuple[list[Path], str]]:
     calls: dict[str, tuple[list[Path], str]] = {}
     run_stage = PipelineRun._run_stage
 
-    def spy(self, name, inputs, extra, body, role=None):
-        calls[name] = (list(inputs), extra)
-        return run_stage(self, name, inputs, extra, body, role=role)
+    def spy(self, stage):
+        calls[stage.name] = (stage.inputs(self), stage.extra(self))
+        return run_stage(self, stage)
 
     monkeypatch.setattr(PipelineRun, "_run_stage", spy)
     return calls
