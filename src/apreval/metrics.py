@@ -27,7 +27,7 @@ from .stats import (
     signed_rank_direction,
     wilcoxon_signed_rank,
 )
-from .violations import csv_writer, decode_input, read_csv_table
+from .violations import csv_writer, decode_input, parse_file, read_csv_table
 
 METRIC_NAMES = ("noc", "npa", "dit", "lcom1", "wmc", "cbo", "rfc", "loc")
 SUM_METRICS = ("noc", "npa", "lcom1", "wmc", "cbo", "rfc", "loc")
@@ -102,7 +102,7 @@ def aggregate_file_metrics(rows: Sequence[ClassMetricsRow]) -> list[FileMetrics]
 
 def pair_metric_files(pre_csv: Path, post_csv: Path) -> tuple[list[MetricPair], list[tuple[str, str]]]:
     """Read, roll up per file and join the extractor CSVs of the two states."""
-    pre, post = (aggregate_file_metrics(read_class_metrics_csv(p.read_bytes())) for p in (pre_csv, post_csv))
+    pre, post = (aggregate_file_metrics(parse_file(p, read_class_metrics_csv)) for p in (pre_csv, post_csv))
     return pair_pre_post(pre, post)
 
 

@@ -36,6 +36,7 @@ from .violations import (
     ViolationType,
     csv_writer,
     decode_input,
+    parse_file,
     read_csv_table,
 )
 
@@ -271,21 +272,18 @@ def write_newviol(
     )
 
 
-def _read_new_rows(path: Path) -> tuple[int, list[tuple[int, dict[str, str]]]]:
+def _new_rows(data: bytes) -> tuple[int, list[tuple[int, dict[str, str]]]]:
     """The number of rows in a ``new_violations.csv`` and its NEW rows, each with the line it starts on."""
+    text = decode_input(data)
+    if not text:
+        raise MalformedInputError("empty file: expected a header row", 1)
     rows = 0
     new: list[tuple[int, dict[str, str]]] = []
-    try:
-        text = decode_input(path.read_bytes())
-        if not text:
-            raise MalformedInputError("empty file: expected a header row", 1)
-        for line, fields in read_csv_table(text, NEW_VIOLATIONS_HEADER):
-            rows += 1
-            row = dict(zip(NEW_VIOLATIONS_HEADER, fields))
-            if row["verdict"] == VerdictKind.NEW.value:
-                new.append((line, row))
-    except MalformedInputError as exc:
-        raise MalformedInputError(f"{path}: {exc.message}", exc.line) from None
+    for line, fields in read_csv_table(text, NEW_VIOLATIONS_HEADER):
+        rows += 1
+        row = dict(zip(NEW_VIOLATIONS_HEADER, fields))
+        if row["verdict"] == VerdictKind.NEW.value:
+            new.append((line, row))
     return rows, new
 
 
@@ -294,7 +292,7 @@ def read_new_violations(path: Path) -> list[Violation]:
 
     A wrong header, a short or long row or a bad value raises ``MalformedInputError``.
     """
-    _, new = _read_new_rows(path)
+    _, new = parse_file(path, _new_rows)
     violations: list[Violation] = []
     for line, row in new:
         try:
@@ -319,7 +317,7 @@ def summarize_new_violations(path: Path) -> dict:
 
     Counts come from the CSV fields as written, with no record built per row.
     """
-    rows, new = _read_new_rows(path)
+    rows, new = parse_file(path, _new_rows)
     return {
         "post_violations": rows,
         "total_new": len(new),

@@ -489,6 +489,8 @@ class PipelineRun:
         # absolute path -> (sha256, report) of the normalized reports, seeded
         # by the analyze stages and dropped after newviol, their last reader
         self._reports: dict[str, tuple[bytes, ViolationReport]] = {}
+        # the stage being rebuilt, for _step: (old directory, old steps, new record)
+        self._rebuild: tuple[Path, dict, dict] | None = None
 
     def _at(self, *rels: str) -> list[Path]:
         return [self.workspace / rel for rel in rels]
@@ -522,8 +524,9 @@ class PipelineRun:
             tmp.unlink(missing_ok=True)
             raise
 
-    def _drop(self, name: str) -> None:
-        """Forget a stage: its record leaves state.json, then its directory goes.
+    def _drop(self, name: str, aside: Path | None = None) -> None:
+        """Forget a stage: its record leaves state.json, then its directory
+        goes, or is renamed to ``aside`` for a rebuild to reuse from.
 
         In this order a stage interrupted past this point (Ctrl-C, SIGKILL)
         is never taken as cached.
@@ -532,7 +535,10 @@ class PipelineRun:
             self._save_state()
         stage_dir = self.workspace / name
         if stage_dir.exists():
-            shutil.rmtree(stage_dir)
+            if aside is None:
+                shutil.rmtree(stage_dir)
+            else:
+                os.replace(stage_dir, aside)
 
     def _run_stage(self, stage: Stage) -> None:
         """Skip, reuse, or (re)build one stage, and record which.
@@ -561,9 +567,14 @@ class PipelineRun:
         ):
             self.summary[name] = "cached"
             return
-        self._drop(name)
+        # the old outputs stay readable beside the rebuild, for _step to reuse
+        prev_dir = self.workspace / f".{name}.prev"
+        shutil.rmtree(prev_dir, ignore_errors=True)  # left by a killed run
+        self._drop(name, aside=prev_dir)
         stage_dir.mkdir(parents=True)
         record = {"input_digest": digest, "started": time.time()}
+        reusable = not self.force and previous is not None and previous.get("status") == "ok"
+        self._rebuild = (prev_dir, previous.get("steps", {}) if reusable else {}, record)
         spawns = _adapter_spawns
         try:
             stage.body(self, stage_dir)
@@ -577,6 +588,7 @@ class PipelineRun:
                 raise
             raise StageFailureError(name, str(exc)) from exc
         finally:
+            shutil.rmtree(prev_dir, ignore_errors=True)
             if _adapter_spawns != spawns:
                 self._memo.clear()
             else:
@@ -596,6 +608,29 @@ class PipelineRun:
         ]
         for key in stale:
             del self._memo[key]
+
+    def _step(self, stage_dir: Path, sub: str, adapter: ToolAdapter, input_dir: Path) -> list[Callable[[], object]]:
+        """The adapter call that builds ``stage_dir/sub`` from ``input_dir``; none
+        when the stage's last ``ok`` build recorded the same key (input tree plus
+        adapter fingerprint) and its copy still has the recorded output digest,
+        which is then moved in. ``--force`` reuses nothing."""
+        prev_dir, old_steps, record = self._rebuild
+        key = _digest_paths([input_dir], _adapter_fingerprint(adapter), self._memo)
+        old, old_dir = old_steps.get(sub, {}), prev_dir / sub
+        steps = record.setdefault("steps", {})
+        if (
+            old.get("input_digest") == key
+            and old_dir.is_dir()
+            and digest_paths([old_dir]) == old.get("output_digest")
+        ):
+            os.replace(old_dir, stage_dir / sub)
+            steps[sub] = old
+            return []
+
+        def task() -> None:
+            run_tool_adapter(adapter, input_dir, stage_dir / sub)
+            steps[sub] = {"input_digest": key, "output_digest": digest_paths([stage_dir / sub])}
+        return [task]
 
     def _report(self, path: Path, state: StateLabel) -> ViolationReport:
         """The normalized report in ``path``, parsed at most once per run.
@@ -798,7 +833,7 @@ def _semantic(run: PipelineRun, stage_dir: Path) -> None:
     compiler = run.config.adapters.get("compiler")
     repair_in, repair_out = run._at(*_TREES)
     tasks = [
-        lambda: run_tool_adapter(runner, repair_in, stage_dir / "baseline_raw"),
+        *run._step(stage_dir, "baseline_raw", runner, repair_in),
         lambda: run_tool_adapter(runner, repair_out, stage_dir / "repaired_raw"),
     ]
     if compiler is not None:
@@ -825,7 +860,7 @@ def _metrics(run: PipelineRun, stage_dir: Path) -> None:
     repair_in, repair_out = run._at(*_TREES)
     run._map_parallel(
         [
-            lambda: run_tool_adapter(extractor, repair_in, stage_dir / "pre_raw"),
+            *run._step(stage_dir, "pre_raw", extractor, repair_in),
             lambda: run_tool_adapter(extractor, repair_out, stage_dir / "post_raw"),
         ]
     )

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import MalformedInputError
-from .violations import csv_writer, decode_input, load_data_json, read_csv_table
+from .violations import csv_writer, decode_input, load_data_json, parse_file, read_csv_table
 
 RESULTS_CSV_HEADER = ("test_id", "target_file", "status", "failure_kind")
 
@@ -249,8 +249,8 @@ def compare_runs(
     baseline_csv: Path, repaired_csv: Path, compile_diagnostics: Mapping[str, str]
 ) -> tuple[list[Regression], SemanticSummary]:
     """Regressions and their summary from the result files of the original and repaired code."""
-    baseline = filter_baseline(ingest_test_results(baseline_csv.read_bytes()))
-    regressions = diff_test_outcomes(baseline, ingest_test_results(repaired_csv.read_bytes()))
+    baseline = filter_baseline(parse_file(baseline_csv, ingest_test_results))
+    regressions = diff_test_outcomes(baseline, parse_file(repaired_csv, ingest_test_results))
     return regressions, summarize_semantic(baseline, regressions, compile_diagnostics)
 
 

@@ -17,7 +17,8 @@ import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple
+from pathlib import Path
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .errors import (
     ConfigError,
@@ -237,6 +238,17 @@ def decode_input(raw: bytes | str | IO) -> str:
     if isinstance(data, bytes):
         return decode_input(data)
     return data
+
+
+_T = TypeVar("_T")
+
+
+def parse_file(path: Path, parse: Callable[[bytes], _T]) -> _T:
+    """``parse`` applied to the bytes of ``path``; a ``MalformedInputError`` names the file."""
+    try:
+        return parse(path.read_bytes())
+    except MalformedInputError as exc:
+        raise MalformedInputError(f"{path}: {exc.message}", exc.line) from None
 
 
 def _file_id(raw: str, field: str, line: int | None = None) -> str:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shutil
 
 import pytest
@@ -7,10 +8,15 @@ import pytest
 from apreval import minicorpus
 from apreval.cli import main
 from apreval.newviol import NEW_VIOLATIONS_HEADER
+from apreval.pipeline import STAGE_ORDER
 from apreval.sampling import SHEET_HEADER
 
 from test_fixrate import golden_reports
 from apreval.violations import serialize_report
+
+
+#: how the benchmark (``bench/harness.py``) reads a status line of ``apreval run``
+STATUS_LINE = re.compile(r"^(\w+)\s+(ran|cached|skipped.*)$")
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +34,27 @@ class TestRun:
         assert main(["run", "--config", str(config)]) == 0
         out = capsys.readouterr().out
         assert "cached" in out
+
+    def test_status_lines_parse_on_every_kind_of_run(self, tmp_path, capsys):
+        config = minicorpus.materialize(tmp_path, seed=17)
+        incremental = {"analyze_post", "newviol", "sample", "semantic", "metrics"}
+        runs = [
+            ("cold", [], dict.fromkeys(STAGE_ORDER, "ran")),
+            ("warm", [], dict.fromkeys(STAGE_ORDER, "cached")),
+            ("incremental", [], {s: "ran" if s in incremental else "cached" for s in STAGE_ORDER}),
+            ("forced", ["--force"], dict.fromkeys(STAGE_ORDER, "ran")),
+        ]
+        for kind, extra, expected in runs:
+            if kind == "incremental":
+                edited = tmp_path / "workspace" / "repair" / "output" / "EventBus.java"
+                with edited.open("a", encoding="utf-8") as fh:
+                    fh.write(" \n")
+            assert main(["run", "--config", str(config), *extra]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[-1].startswith("workspace: ")
+            matches = [STATUS_LINE.match(line) for line in lines[:-1]]
+            assert all(matches), (kind, lines)
+            assert dict(m.groups() for m in matches) == expected, kind
 
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "c.json"

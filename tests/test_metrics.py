@@ -10,6 +10,7 @@ from apreval.metrics import (
     FileMetrics,
     aggregate_file_metrics,
     metric_medians_csv,
+    pair_metric_files,
     pair_pre_post,
     read_class_metrics_csv,
     signed_ranks_csv,
@@ -65,6 +66,18 @@ class TestCsv:
         text = (tmp_path / "exclusions.csv").read_text(encoding="utf-8")
         assert text == 'file,reason\n"a,b.java",PostAbsent\nC.java,PreAbsent\n'
         assert list(csv.reader(text.splitlines()))[1:] == [list(e) for e in exclusions]
+
+    @pytest.mark.parametrize("side", ["pre", "post"])
+    def test_malformed_file_is_named(self, tmp_path, side):
+        # the pre-repair file may come from an earlier run, so say which file is bad
+        good = "file,class,noc,npa,dit,lcom1,wmc,cbo,rfc,loc\nA.java,A,0,1,1,0,4,2,6,37\n"
+        paths = {s: tmp_path / f"{s}.csv" for s in ("pre", "post")}
+        for s, path in paths.items():
+            path.write_text(good + ("B.java,B\n" if s == side else ""), encoding="utf-8")
+        with pytest.raises(MalformedInputError) as err:
+            pair_metric_files(paths["pre"], paths["post"])
+        assert (err.value.message, err.value.line) == (f"{paths[side]}: expected 10 fields, got 2", 3)
+        assert str(err.value) == f"{paths[side]}: expected 10 fields, got 2 (line 3)"
 
 
 class TestAggregate:

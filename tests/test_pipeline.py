@@ -554,12 +554,12 @@ def _count_parses(monkeypatch) -> list[int]:
     return calls
 
 
-def _workspace_bytes(cfg) -> dict[str, bytes]:
-    """Every workspace file but ``state.json`` and the adapter logs."""
+def _workspace_bytes(cfg, logs: bool = False) -> dict[str, bytes]:
+    """Every workspace file but ``state.json`` and, unless asked for, the adapter logs."""
     return {
         p.relative_to(cfg.workspace_dir).as_posix(): p.read_bytes()
         for p in _rglob_files(cfg.workspace_dir)
-        if p.name != "state.json" and not p.name.startswith("adapter_")
+        if p.name != "state.json" and (logs or not p.name.startswith("adapter_"))
     }
 
 
@@ -641,6 +641,159 @@ class TestReportsParsedOnce:
         cold = _workspace_bytes(cfg)
         run_pipeline(cfg, force=True, stages=IN_PROCESS_STAGES)
         assert _workspace_bytes(cfg) == cold
+
+
+#: the stages that read ``repair/output``, and ``fixrate`` and ``report`` after them
+DOWNSTREAM_STAGES = ["analyze_post", "fixrate", "newviol", "sample", "semantic", "metrics", "report"]
+
+
+def _neutral_edit(cfg, n: int = 0) -> None:
+    """Append a whitespace-only line to one repaired file, as the benchmark does."""
+    with (cfg.workspace_dir / "repair" / "output" / "EventBus.java").open("a", encoding="utf-8") as fh:
+        fh.write(" " * (1 + n % 4) + "\n")
+
+
+def _spy_adapter_outputs(monkeypatch) -> list[str]:
+    """Record the workspace-relative output directory of each adapter call."""
+    outputs: list[str] = []
+    run_adapter = pipeline.run_tool_adapter
+
+    def spy(adapter, input_dir, output_dir, rule=None):
+        outputs.append(output_dir.relative_to(output_dir.parents[1]).as_posix())
+        return run_adapter(adapter, input_dir, output_dir, rule)
+
+    monkeypatch.setattr(pipeline, "run_tool_adapter", spy)
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def reuse_root(tmp_path_factory):
+    """A cold run over the bundled corpus, copied by each test that edits it."""
+    root = tmp_path_factory.mktemp("reuse")
+    run_pipeline(load_config(minicorpus.materialize(root, seed=17)))
+    return root
+
+
+@pytest.fixture(scope="module")
+def edited_reference(tmp_path_factory):
+    """The workspace files of a fresh run on the tree that ``_neutral_edit`` leaves."""
+    cfg = load_config(minicorpus.materialize(tmp_path_factory.mktemp("edited"), seed=17))
+    run_pipeline(cfg, stages=["prepare", "analyze_pre", "repair"])
+    _neutral_edit(cfg)
+    run_pipeline(cfg)
+    return _workspace_bytes(cfg)
+
+
+def _copy_run(reuse_root: Path, tmp_path: Path) -> PipelineConfig:
+    shutil.copytree(reuse_root, tmp_path / "copy", symlinks=True)
+    return load_config(tmp_path / "copy" / "config.json")
+
+
+class TestSubStepReuse:
+    def test_edit_spawns_only_what_changed(self, tmp_path):
+        # 30 per-rule repair passes, as in the benchmark's mini_per_rule
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        cfg = _edit_config(config_path, lambda doc: doc["adapters"]["repairer"].update(
+            command="{python} -m apreval.stubs repairer {input} {output} --rule {rule}"))
+
+        def spawns(**kwargs) -> int:
+            before = pipeline._adapter_spawns
+            run_pipeline(cfg, **kwargs)
+            return pipeline._adapter_spawns - before
+
+        assert spawns() == 38
+        for n in range(2):
+            # analyze_post, and the repaired-side calls of semantic and metrics
+            _neutral_edit(cfg, n)
+            assert spawns() == 4
+        assert spawns(force=True) == 38
+
+    def test_reused_steps_are_recorded(self, reuse_root, tmp_path, monkeypatch, edited_reference):
+        cfg = _copy_run(reuse_root, tmp_path)
+        state = json.loads((cfg.workspace_dir / "state.json").read_text(encoding="utf-8"))
+        cold_steps = {name: state["stages"][name]["steps"] for name in ("semantic", "metrics")}
+        assert set(cold_steps["semantic"]) == {"baseline_raw"}
+        assert set(cold_steps["metrics"]) == {"pre_raw"}
+        _neutral_edit(cfg)
+        outputs = _spy_adapter_outputs(monkeypatch)
+        summary = run_pipeline(cfg)
+        assert [s for s in summary if summary[s] == "ran"] == [
+            "analyze_post", "newviol", "sample", "semantic", "metrics"
+        ]
+        assert sorted(outputs) == [
+            "analyze_post/raw", "metrics/post_raw", "semantic/compile_raw", "semantic/repaired_raw"
+        ]
+        state = json.loads((cfg.workspace_dir / "state.json").read_text(encoding="utf-8"))
+        assert {name: state["stages"][name]["steps"] for name in cold_steps} == cold_steps
+        assert _workspace_bytes(cfg) == edited_reference
+        assert not list(cfg.workspace_dir.glob(".*.prev"))
+
+    def test_incremental_run_matches_forced_rebuild(self, reuse_root, tmp_path):
+        # reused sub-steps keep their adapter logs, which must be the ones a
+        # rebuild writes
+        cfg = _copy_run(reuse_root, tmp_path)
+        _neutral_edit(cfg)
+        run_pipeline(cfg)
+        incremental = _workspace_bytes(cfg, logs=True)
+        assert set(run_pipeline(cfg, force=True, stages=DOWNSTREAM_STAGES).values()) == {"ran"}
+        assert _workspace_bytes(cfg, logs=True) == incremental
+
+    @pytest.mark.parametrize("change", ["edited_baseline", "runner_timeout", "record_without_steps", "failed_record"])
+    def test_changed_sub_step_reruns(self, reuse_root, tmp_path, monkeypatch, edited_reference, change):
+        cfg = _copy_run(reuse_root, tmp_path)
+        if change == "edited_baseline":
+            # a hand edit the stage cache does not notice, but the sub-step's
+            # output digest does: every baseline test now fails
+            results = cfg.workspace_dir / "semantic" / "baseline_raw" / "results.csv"
+            results.write_text(results.read_text(encoding="utf-8").replace(",pass,", ",fail,"), encoding="utf-8")
+        elif change == "runner_timeout":
+            cfg = _edit_config(cfg.workspace_dir.parent / "config.json",
+                               lambda doc: doc["adapters"]["test_runner"].update(timeout=1 + doc["adapters"]["test_runner"]["timeout"]))
+        elif change == "failed_record":
+            # the baseline sub-step ran and was recorded, then the stage failed
+            def fail(*args, **kwargs):
+                raise ValueError("comparison failed")
+
+            with monkeypatch.context() as m:
+                m.setattr(semantic_mod, "compare_runs", fail)
+                with pytest.raises(StageFailureError):
+                    run_pipeline(cfg, stages=["semantic"], force=True)
+        else:
+            # a record written before sub-steps were recorded
+            state_path = cfg.workspace_dir / "state.json"
+            state = json.loads(state_path.read_text(encoding="utf-8"))
+            for record in state["stages"].values():
+                record.pop("steps", None)
+            state_path.write_text(json.dumps(state), encoding="utf-8")
+            assert set(run_pipeline(cfg).values()) == {"cached"}
+        _neutral_edit(cfg)
+        outputs = _spy_adapter_outputs(monkeypatch)
+        run_pipeline(cfg)
+        assert "semantic/baseline_raw" in outputs
+        assert ("metrics/pre_raw" in outputs) == (change == "record_without_steps")
+        assert _workspace_bytes(cfg) == edited_reference
+
+    def test_interrupted_rebuild_reuses_nothing(self, reuse_root, tmp_path, monkeypatch, edited_reference):
+        cfg = _copy_run(reuse_root, tmp_path)
+        _neutral_edit(cfg)
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as m:
+            m.setattr(semantic_mod, "ingest_test_results", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                run_pipeline(cfg)
+        assert not (cfg.workspace_dir / ".semantic.prev").exists()
+        # what a run killed while rebuilding semantic leaves behind
+        (cfg.workspace_dir / ".semantic.prev" / "baseline_raw").mkdir(parents=True)
+        (cfg.workspace_dir / ".semantic.prev" / "baseline_raw" / "results.csv").write_text("stale")
+        outputs = _spy_adapter_outputs(monkeypatch)
+        summary = run_pipeline(cfg)
+        assert summary["semantic"] == "ran"
+        assert "semantic/baseline_raw" in outputs
+        assert not (cfg.workspace_dir / ".semantic.prev").exists()
+        assert _workspace_bytes(cfg) == edited_reference
 
 
 class TestPerRuleRepair:

@@ -9,6 +9,7 @@ from apreval.semantic import (
     TestStatus,
     classify_compile_error,
     classify_failure,
+    compare_runs,
     diff_test_outcomes,
     filter_baseline,
     ingest_test_results,
@@ -59,6 +60,20 @@ class TestIngest:
             TestOutcome(test_id="t", target_file=None, status=TestStatus.PASS, failure_kind="x")
         with pytest.raises(ValueError):
             TestOutcome(test_id="t", target_file=None, status=TestStatus.FAIL, failure_kind=None)
+
+
+class TestCompareRuns:
+    @pytest.mark.parametrize("side", ["baseline", "repaired"])
+    def test_malformed_file_is_named(self, tmp_path, side):
+        # the baseline file may come from an earlier run, so say which file is bad
+        good = results_csv([("ATest.t1", "A.java", "pass", ""), ("ATest.t2", "A.java", "pass", "")])
+        paths = {s: tmp_path / f"{s}.csv" for s in ("baseline", "repaired")}
+        for s, path in paths.items():
+            path.write_text(good + ("t99,A.java\n" if s == side else ""), encoding="utf-8")
+        with pytest.raises(MalformedInputError) as err:
+            compare_runs(paths["baseline"], paths["repaired"], {})
+        assert (err.value.message, err.value.line) == (f"{paths[side]}: expected 4 fields, got 2", 4)
+        assert str(err.value) == f"{paths[side]}: expected 4 fields, got 2 (line 4)"
 
 
 class TestBaseline:
