@@ -442,6 +442,22 @@ class TestDigestPaths:
             "report": "94b3d44a541de92149be30ddf9b4695835eae4840f5e4a40d5e4761a8af39b2e",
         }
 
+    def test_outputs_outside_the_digests_are_pinned(self, digest_run):
+        # the input digests pin every stage output read by a later stage;
+        # these files are read by none, so only their bytes catch a changed layout
+        cfg, _ = digest_run
+        hashes = {
+            rel: hashlib.sha256((cfg.workspace_dir / rel).read_bytes()).hexdigest()
+            for rel in ("fixrate/fixrate.csv", "fixrate/fixed_violations.csv",
+                        "prepare/rejected.json", "report/summary.json")
+        }
+        assert hashes == {
+            "fixrate/fixrate.csv": "63f39035cde77a24381636f194eaf208a5bd67310d48c9c2510ec7df59d482ff",
+            "fixrate/fixed_violations.csv": "2af69530dfe60b5f229a9b16090d9f1ad2eff9944011699b69515f3151d423be",
+            "prepare/rejected.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
+            "report/summary.json": "cd2c4f24d5c2ff3c612b3e9a5125eded5d715061edc71a86daf3283a2f4389af",
+        }
+
     def test_stage_digests_match_memoless_reference(self, digest_run, monkeypatch):
         cfg, cold_calls = digest_run
         assert len(cold_calls) == len(STAGE_ORDER)
