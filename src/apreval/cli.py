@@ -11,7 +11,6 @@ the one the matching pipeline stage calls.
 from __future__ import annotations
 
 import argparse
-import json
 import signal
 import sys
 from dataclasses import replace
@@ -23,15 +22,8 @@ from .errors import (
     HarnessError,
     StageFailureError,
 )
-from .pipeline import (
-    SamplingParams,
-    _load_sources,
-    _read_csv_report,
-    emit_reports,
-    load_config,
-    run_pipeline,
-)
-from .violations import NormalizationPolicy, StateLabel, get_profile
+from .pipeline import SamplingParams, emit_reports, load_config, load_sources, run_pipeline
+from .violations import NormalizationPolicy, StateLabel, get_profile, json_text, read_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,8 +64,8 @@ def _cmd_fixrate(args: argparse.Namespace) -> int:
     from . import fixrate as fixrate_mod
 
     profile = get_profile(args.profile)
-    pre = _read_csv_report(Path(args.pre), StateLabel.PRE_REPAIR)
-    post = _read_csv_report(Path(args.post), StateLabel.POST_REPAIR)
+    pre = read_report(Path(args.pre), StateLabel.PRE_REPAIR)
+    post = read_report(Path(args.post), StateLabel.POST_REPAIR)
     outcome = fixrate_mod.match_violations(pre, post)
     summary = fixrate_mod.summarize_fix_rate(fixrate_mod.compute_fix_rates(outcome, profile))
     fixrate_mod.write_fixrate(Path(args.out), outcome, summary)
@@ -84,9 +76,9 @@ def _cmd_fixrate(args: argparse.Namespace) -> int:
 def _cmd_newviol(args: argparse.Namespace) -> int:
     from . import newviol as newviol_mod
 
-    pre = _read_csv_report(Path(args.pre), StateLabel.PRE_REPAIR)
-    post = _read_csv_report(Path(args.post), StateLabel.POST_REPAIR)
-    sources = _load_sources(Path(args.original), Path(args.repaired))
+    pre = read_report(Path(args.pre), StateLabel.PRE_REPAIR)
+    post = read_report(Path(args.post), StateLabel.POST_REPAIR)
+    sources = load_sources(Path(args.original), Path(args.repaired))
     policy = NormalizationPolicy(args.normalize)
     verdicts = newviol_mod.detect_new_violations(pre, post, sources, policy)
     breakdown = newviol_mod.categorize_new(verdicts)
@@ -102,7 +94,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     new = read_new_violations(Path(args.new_violations))
     params = SamplingParams(confidence=args.confidence, margin=args.margin)
     sample = sampling_mod.draw_sample(new, params, args.seed)
-    sources = _load_sources(Path(args.original), Path(args.repaired))
+    sources = load_sources(Path(args.original), Path(args.repaired))
     sampling_mod.write_sample(Path(args.out), sample, len(new), sources)
     print(f"sampled {sample.size} of {len(new)} new violations across {len(sample.allocation)} rules")
     return EXIT_OK
@@ -159,7 +151,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     summary = emit_reports(Path(args.workspace))
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    sys.stdout.write(json_text(summary))
     return EXIT_OK
 
 

@@ -8,8 +8,6 @@ findings on one span do not inflate the fix count.
 
 from __future__ import annotations
 
-import io
-import json
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
@@ -21,7 +19,9 @@ from .violations import (
     StateLabel,
     Violation,
     ViolationReport,
+    json_text,
     serialize_report,
+    table_text,
 )
 
 
@@ -140,15 +140,11 @@ class FixRateSummary:
 
 def summarize_fix_rate(table: FixRateTable) -> FixRateSummary:
     """Render a fix-rate table as CSV, JSON, and a human-readable listing."""
-    buf = io.StringIO()
-    buf.write("rule,pre_count,fixed_count,fix_rate,fixed_percent\n")
-    for row in table.rows:
-        buf.write(
-            f"{row.rule},{row.pre_count},{row.fixed_count},"
-            f"{row.fix_rate:.6f},{render_percent(row.fixed_count, row.pre_count)}\n"
-        )
-    csv_text = buf.getvalue()
-
+    csv_text = table_text(
+        ("rule", "pre_count", "fixed_count", "fix_rate", "fixed_percent"),
+        ((row.rule, row.pre_count, row.fixed_count, f"{row.fix_rate:.6f}",
+          render_percent(row.fixed_count, row.pre_count)) for row in table.rows),
+    )
     payload = {
         "rows": [
             {
@@ -167,7 +163,6 @@ def summarize_fix_rate(table: FixRateTable) -> FixRateSummary:
             "fixed_percent": render_percent(table.fixed_total, table.pre_total),
         },
     }
-    json_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     lines = [f"{'rule':<8}{'violations':>12}{'fixed':>8}{'rate':>8}"]
     for row in table.rows:
@@ -179,7 +174,7 @@ def summarize_fix_rate(table: FixRateTable) -> FixRateSummary:
         f"{'overall':<8}{table.pre_total:>12}{table.fixed_total:>8}"
         f"{render_percent(table.fixed_total, table.pre_total):>8}"
     )
-    return FixRateSummary(csv_text=csv_text, json_text=json_text, text="\n".join(lines) + "\n")
+    return FixRateSummary(csv_text=csv_text, json_text=json_text(payload), text="\n".join(lines) + "\n")
 
 
 def write_fixrate(out_dir: Path, outcome: MatchOutcome, summary: FixRateSummary) -> None:

@@ -10,8 +10,6 @@ signed-rank test, and the direction summary.
 
 from __future__ import annotations
 
-import io
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +18,7 @@ from typing import IO, Mapping, Sequence
 
 from .errors import DegenerateSampleError, MalformedInputError, SampleTooSmallError
 from .stats import (
+    NORMALITY_MIN_N,
     DirectionSummary,
     PairedSeries,
     StatResult,
@@ -27,16 +26,13 @@ from .stats import (
     signed_rank_direction,
     wilcoxon_signed_rank,
 )
-from .violations import csv_writer, decode_input, parse_file, read_csv_table
+from .violations import csv_writer, decode_input, json_text, parse_file, read_csv_table, table_text
 
 METRIC_NAMES = ("noc", "npa", "dit", "lcom1", "wmc", "cbo", "rfc", "loc")
 SUM_METRICS = ("noc", "npa", "lcom1", "wmc", "cbo", "rfc", "loc")
 MAX_METRICS = ("dit",)
 
 METRICS_CSV_HEADER = ("file", "class") + METRIC_NAMES
-
-#: minimum pairs for the normality check; below this it is skipped, not failed
-NORMALITY_MIN_PAIRS = 20
 
 
 @dataclass(frozen=True)
@@ -167,15 +163,12 @@ def structural_report(pairs: Sequence[MetricPair]) -> StructuralReport:
         series = PairedSeries(metric_name=metric, deltas=deltas)
         normality: StatResult | None = None
         note = ""
-        if len(pairs) < NORMALITY_MIN_PAIRS:
-            note = f"skipped: {len(pairs)} pairs < {NORMALITY_MIN_PAIRS}"
-        else:
-            try:
-                normality = dagostino_pearson(pre_values)
-            except SampleTooSmallError:
-                note = f"skipped: {len(pairs)} pairs < {NORMALITY_MIN_PAIRS}"
-            except DegenerateSampleError as exc:
-                note = f"skipped: {exc}"
+        try:
+            normality = dagostino_pearson(pre_values)
+        except SampleTooSmallError:
+            note = f"skipped: {len(pairs)} pairs < {NORMALITY_MIN_N}"
+        except DegenerateSampleError as exc:
+            note = f"skipped: {exc}"
         per_metric.append(
             MetricStats(
                 metric=metric,
@@ -197,47 +190,36 @@ def _na(value: float | None, fmt: str = "{:.10g}") -> str:
 
 def structural_stats_csv(report: StructuralReport) -> str:
     """Rows of ``structural_stats.csv``; NA marks undefined values."""
-    buf = io.StringIO()
-    buf.write("metric,n,test,statistic,p_value,median_delta,mean_signed_rank,direction\n")
-    for s in report.per_metric:
-        w = s.wilcoxon
-        buf.write(
-            f"{s.metric},{w.n_effective},wilcoxon_signed_rank,"
-            f"{_na(w.statistic)},{_na(w.p_value)},"
-            f"{_na(s.direction.median_delta)},{_na(s.direction.mean_signed_rank)},"
-            f"{w.direction.value}\n"
-        )
-    return buf.getvalue()
+    return table_text(
+        ("metric", "n", "test", "statistic", "p_value", "median_delta", "mean_signed_rank", "direction"),
+        ((s.metric, s.wilcoxon.n_effective, "wilcoxon_signed_rank", _na(s.wilcoxon.statistic),
+          _na(s.wilcoxon.p_value), _na(s.direction.median_delta), _na(s.direction.mean_signed_rank),
+          s.wilcoxon.direction.value) for s in report.per_metric),
+    )
 
 
 def metric_medians_csv(report: StructuralReport) -> str:
-    buf = io.StringIO()
-    buf.write("metric,pre_median,post_median\n")
-    for s in report.per_metric:
-        buf.write(f"{s.metric},{_na(s.pre_median)},{_na(s.post_median)}\n")
-    return buf.getvalue()
+    return table_text(
+        ("metric", "pre_median", "post_median"),
+        ((s.metric, _na(s.pre_median), _na(s.post_median)) for s in report.per_metric),
+    )
 
 
 def signed_ranks_csv(report: StructuralReport) -> str:
-    buf = io.StringIO()
-    buf.write("metric,mean_signed_rank,direction\n")
-    for s in report.per_metric:
-        buf.write(f"{s.metric},{_na(s.direction.mean_signed_rank)},{s.direction.direction.value}\n")
-    return buf.getvalue()
+    return table_text(
+        ("metric", "mean_signed_rank", "direction"),
+        ((s.metric, _na(s.direction.mean_signed_rank), s.direction.direction.value) for s in report.per_metric),
+    )
 
 
 def normality_csv(report: StructuralReport) -> str:
-    buf = io.StringIO()
-    buf.write("metric,n,k2,p_value,note\n")
-    for s in report.per_metric:
-        if s.normality is None:
-            buf.write(f'{s.metric},{s.n_pairs},NA,NA,"{s.normality_note}"\n')
-        else:
-            buf.write(
-                f"{s.metric},{s.normality.n_effective},"
-                f"{_na(s.normality.statistic)},{_na(s.normality.p_value)},\n"
-            )
-    return buf.getvalue()
+    # a note is quoted by hand: table_text quotes nothing
+    return table_text(
+        ("metric", "n", "k2", "p_value", "note"),
+        ((s.metric, s.n_pairs, "NA", "NA", f'"{s.normality_note}"') if s.normality is None
+         else (s.metric, s.normality.n_effective, _na(s.normality.statistic), _na(s.normality.p_value), "")
+         for s in report.per_metric),
+    )
 
 
 def write_metrics(
@@ -248,10 +230,9 @@ def write_metrics(
 ) -> None:
     """Write the four statistics CSVs, ``exclusions.csv`` and ``metrics.json``."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "structural_stats.csv").write_text(structural_stats_csv(report), encoding="utf-8")
-    (out_dir / "metric_medians.csv").write_text(metric_medians_csv(report), encoding="utf-8")
-    (out_dir / "signed_ranks.csv").write_text(signed_ranks_csv(report), encoding="utf-8")
-    (out_dir / "normality.csv").write_text(normality_csv(report), encoding="utf-8")
+    for name, render in (("structural_stats", structural_stats_csv), ("metric_medians", metric_medians_csv),
+                         ("signed_ranks", signed_ranks_csv), ("normality", normality_csv)):
+        (out_dir / f"{name}.csv").write_text(render(report), encoding="utf-8")
     with (out_dir / "exclusions.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv_writer(fh)
         writer.writerow(["file", "reason"])
@@ -275,6 +256,4 @@ def write_metrics(
             for s in report.per_metric
         ],
     }
-    (out_dir / "metrics.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out_dir / "metrics.json").write_text(json_text(payload), encoding="utf-8")

@@ -38,6 +38,7 @@ from .violations import (
     decode_input,
     parse_file,
     read_csv_table,
+    table_text,
 )
 
 
@@ -259,12 +260,11 @@ def write_newviol(
             )
     cells = sorted(breakdown.matrix.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value))
     (out_dir / "new_matrix.csv").write_text(
-        "type,severity,count\n" + "".join(f"{t.value},{s.value},{n}\n" for (t, s), n in cells),
+        table_text(("type", "severity", "count"), ((t.value, s.value, n) for (t, s), n in cells)),
         encoding="utf-8",
     )
     (out_dir / "new_frequency.csv").write_text(
-        "rule,count\n" + "".join(f"{rule},{n}\n" for rule, n in breakdown.rule_frequency),
-        encoding="utf-8",
+        table_text(("rule", "count"), breakdown.rule_frequency), encoding="utf-8"
     )
     deleted = sorted(p.file_id for p in sources.values() if p.repaired_deleted)
     (out_dir / "notes.txt").write_text(

@@ -27,7 +27,7 @@ import signal
 import string
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -48,7 +48,9 @@ from .violations import (
     StateLabel,
     ViolationReport,
     get_profile,
+    json_text,
     parse_report,
+    read_report,
     serialize_report,
 )
 
@@ -109,12 +111,9 @@ class PipelineConfig:
     report_adapter_options: Mapping = field(default_factory=dict)
 
 
-_TOP_KEYS = {
-    "corpus_dir", "workspace_dir", "adapters", "profile", "sampling", "seed",
-    "jobs", "normalization", "report_adapter", "report_adapter_options",
-}
+_TOP_KEYS = {f.name for f in fields(PipelineConfig)}
 _ADAPTER_KEYS = {"command", "timeout", "expected_artifacts"}
-_SAMPLING_KEYS = {"confidence", "margin", "proportion"}
+_SAMPLING_KEYS = {f.name for f in fields(SamplingParams)}
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -285,16 +284,17 @@ def run_tool_adapter(
     )
 
 
-def prepare_corpus_compile(
-    corpus_dir: Path, compiler: ToolAdapter, out_dir: Path
+def compile_tree(
+    compiler: ToolAdapter, input_dir: Path, out_dir: Path
 ) -> tuple[list[str], dict[str, str]]:
-    """Attempt each corpus file once; split into compilable and rejected.
+    """Attempt each file under ``input_dir`` once; split into compilable and rejected.
 
     The compiler adapter writes ``compile_results.json`` (one record per
     file with ok/diagnostic); rejected files keep their diagnostics for the
-    later compile-error classification.
+    compile-error classification. A compiler that writes no such file
+    raises :class:`MissingArtifactError`.
     """
-    run_tool_adapter(compiler, corpus_dir, out_dir)
+    run_tool_adapter(compiler, input_dir, out_dir)
     results_path = out_dir / "compile_results.json"
     if not results_path.is_file():
         raise MissingArtifactError(compiler.name, "compile_results.json")
@@ -420,11 +420,7 @@ class _WorkspaceLock:
         return False
 
 
-def _read_csv_report(path: Path, state: StateLabel) -> ViolationReport:
-    return parse_report(path.read_bytes(), "csv", state)
-
-
-def _load_sources(original_dir: Path, repaired_dir: Path) -> dict[str, SourcePair]:
+def load_sources(original_dir: Path, repaired_dir: Path) -> dict[str, SourcePair]:
     """Build SourcePairs for every file present in the original tree."""
     from .newviol import SourcePair
 
@@ -516,9 +512,7 @@ class PipelineRun:
         # serialization never leaves a truncated state file behind
         tmp = self.state_path.with_name(self.state_path.name + ".tmp")
         try:
-            with tmp.open("w", encoding="utf-8") as fh:
-                json.dump(self.state, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            tmp.write_text(json_text(self.state), encoding="utf-8")
             os.replace(tmp, self.state_path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -642,13 +636,13 @@ class PipelineRun:
         sha = _memo_sha256(key, self._memo)
         entry = self._reports.get(key)
         if entry is None or entry[0] != sha:
-            entry = self._reports[key] = (sha, _read_csv_report(path, state))
+            entry = self._reports[key] = (sha, read_report(path, state))
         return entry[1]
 
     def _load_matched_reports(self) -> tuple[ViolationReport, ViolationReport]:
         """Pre report restricted to the repaired files, plus the post report."""
         pre_csv, post_csv, violating_txt = self._at(*_MATCHED)
-        violating = set(violating_txt.read_text(encoding="utf-8").splitlines())
+        violating = set(_read_lines(violating_txt))
         pre = self._report(pre_csv, StateLabel.PRE_REPAIR)
         # a filtered canonical report is still in canonical order
         pre = replace(pre, entries=tuple(v for v in pre.entries if v.file_id in violating))
@@ -659,7 +653,7 @@ class PipelineRun:
         trees = self._at(*_TREES)
         digest = _digest_paths(trees, "", self._memo)
         if self._sources is None or self._sources[0] != digest:
-            self._sources = (digest, _load_sources(*trees))
+            self._sources = (digest, load_sources(*trees))
         return self._sources[1]
 
     def _map_parallel(self, tasks: Sequence[Callable[[], object]]) -> list[object]:
@@ -718,28 +712,36 @@ def _corpus(run: PipelineRun) -> list[Path]:
     return [corpus]
 
 
+def _copy_files(src: Path, rels: Iterable[str], dest: Path) -> None:
+    """Copy each relative path ``rels`` names from under ``src`` into the new directory ``dest``."""
+    dest.mkdir()
+    for rel in rels:
+        target = dest / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(src / rel, target)
+
+
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+
+
+def _read_lines(path: Path) -> list[str]:
+    return path.read_text(encoding="utf-8").splitlines()
+
+
 def _prepare(run: PipelineRun, stage_dir: Path) -> None:
     compiler = run.config.adapters.get("compiler")
     corpus = run.config.corpus_dir
     if compiler is not None:
-        compilable, rejected = prepare_corpus_compile(corpus, compiler, stage_dir / "raw")
+        compilable, rejected = compile_tree(compiler, corpus, stage_dir / "raw")
     else:
         compilable = sorted(
             p.relative_to(corpus).as_posix() for p in corpus.rglob("*") if p.is_file()
         )
         rejected = {}
-    sources = run.workspace / _SOURCES
-    sources.mkdir()
-    for rel in compilable:
-        dest = sources / rel
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(corpus / rel, dest)
-    (stage_dir / "rejected.json").write_text(
-        json.dumps(rejected, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (run.workspace / _COMPILABLE).write_text(
-        "".join(f"{rel}\n" for rel in compilable), encoding="utf-8"
-    )
+    _copy_files(corpus, compilable, run.workspace / _SOURCES)
+    (stage_dir / "rejected.json").write_text(json_text(rejected), encoding="utf-8")
+    _write_lines(run.workspace / _COMPILABLE, compilable)
 
 
 def _analyzer_fingerprint(run: PipelineRun) -> str:
@@ -772,17 +774,10 @@ def _repair(run: PipelineRun, stage_dir: Path) -> None:
     repairer = run.config.adapters["repairer"]
     sources, pre_csv, compilable_txt = run._at(_SOURCES, _PRE_CSV, _COMPILABLE)
     pre = run._report(pre_csv, StateLabel.PRE_REPAIR)
-    compilable = compilable_txt.read_text(encoding="utf-8").splitlines()
-    violating = prepare_corpus_violating(compilable, pre, run.profile)
-    (run.workspace / _VIOLATING).write_text(
-        "".join(f"{rel}\n" for rel in violating), encoding="utf-8"
-    )
+    violating = prepare_corpus_violating(_read_lines(compilable_txt), pre, run.profile)
+    _write_lines(run.workspace / _VIOLATING, violating)
     input_dir, output_dir = run._at(*_TREES)
-    input_dir.mkdir()
-    for rel in violating:
-        dest = input_dir / rel
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(sources / rel, dest)
+    _copy_files(sources, violating, input_dir)
     if "{rule}" in repairer.command_template:
         # one sequential pass per profile rule, in application order
         current = input_dir
@@ -837,14 +832,10 @@ def _semantic(run: PipelineRun, stage_dir: Path) -> None:
         lambda: run_tool_adapter(runner, repair_out, stage_dir / "repaired_raw"),
     ]
     if compiler is not None:
-        tasks.append(lambda: run_tool_adapter(compiler, repair_out, stage_dir / "compile_raw"))
-    run._map_parallel(tasks)
-
-    diagnostics: dict[str, str] = {}
-    if compiler is not None:
-        _, diagnostics = semantic_mod.read_compile_results(
-            stage_dir / "compile_raw" / "compile_results.json"
-        )
+        tasks.append(lambda: compile_tree(compiler, repair_out, stage_dir / "compile_raw"))
+    results = run._map_parallel(tasks)
+    # the compiler's (compilable, diagnostics), when it runs, comes last
+    diagnostics = results[-1][1] if compiler is not None else {}
     regressions, summary = semantic_mod.compare_runs(
         stage_dir / "baseline_raw" / "results.csv",
         stage_dir / "repaired_raw" / "results.csv",
@@ -911,21 +902,14 @@ def run_pipeline(
 
 # --- unified report -----------------------------------------------------------
 
-_REPORT_CSVS = (
-    ("fixrate", "fixrate.csv"),
-    ("fixrate", "fixed_violations.csv"),
-    ("newviol", "new_violations.csv"),
-    ("newviol", "new_matrix.csv"),
-    ("newviol", "new_frequency.csv"),
-    ("sample", "sheet.csv"),
-    ("semantic", "regressions.csv"),
-    ("semantic", "failure_histogram.csv"),
-    ("semantic", "compile_errors.csv"),
-    ("metrics", "structural_stats.csv"),
-    ("metrics", "metric_medians.csv"),
-    ("metrics", "signed_ranks.csv"),
-    ("metrics", "normality.csv"),
-)
+#: the tables of each stage that the report bundle carries a copy of
+_REPORT_CSVS = {
+    "fixrate": ("fixrate.csv", "fixed_violations.csv"),
+    "newviol": ("new_violations.csv", "new_matrix.csv", "new_frequency.csv"),
+    "sample": ("sheet.csv",),
+    "semantic": ("regressions.csv", "failure_histogram.csv", "compile_errors.csv"),
+    "metrics": ("structural_stats.csv", "metric_medians.csv", "signed_ranks.csv", "normality.csv"),
+}
 
 
 def emit_reports(workspace: Path) -> dict:
@@ -960,11 +944,10 @@ def emit_reports(workspace: Path) -> dict:
             json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {"status": "skipped"}
         )
 
-    (report_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    for stage, name in _REPORT_CSVS:
-        src = workspace / stage / name
-        if src.is_file():
-            shutil.copyfile(src, report_dir / name)
+    (report_dir / "summary.json").write_text(json_text(summary), encoding="utf-8")
+    for stage, names in _REPORT_CSVS.items():
+        for name in names:
+            src = workspace / stage / name
+            if src.is_file():
+                shutil.copyfile(src, report_dir / name)
     return summary

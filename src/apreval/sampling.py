@@ -11,7 +11,6 @@ precision threshold.
 from __future__ import annotations
 
 import io
-import json
 import math
 import random
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .newviol import SourcePair, extract_fragment
 from .stats import Direction, StatResult
-from .violations import Violation, csv_writer, read_csv_table
+from .violations import Violation, csv_writer, json_text, read_csv_table
 
 if TYPE_CHECKING:
     from .pipeline import SamplingParams
@@ -214,7 +213,7 @@ def write_sample(
     }
     if population_size:  # an empty population draws nothing, so no seed is recorded
         payload["seed"] = sample.seed
-    allocation.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    allocation.write_text(json_text(payload), encoding="utf-8")
 
 
 class LabelVerdict(Enum):

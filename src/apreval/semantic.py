@@ -18,7 +18,9 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 from .errors import MalformedInputError
-from .violations import csv_writer, decode_input, load_data_json, parse_file, read_csv_table
+from .violations import (
+    csv_writer, decode_input, json_text, load_data_json, parse_file, read_csv_table, table_text,
+)
 
 RESULTS_CSV_HEADER = ("test_id", "target_file", "status", "failure_kind")
 
@@ -291,15 +293,13 @@ def write_semantic(out_dir: Path, regressions: Sequence[Regression], summary: Se
                  str(reg.missing_in_repaired_run).lower()]
             )
     (out_dir / "failure_histogram.csv").write_text(
-        "failure_class,count\n"
-        + "".join(f"{cls.value},{summary.failure_histogram.get(cls, 0)}\n" for cls in FailureClass),
+        table_text(("failure_class", "count"),
+                   ((cls.value, summary.failure_histogram.get(cls, 0)) for cls in FailureClass)),
         encoding="utf-8",
     )
     (out_dir / "compile_errors.csv").write_text(
-        "compile_error_class,count\n"
-        + "".join(
-            f"{cls.value},{summary.compile_error_histogram.get(cls, 0)}\n" for cls in CompileErrorClass
-        ),
+        table_text(("compile_error_class", "count"),
+                   ((cls.value, summary.compile_error_histogram.get(cls, 0)) for cls in CompileErrorClass)),
         encoding="utf-8",
     )
     payload = {
@@ -311,6 +311,4 @@ def write_semantic(out_dir: Path, regressions: Sequence[Regression], summary: Se
         "compile_error_histogram": {cls.value: n for cls, n in summary.compile_error_histogram.items()},
         "uncompilable_files": summary.uncompilable_files,
     }
-    (out_dir / "semantic.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    (out_dir / "semantic.json").write_text(json_text(payload), encoding="utf-8")

@@ -26,6 +26,7 @@ import csv
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 VIOL_RE = re.compile(r"//\s*@viol:(S\d{1,5}):(\w+):(\w+)\s*(.*)$")
@@ -35,6 +36,9 @@ METHOD_RE = re.compile(r"\b(?:void|int|long|double|float|boolean|String)\s+\w+\s
 CALL_RE = re.compile(r"\w\.\w+\s*\(")
 NEW_RE = re.compile(r"\bnew\s+[A-Z]\w*")
 PUBLIC_ATTR_RE = re.compile(r"^\s*public\s+(?:static\s+)?(?!class\b)\w+(?:<[^>]*>)?\s+\w+\s*[=;]")
+# one scan per file: the class name a per-class pattern would hold is captured in a lookahead
+EXTENDS_RE = re.compile(r"\bextends\s+(?=(\w+))")
+SUBCLASS_RE = re.compile(r"class\s+(?=(\w+)\s+extends\b)")
 
 #: rules the scripted repairer knows how to fix, a subset of the profile
 FIXABLE_RULES = {
@@ -52,6 +56,11 @@ def _rel(path: Path, root: Path) -> str:
     return path.relative_to(root).as_posix()
 
 
+def _write_csv(path: Path, rows: list) -> None:
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def run_analyzer(input_dir: Path, output_dir: Path) -> None:
     """Emit one violation row per @viol marker, in native CSV format."""
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -63,10 +72,8 @@ def run_analyzer(input_dir: Path, output_dir: Path) -> None:
                 rule, vtype, severity, message = m.groups()
                 rows.append((_rel(path, input_dir), rule, vtype, severity, lineno, lineno, message.strip()))
     rows.sort()
-    with (output_dir / "violations.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["file", "rule", "type", "severity", "start_line", "end_line", "message"])
-        writer.writerows(rows)
+    _write_csv(output_dir / "violations.csv",
+               [("file", "rule", "type", "severity", "start_line", "end_line", "message"), *rows])
 
 
 def _repair_lines(lines: list[str], class_name: str | None, rules: set[str]) -> list[str]:
@@ -181,10 +188,7 @@ def run_testrunner(input_dir: Path, output_dir: Path) -> None:
             status, kind = statuses[t]
             rows.append((t, rel, status, kind))
     rows.sort()
-    with (output_dir / "results.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["test_id", "target_file", "status", "failure_kind"])
-        writer.writerows(rows)
+    _write_csv(output_dir / "results.csv", [("test_id", "target_file", "status", "failure_kind"), *rows])
 
 
 def run_compiler(input_dir: Path, output_dir: Path) -> None:
@@ -227,6 +231,8 @@ def run_metrics(input_dir: Path, output_dir: Path) -> None:
         rel = _rel(path, input_dir)
         lines = path.read_text(encoding="utf-8").splitlines()
         text = "\n".join(lines)
+        children = Counter(EXTENDS_RE.findall(text))
+        subclasses = set(SUBCLASS_RE.findall(text))
         for class_name, block in _class_blocks(lines):
             body = [l for l in block if l.strip()]
             loc = len(body)
@@ -234,16 +240,14 @@ def run_metrics(input_dir: Path, output_dir: Path) -> None:
             rfc = wmc + sum(1 for l in body if CALL_RE.search(l))
             cbo = len(set(NEW_RE.findall("\n".join(body))))
             npa = sum(1 for l in body if PUBLIC_ATTR_RE.match(l))
-            noc = len(re.findall(rf"\bextends\s+{class_name}\b", text))
-            dit = 2 if re.search(rf"class\s+{class_name}\s+extends\b", text) else 1
+            noc = children[class_name]
+            dit = 2 if class_name in subclasses else 1
             cohesion_links = sum(1 for l in body if "this." in l)
             lcom1 = max(0, wmc * (wmc - 1) // 2 - cohesion_links)
             rows.append((rel, class_name, noc, npa, dit, lcom1, wmc, cbo, rfc, loc))
     rows.sort()
-    with (output_dir / "class_metrics.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["file", "class", "noc", "npa", "dit", "lcom1", "wmc", "cbo", "rfc", "loc"])
-        writer.writerows(rows)
+    _write_csv(output_dir / "class_metrics.csv",
+               [("file", "class", "noc", "npa", "dit", "lcom1", "wmc", "cbo", "rfc", "loc"), *rows])
 
 
 def main(argv: list[str] | None = None) -> int:

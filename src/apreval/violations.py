@@ -391,6 +391,24 @@ def parse_report(
     return normalize_report(ViolationReport(state=state, entries=entries))
 
 
+def read_report(path: Path, state: StateLabel) -> ViolationReport:
+    """The native CSV report in ``path``; a ``MalformedInputError`` names the file."""
+    return parse_file(path, lambda data: parse_report(data, "csv", state))
+
+
+def json_text(obj) -> str:
+    """The layout of every JSON file apreval writes: indented, keys sorted, LF-terminated."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def table_text(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """A count table: comma-joined, unquoted fields, one LF-terminated row per line.
+
+    For fields that can hold a comma, quote or line break, use ``csv_writer``.
+    """
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
 class _LFRows:
     """The target of ``csv_writer``: each row goes out with LF instead of CRLF."""
 

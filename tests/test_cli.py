@@ -12,7 +12,7 @@ from apreval.pipeline import STAGE_ORDER
 from apreval.sampling import SHEET_HEADER
 
 from test_fixrate import golden_reports
-from apreval.violations import serialize_report
+from apreval.violations import CSV_HEADER, serialize_report
 
 
 #: how the benchmark (``bench/harness.py``) reads a status line of ``apreval run``
@@ -337,6 +337,43 @@ def _axis_args(ws):
             "--post", ws / "metrics" / "post_raw" / "class_metrics.csv",
         ],
     }
+
+
+class TestMalformedReport:
+    @pytest.mark.parametrize("flag", ["--pre", "--post"])
+    @pytest.mark.parametrize("command", ["fixrate", "newviol"])
+    def test_error_names_the_file(self, mini, tmp_path, capsys, command, flag):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(CSV_HEADER) + "\nA.java,S1118\n", encoding="utf-8")
+        args = [str(a) for a in _axis_args(mini / "workspace")[command]]
+        args[args.index(flag) + 1] = str(bad)
+        assert main([command, *args, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: expected 7 fields, got 2 (line 2)\n"
+
+
+class TestCompilerWithoutResults:
+    @pytest.mark.parametrize("stage, tree", [("prepare", "corpus"), ("semantic", "output")])
+    def test_is_an_adapter_failure_in_each_stage(self, tmp_path, capsys, stage, tree):
+        # a compiler that exits 0 without writing its results for one tree
+        # (prepare compiles the corpus, semantic repair/output)
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        wrapper = tmp_path / "compiler.py"
+        wrapper.write_text(
+            "import subprocess, sys\n"
+            "from pathlib import Path\n"
+            "subprocess.run([sys.executable, '-m', 'apreval.stubs', 'compiler', *sys.argv[1:]], check=True)\n"
+            f"if Path(sys.argv[1]).name == {tree!r}:\n"
+            "    Path(sys.argv[2], 'compile_results.json').unlink()\n",
+            encoding="utf-8",
+        )
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["adapters"]["compiler"] = {"command": f"{{python}} {wrapper} {{input}} {{output}}"}
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "adapter 'compiler' did not produce expected artifact 'compile_results.json'" in err
+        state = json.loads((tmp_path / "workspace" / "state.json").read_text(encoding="utf-8"))
+        assert state["stages"][stage]["status"] == "failed"
 
 
 class TestStageParity:

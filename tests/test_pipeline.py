@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from apreval import minicorpus, pipeline
+from apreval import minicorpus, pipeline, violations
 from apreval import semantic as semantic_mod
 from apreval.errors import (
     AdapterTimeoutError,
@@ -309,6 +309,13 @@ class TestMiniCorpusRun:
         summary = run_pipeline(cfg, force=True)
         assert all(status == "ran" for status in summary.values())
 
+    def test_forced_rerun_is_byte_identical(self, mini_run):
+        _, cfg, _ = mini_run
+        before = _workspace_bytes(cfg)
+        summary = run_pipeline(cfg, force=True)
+        assert set(summary.values()) == {"ran"}
+        assert _workspace_bytes(cfg) == before
+
     def test_summary_sections_present(self, mini_run):
         _, cfg, _ = mini_run
         summary = json.loads((cfg.workspace_dir / "report" / "summary.json").read_text())
@@ -558,15 +565,20 @@ class TestDigestPaths:
 
 
 def _count_parses(monkeypatch) -> list[int]:
-    """Record one entry per ``parse_report`` call the pipeline makes."""
+    """Record one entry per ``parse_report`` call the pipeline makes.
+
+    The analyze stages call it directly; every other reader goes through
+    ``violations.read_report``, which looks it up in its own module.
+    """
     calls: list[int] = []
-    parse_report = pipeline.parse_report
+    parse_report = violations.parse_report
 
     def counting(*args, **kwargs):
         calls.append(1)
         return parse_report(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "parse_report", counting)
+    monkeypatch.setattr(violations, "parse_report", counting)
     return calls
 
 
@@ -913,7 +925,7 @@ class TestFailureIsolation:
         run.run(stages=["prepare"])
         state_path = cfg.workspace_dir / "state.json"
         before = state_path.read_bytes()
-        # sorted last, so json.dump has written the other stages when it fails
+        # a record that cannot be serialized fails the save
         run.state["stages"]["zz_unserializable"] = object()
         with pytest.raises(TypeError):
             run._save_state()
