@@ -66,6 +66,9 @@ def _cmd_fixrate(args: argparse.Namespace) -> int:
     profile = get_profile(args.profile)
     pre = read_report(Path(args.pre), StateLabel.PRE_REPAIR)
     post = read_report(Path(args.post), StateLabel.POST_REPAIR)
+    if args.violating_files:
+        files = Path(args.violating_files).read_text(encoding="utf-8").splitlines()
+        pre = fixrate_mod.restrict_to_files(pre, files)
     outcome = fixrate_mod.match_violations(pre, post)
     summary = fixrate_mod.summarize_fix_rate(fixrate_mod.compute_fix_rates(outcome, profile))
     fixrate_mod.write_fixrate(Path(args.out), outcome, summary)
@@ -75,10 +78,12 @@ def _cmd_fixrate(args: argparse.Namespace) -> int:
 
 def _cmd_newviol(args: argparse.Namespace) -> int:
     from . import newviol as newviol_mod
+    from .fixrate import restrict_to_files
 
     pre = read_report(Path(args.pre), StateLabel.PRE_REPAIR)
     post = read_report(Path(args.post), StateLabel.POST_REPAIR)
     sources = load_sources(Path(args.original), Path(args.repaired))
+    pre = restrict_to_files(pre, sources)
     policy = NormalizationPolicy(args.normalize)
     verdicts = newviol_mod.detect_new_violations(pre, post, sources, policy)
     breakdown = newviol_mod.categorize_new(verdicts)
@@ -175,13 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pre", required=True)
     p.add_argument("--post", required=True)
     p.add_argument("--profile", default="sorald-30")
+    p.add_argument("--violating-files", default=None,
+                   help="score only pre findings in the files this list names, one a line")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fixrate)
 
     p = sub.add_parser("newviol", help="classify post-repair violations as new or pre-existing")
     p.add_argument("--pre", required=True)
     p.add_argument("--post", required=True)
-    p.add_argument("--original", required=True, help="directory of original sources")
+    p.add_argument("--original", required=True,
+                   help="directory of original sources; only pre findings in its files are scored")
     p.add_argument("--repaired", required=True, help="directory of repaired sources")
     p.add_argument("--normalize", choices=[p.value for p in NormalizationPolicy], default="exact")
     p.add_argument("--out", required=True)

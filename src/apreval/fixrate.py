@@ -9,9 +9,10 @@ findings on one span do not inflate the fix count.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
+from typing import Iterable
 
 from .errors import StateMismatchError
 from .violations import (
@@ -35,6 +36,14 @@ class MatchOutcome:
 
     fixed: tuple[Violation, ...]
     surviving: tuple[Violation, ...]
+
+
+def restrict_to_files(pre: ViolationReport, files: Iterable[str]) -> ViolationReport:
+    """The findings of ``pre`` in ``files``: the pre report the fix-rate and
+    new-violation axes score, restricted to the files sent to repair."""
+    keep = set(files)
+    # a filtered canonical report is still in canonical order
+    return replace(pre, entries=tuple(v for v in pre.entries if v.file_id in keep))
 
 
 def match_violations(pre: ViolationReport, post: ViolationReport) -> MatchOutcome:

@@ -12,7 +12,9 @@ artifact checks, and log capture. Scripted stub tools ship with the package
 so the whole pipeline runs without any external toolchain.
 
 Each stage body imports the axis module it needs, so a run whose stages
-are all cached loads no analysis code at all.
+are all cached loads no analysis code at all. A body that needs tools
+yields each batch of adapter calls and is sent their results, so that
+under ``--jobs`` the calls of independent stages overlap.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ import signal
 import string
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from contextlib import suppress
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AdapterFailureError,
@@ -49,6 +52,7 @@ from .violations import (
     ViolationReport,
     get_profile,
     json_text,
+    parse_file,
     parse_report,
     read_report,
     serialize_report,
@@ -175,6 +179,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     except ValueError:
         raise ConfigError("normalization", f"must be one of {[p.value for p in NormalizationPolicy]}") from None
 
+    jobs = int(doc.get("jobs", 1))
+    if jobs < 1:
+        raise ConfigError("jobs", "must be at least 1")
     base = path.parent
     corpus_dir = (base / doc["corpus_dir"]).resolve()
     workspace_dir = (base / doc["workspace_dir"]).resolve()
@@ -185,7 +192,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         profile=str(doc.get("profile", "sorald-30")),
         sampling=sampling,
         seed=int(doc.get("seed", 0)),
-        jobs=int(doc.get("jobs", 1)),
+        jobs=jobs,
         normalization=normalization,
         report_adapter=str(doc.get("report_adapter", "csv")),
         report_adapter_options=dict(doc.get("report_adapter_options", {})),
@@ -210,8 +217,7 @@ def _adapter_env() -> dict[str, str]:
 #: process-wide, because an interrupt stops every run in the process
 _running_adapters: set[subprocess.Popen] = set()
 
-#: adapters started so far in this process; a stage whose body changes this
-#: may have written anywhere. ``_thread`` is always loaded, ``threading`` not.
+#: adapters started so far in this process, from any thread
 _adapter_spawns = 0
 _adapter_spawns_lock = _thread.allocate_lock()
 
@@ -284,17 +290,14 @@ def run_tool_adapter(
     )
 
 
-def compile_tree(
-    compiler: ToolAdapter, input_dir: Path, out_dir: Path
-) -> tuple[list[str], dict[str, str]]:
-    """Attempt each file under ``input_dir`` once; split into compilable and rejected.
+def _compile_results(compiler: ToolAdapter, out_dir: Path) -> tuple[list[str], dict[str, str]]:
+    """The files a compiler run into ``out_dir`` accepted, and the rejected ones.
 
     The compiler adapter writes ``compile_results.json`` (one record per
     file with ok/diagnostic); rejected files keep their diagnostics for the
-    compile-error classification. A compiler that writes no such file
+    compile-error classification. A compiler that wrote no such file
     raises :class:`MissingArtifactError`.
     """
-    run_tool_adapter(compiler, input_dir, out_dir)
     results_path = out_dir / "compile_results.json"
     if not results_path.is_file():
         raise MissingArtifactError(compiler.name, "compile_results.json")
@@ -450,17 +453,22 @@ _FIXRATE_JSON = "fixrate/fixrate.json"
 class Stage(NamedTuple):
     """One stage: the inputs and config fingerprint it is cached on, and its body.
 
-    ``inputs(run)`` lists the paths whose content, with ``extra(run)``, makes
-    up the stage's input digest; ``body(run, stage_dir)`` builds
-    ``workspace/<name>/``. A stage whose adapter ``role`` is unbound is
-    skipped.
+    The input digest covers ``inputs(run)``, which are the paths
+    ``needs(run)`` lists and each workspace path in ``optional`` that exists,
+    and ``extra(run)``. ``body(run, stage_dir)`` builds ``workspace/<name>/``;
+    a body that needs tools yields each batch of adapter calls and is sent
+    their results. A stage whose adapter ``role`` is unbound is skipped.
     """
 
     name: str
-    inputs: Callable[[PipelineRun], list[Path]]
+    needs: Callable[[PipelineRun], list[Path]]
     extra: Callable[[PipelineRun], str]
     body: Callable[[PipelineRun, Path], object]
     role: str | None = None
+    optional: tuple[str, ...] = ()
+
+    def inputs(self, run: PipelineRun) -> list[Path]:
+        return self.needs(run) + [path for path in run._at(*self.optional) if path.exists()]
 
 
 class PipelineRun:
@@ -470,23 +478,25 @@ class PipelineRun:
         self.config = config
         self.force = force
         self.jobs = jobs if jobs is not None else config.jobs
+        if self.jobs < 1:
+            raise ConfigError("jobs", "must be at least 1")
         self.workspace = config.workspace_dir
         self.profile = get_profile(config.profile)
         self.state_path = self.workspace / "state.json"
         self.state: dict = {}
         self.summary: dict[str, str] = {}
         # file hashes and tree listings shared by the digests of one run, so
-        # that each file is read at most once; after a stage body runs, its
-        # own directory is forgotten, or everything if it started an adapter
+        # that each file is read at most once; emptied whenever adapter calls
+        # end, and a stage directory forgotten when its body ends
         self._memo: _DigestMemo = {}
         # (digest, pairs) of repair/input against repair/output, shared by
-        # the newviol and sample bodies and dropped after sample
+        # the newviol and sample bodies and dropped once both are done
         self._sources: tuple[str, dict[str, SourcePair]] | None = None
         # absolute path -> (sha256, report) of the normalized reports, seeded
-        # by the analyze stages and dropped after newviol, their last reader
+        # by the analyze stages and dropped once no reader is left to run
         self._reports: dict[str, tuple[bytes, ViolationReport]] = {}
-        # the stage being rebuilt, for _step: (old directory, old steps, new record)
-        self._rebuild: tuple[Path, dict, dict] | None = None
+        # stage being rebuilt -> (old directory, old steps, new record), for _step
+        self._rebuilds: dict[str, tuple[Path, dict, dict]] = {}
 
     def _at(self, *rels: str) -> list[Path]:
         return [self.workspace / rel for rel in rels]
@@ -534,12 +544,13 @@ class PipelineRun:
             else:
                 os.replace(stage_dir, aside)
 
-    def _run_stage(self, stage: Stage) -> None:
+    def _run_stage(self, stage: Stage) -> Generator[list[Callable[[], object]], list, None]:
         """Skip, reuse, or (re)build one stage, and record which.
 
-        A stage whose adapter role is unbound is dropped, so no output of an
-        earlier run outlives it; a missing input raises
-        :class:`MissingStageOutputError` naming the first one missing.
+        A generator, through which the body's batches of adapter calls pass
+        out and their outcomes back in. A stage whose adapter role is unbound
+        is dropped, so no output of an earlier run outlives it; a missing
+        input raises :class:`MissingStageOutputError` naming the first one.
         """
         name = stage.name
         if stage.role is not None and self.config.adapters.get(stage.role) is None:
@@ -568,10 +579,14 @@ class PipelineRun:
         stage_dir.mkdir(parents=True)
         record = {"input_digest": digest, "started": time.time()}
         reusable = not self.force and previous is not None and previous.get("status") == "ok"
-        self._rebuild = (prev_dir, previous.get("steps", {}) if reusable else {}, record)
-        spawns = _adapter_spawns
+        self._rebuilds[name] = (prev_dir, previous.get("steps", {}) if reusable else {}, record)
         try:
-            stage.body(self, stage_dir)
+            body = stage.body(self, stage_dir)
+            if isinstance(body, Generator):
+                yield from body
+            for sub, step in record.get("steps", {}).items():
+                if "output_digest" not in step:  # its adapter ran in this build
+                    step["output_digest"] = digest_paths([stage_dir / sub])
         except Exception as exc:
             record.update(status="failed", error=str(exc), finished=time.time())
             self.state["stages"][name] = record
@@ -582,11 +597,9 @@ class PipelineRun:
                 raise
             raise StageFailureError(name, str(exc)) from exc
         finally:
+            del self._rebuilds[name]
             shutil.rmtree(prev_dir, ignore_errors=True)
-            if _adapter_spawns != spawns:
-                self._memo.clear()
-            else:
-                self._forget(stage_dir)
+            self._forget(stage_dir)
         output_digest = _digest_paths([stage_dir], "", self._memo)
         record.update(status="ok", output_digest=output_digest, finished=time.time())
         self.state["stages"][name] = record
@@ -608,7 +621,7 @@ class PipelineRun:
         when the stage's last ``ok`` build recorded the same key (input tree plus
         adapter fingerprint) and its copy still has the recorded output digest,
         which is then moved in. ``--force`` reuses nothing."""
-        prev_dir, old_steps, record = self._rebuild
+        prev_dir, old_steps, record = self._rebuilds[stage_dir.name]
         key = _digest_paths([input_dir], _adapter_fingerprint(adapter), self._memo)
         old, old_dir = old_steps.get(sub, {}), prev_dir / sub
         steps = record.setdefault("steps", {})
@@ -620,11 +633,8 @@ class PipelineRun:
             os.replace(old_dir, stage_dir / sub)
             steps[sub] = old
             return []
-
-        def task() -> None:
-            run_tool_adapter(adapter, input_dir, stage_dir / sub)
-            steps[sub] = {"input_digest": key, "output_digest": digest_paths([stage_dir / sub])}
-        return [task]
+        steps[sub] = {"input_digest": key}
+        return [partial(run_tool_adapter, adapter, input_dir, stage_dir / sub)]
 
     def _report(self, path: Path, state: StateLabel) -> ViolationReport:
         """The normalized report in ``path``, parsed at most once per run.
@@ -641,11 +651,10 @@ class PipelineRun:
 
     def _load_matched_reports(self) -> tuple[ViolationReport, ViolationReport]:
         """Pre report restricted to the repaired files, plus the post report."""
+        from .fixrate import restrict_to_files
+
         pre_csv, post_csv, violating_txt = self._at(*_MATCHED)
-        violating = set(_read_lines(violating_txt))
-        pre = self._report(pre_csv, StateLabel.PRE_REPAIR)
-        # a filtered canonical report is still in canonical order
-        pre = replace(pre, entries=tuple(v for v in pre.entries if v.file_id in violating))
+        pre = restrict_to_files(self._report(pre_csv, StateLabel.PRE_REPAIR), _read_lines(violating_txt))
         return pre, self._report(post_csv, StateLabel.POST_REPAIR)
 
     def _repair_sources(self) -> dict[str, SourcePair]:
@@ -656,27 +665,114 @@ class PipelineRun:
             self._sources = (digest, load_sources(*trees))
         return self._sources[1]
 
-    def _map_parallel(self, tasks: Sequence[Callable[[], object]]) -> list[object]:
-        """Run independent adapter invocations, honoring the jobs setting."""
-        if self.jobs <= 1 or len(tasks) <= 1:
-            return [t() for t in tasks]
-        from concurrent.futures import ThreadPoolExecutor
+    def _upstream(self, stage: Stage) -> set[str]:
+        """The stages whose directory holds an input of ``stage``, present or not."""
+        ws = self.workspace
+        paths = stage.needs(self) + self._at(*stage.optional)
+        return {path.relative_to(ws).parts[0] for path in paths if path.is_relative_to(ws)}
 
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            futures = [pool.submit(t) for t in tasks]
+    def _execute(self, order: list[Stage]) -> None:
+        """Run each stage of ``order`` once the stages it reads from are done.
+
+        Stage bodies run on this thread. The adapter calls they yield run here
+        too when ``jobs`` is 1 (one stage at a time, in order) or a call has
+        nothing beside it, and on ``jobs`` worker threads otherwise. Once a
+        stage fails no other starts; those running finish, then it is raised.
+        """
+        upstream = {stage.name: self._upstream(stage) for stage in order}
+        waiting, unfinished = list(order), {stage.name for stage in order}
+        started: dict[Generator, str] = {}
+        due: list[tuple[Generator, list]] = []  # batches of calls not yet begun
+        running: dict[Generator, list] = {}  # each batch on the workers: its (result, error)s
+        failure: Exception | None = None
+        workers: list = []  # started when calls first overlap
+
+        def resume(gen: Generator, results: list | None = None, error: BaseException | None = None) -> None:
+            nonlocal failure
             try:
-                return [f.result() for f in futures]
-            except KeyboardInterrupt:
-                # adapters run in their own sessions, out of reach of the
-                # terminal's SIGINT: stop them rather than wait for each one
-                for f in futures:
-                    f.cancel()
-                for proc in list(_running_adapters):
-                    _kill_process_group(proc)
-                raise
+                due.append((gen, gen.send(results) if error is None else gen.throw(error)))
+                return
+            except StopIteration:
+                pass
+            except Exception as exc:
+                failure = failure or exc
+            unfinished.discard(started.pop(gen))
+            # drop what no stage left to run reads
+            if not unfinished & {"repair", "fixrate", "newviol"}:
+                self._reports.clear()
+            if not unfinished & {"newviol", "sample"}:
+                self._sources = None
+
+        try:
+            while True:
+                for stage in list(waiting):
+                    if failure is None and not upstream[stage.name] & unfinished and (self.jobs > 1 or not due):
+                        waiting.remove(stage)
+                        gen = self._run_stage(stage)
+                        started[gen] = stage.name
+                        resume(gen)
+                if not due and not running:
+                    break
+                if not running and (self.jobs == 1 or (len(due) == 1 and len(due[0][1]) == 1)):
+                    gen, calls = due.pop()
+                    try:
+                        results, error = [call() for call in calls], None
+                    except Exception as exc:
+                        results, error = None, exc
+                    self._memo.clear()  # the tools may have written anywhere
+                    resume(gen, results, error)
+                    continue
+                if not workers:
+                    import threading
+                    from queue import Empty, SimpleQueue
+
+                    todo, ended = SimpleQueue(), SimpleQueue()
+
+                    def work() -> None:
+                        while (item := todo.get()) is not None:
+                            gen, i, call = item
+                            try:
+                                ended.put((gen, i, (call(), None)))
+                            except BaseException as exc:  # raised on the main thread
+                                ended.put((gen, i, (None, exc)))
+
+                    for _ in range(self.jobs):
+                        workers.append(threading.Thread(target=work, daemon=True))
+                        workers[-1].start()
+                for gen, calls in due:
+                    running[gen] = [None] * len(calls)
+                    for i, call in enumerate(calls):
+                        todo.put((gen, i, call))
+                due.clear()
+                gen, i, outcome = ended.get()
+                running[gen][i] = outcome
+                if all(running[gen]):
+                    results, errors = zip(*running.pop(gen))
+                    error = next(filter(None, errors), None)
+                    self._memo.clear()
+                    resume(gen, None if error else list(results), error)
+            if failure is not None:
+                raise failure
+        finally:
+            if workers:
+                with suppress(Empty):  # drop the calls not yet begun
+                    while True:
+                        todo.get_nowait()
+                for worker in workers:
+                    todo.put(None)
+                for worker in workers:
+                    worker.join(0.01)
+                    while worker.is_alive():
+                        # interrupted: adapters lead their own sessions, out of
+                        # reach of the terminal's SIGINT, so stop them
+                        for proc in list(_running_adapters):
+                            _kill_process_group(proc)
+                        worker.join(0.01)
+            for gen in started:
+                gen.close()  # its stage cleans up after itself
 
     def run(self, stages: Sequence[str] | None = None) -> dict[str, str]:
-        """Execute the requested stages (all by default) in canonical order."""
+        """Execute the requested stages (all by default); the summary is in ``STAGES`` order."""
         requested = set(stages) if stages else set(STAGE_ORDER)
         unknown = requested - set(STAGE_ORDER)
         if unknown:
@@ -684,14 +780,8 @@ class PipelineRun:
         self.workspace.mkdir(parents=True, exist_ok=True)
         with _WorkspaceLock(self.workspace):
             self._load_state()
-            for stage in STAGES:
-                if stage.name in requested:
-                    self._run_stage(stage)
-                if stage.name == "newviol":
-                    self._reports.clear()  # their last reader is done
-                elif stage.name == "sample":
-                    self._sources = None  # their last reader is done
-        return dict(self.summary)
+            self._execute([stage for stage in STAGES if stage.name in requested])
+        return {name: self.summary[name] for name in STAGE_ORDER if name in self.summary}
 
 
 # --- the stages ---------------------------------------------------------------
@@ -729,11 +819,12 @@ def _read_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def _prepare(run: PipelineRun, stage_dir: Path) -> None:
+def _prepare(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
     compiler = run.config.adapters.get("compiler")
     corpus = run.config.corpus_dir
     if compiler is not None:
-        compilable, rejected = compile_tree(compiler, corpus, stage_dir / "raw")
+        yield [partial(run_tool_adapter, compiler, corpus, stage_dir / "raw")]
+        compilable, rejected = _compile_results(compiler, stage_dir / "raw")
     else:
         compilable = sorted(
             p.relative_to(corpus).as_posix() for p in corpus.rglob("*") if p.is_file()
@@ -752,9 +843,9 @@ def _analyzer_fingerprint(run: PipelineRun) -> str:
     return extra
 
 
-def _analyze(tree: str, state: StateLabel, out_csv: str, run: PipelineRun, stage_dir: Path) -> None:
+def _analyze(tree: str, state: StateLabel, out_csv: str, run: PipelineRun, stage_dir: Path) -> Iterator[list]:
     analyzer = run.config.adapters["analyzer"]
-    artifacts = run_tool_adapter(analyzer, run.workspace / tree, stage_dir / "raw")
+    [artifacts] = yield [partial(run_tool_adapter, analyzer, run.workspace / tree, stage_dir / "raw")]
     if analyzer.expected_artifacts:
         report_file = stage_dir / "raw" / analyzer.expected_artifacts[0]
     elif artifacts:
@@ -762,7 +853,7 @@ def _analyze(tree: str, state: StateLabel, out_csv: str, run: PipelineRun, stage
     else:
         raise MissingArtifactError(analyzer.name, "<analysis report>")
     options = run.config.report_adapter_options
-    report = parse_report(report_file.read_bytes(), run.config.report_adapter, state, options)
+    report = parse_file(report_file, lambda data: parse_report(data, run.config.report_adapter, state, options))
     data = serialize_report(report).encode("utf-8")
     out = run.workspace / out_csv
     out.write_bytes(data)
@@ -770,7 +861,7 @@ def _analyze(tree: str, state: StateLabel, out_csv: str, run: PipelineRun, stage
     run._reports[os.path.abspath(out)] = (hashlib.sha256(data).digest(), report)
 
 
-def _repair(run: PipelineRun, stage_dir: Path) -> None:
+def _repair(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
     repairer = run.config.adapters["repairer"]
     sources, pre_csv, compilable_txt = run._at(_SOURCES, _PRE_CSV, _COMPILABLE)
     pre = run._report(pre_csv, StateLabel.PRE_REPAIR)
@@ -783,11 +874,11 @@ def _repair(run: PipelineRun, stage_dir: Path) -> None:
         current = input_dir
         for i, rule in enumerate(run.profile.application_order):
             pass_dir = stage_dir / f"pass_{i:02d}_{rule}"
-            run_tool_adapter(repairer, current, pass_dir, rule=rule)
+            yield [partial(run_tool_adapter, repairer, current, pass_dir, rule=rule)]
             current = pass_dir
         shutil.copytree(current, output_dir, ignore=shutil.ignore_patterns("adapter_*.log"))
     else:
-        run_tool_adapter(repairer, input_dir, output_dir)
+        yield [partial(run_tool_adapter, repairer, input_dir, output_dir)]
 
 
 def _fixrate(run: PipelineRun, stage_dir: Path) -> None:
@@ -821,21 +912,20 @@ def _sample(run: PipelineRun, stage_dir: Path) -> None:
     )
 
 
-def _semantic(run: PipelineRun, stage_dir: Path) -> None:
+def _semantic(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
     from . import semantic as semantic_mod
 
     runner = run.config.adapters["test_runner"]
     compiler = run.config.adapters.get("compiler")
     repair_in, repair_out = run._at(*_TREES)
-    tasks = [
+    calls = [
         *run._step(stage_dir, "baseline_raw", runner, repair_in),
-        lambda: run_tool_adapter(runner, repair_out, stage_dir / "repaired_raw"),
+        partial(run_tool_adapter, runner, repair_out, stage_dir / "repaired_raw"),
     ]
     if compiler is not None:
-        tasks.append(lambda: compile_tree(compiler, repair_out, stage_dir / "compile_raw"))
-    results = run._map_parallel(tasks)
-    # the compiler's (compilable, diagnostics), when it runs, comes last
-    diagnostics = results[-1][1] if compiler is not None else {}
+        calls.append(partial(run_tool_adapter, compiler, repair_out, stage_dir / "compile_raw"))
+    yield calls
+    diagnostics = _compile_results(compiler, stage_dir / "compile_raw")[1] if compiler is not None else {}
     regressions, summary = semantic_mod.compare_runs(
         stage_dir / "baseline_raw" / "results.csv",
         stage_dir / "repaired_raw" / "results.csv",
@@ -844,27 +934,19 @@ def _semantic(run: PipelineRun, stage_dir: Path) -> None:
     semantic_mod.write_semantic(stage_dir, regressions, summary)
 
 
-def _metrics(run: PipelineRun, stage_dir: Path) -> None:
+def _metrics(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
     from . import metrics as metrics_mod
 
     extractor = run.config.adapters["metric_extractor"]
     repair_in, repair_out = run._at(*_TREES)
-    run._map_parallel(
-        [
-            *run._step(stage_dir, "pre_raw", extractor, repair_in),
-            lambda: run_tool_adapter(extractor, repair_out, stage_dir / "post_raw"),
-        ]
-    )
+    yield [
+        *run._step(stage_dir, "pre_raw", extractor, repair_in),
+        partial(run_tool_adapter, extractor, repair_out, stage_dir / "post_raw"),
+    ]
     pairs, exclusions = metrics_mod.pair_metric_files(
         stage_dir / "pre_raw" / "class_metrics.csv", stage_dir / "post_raw" / "class_metrics.csv"
     )
     metrics_mod.write_metrics(stage_dir, pairs, exclusions, metrics_mod.structural_report(pairs))
-
-
-def _report_inputs(run: PipelineRun) -> list[Path]:
-    # the axes after fix rate are optional, so only those present are read
-    optional = run._at("newviol", "sample", "semantic", "metrics")
-    return run._at(_FIXRATE_JSON) + [path for path in optional if path.is_dir()]
 
 
 #: every stage, in run order
@@ -884,7 +966,9 @@ STAGES = (
           _sample),
     Stage("semantic", _under(*_TREES), _fingerprint("test_runner", "compiler"), _semantic, "test_runner"),
     Stage("metrics", _under(*_TREES), _fingerprint("metric_extractor"), _metrics, "metric_extractor"),
-    Stage("report", _report_inputs, lambda run: "", lambda run, stage_dir: emit_reports(run.workspace)),
+    # the axes after fix rate are optional, so only those present are read
+    Stage("report", _under(_FIXRATE_JSON), lambda run: "", lambda run, stage_dir: emit_reports(run.workspace),
+          optional=("newviol", "sample", "semantic", "metrics")),
 )
 
 STAGE_ORDER = tuple(stage.name for stage in STAGES)

@@ -62,6 +62,31 @@ class TestRun:
         assert main(["run", "--config", str(bad)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, jobs):
+        config = minicorpus.materialize(tmp_path, seed=17)
+        assert main(["run", "--config", str(config), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == "config error: jobs: must be at least 1\n"
+        assert not (tmp_path / "workspace" / "state.json").exists()
+
+    def test_malformed_analyzer_report_names_its_file(self, tmp_path, capsys):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        analyzer = tmp_path / "analyzer.py"
+        analyzer.write_text(
+            "import sys\n"
+            "from pathlib import Path\n"
+            f"Path(sys.argv[1], 'violations.csv').write_text({','.join(CSV_HEADER) + chr(10)!r} + 'A.java,S1118\\n')\n",
+            encoding="utf-8",
+        )
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["adapters"]["analyzer"]["command"] = f"{{python}} {analyzer} {{output}} {{input}}"
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 2
+        report = tmp_path / "workspace" / "analyze_pre" / "raw" / "violations.csv"
+        assert capsys.readouterr().err == (
+            f"stage failure: stage 'analyze_pre' failed: {report}: expected 7 fields, got 2 (line 2)\n"
+        )
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
@@ -320,6 +345,7 @@ def _axis_args(ws):
         "fixrate": [
             "--pre", ws / "analyze_pre" / "pre_violations.csv",
             "--post", ws / "analyze_post" / "post_violations.csv",
+            "--violating-files", ws / "repair" / "violating_files.txt",
         ],
         "newviol": [
             "--pre", ws / "analyze_pre" / "pre_violations.csv",
@@ -379,10 +405,8 @@ class TestCompilerWithoutResults:
 class TestStageParity:
     """An axis command writes what its pipeline stage writes, byte for byte."""
 
-    @pytest.mark.parametrize("stage", ["fixrate", "newviol", "semantic", "metrics"])
-    def test_out_dir_matches_stage_dir(self, mini, tmp_path, stage):
-        ws = mini / "workspace"
-        out = tmp_path / stage
+    @staticmethod
+    def _assert_out_dir_matches(ws, out, stage):
         args = [str(a) for a in _axis_args(ws)[stage]]
         assert main([stage, *args, "--out", str(out)]) == 0
         stage_files = sorted(p.name for p in (ws / stage).iterdir() if p.is_file())
@@ -390,6 +414,21 @@ class TestStageParity:
         assert sorted(p.name for p in out.iterdir()) == stage_files
         for name in stage_files:
             assert (out / name).read_bytes() == (ws / stage / name).read_bytes(), name
+
+    @pytest.mark.parametrize("stage", ["fixrate", "newviol", "semantic", "metrics"])
+    def test_out_dir_matches_stage_dir(self, mini, tmp_path, stage):
+        self._assert_out_dir_matches(mini / "workspace", tmp_path / stage, stage)
+
+    def test_pre_findings_outside_the_repaired_files_are_left_out(self, tmp_path):
+        # a pre finding in a file that was not sent to repair
+        config = minicorpus.materialize(tmp_path, seed=17)
+        assert main(["run", "--config", str(config)]) == 0
+        ws = tmp_path / "workspace"
+        with (ws / "analyze_pre" / "pre_violations.csv").open("a", encoding="utf-8") as fh:
+            fh.write("Extra.java,S1118,CodeSmell,Low,3,3,probe\n")
+        assert main(["run", "--config", str(config)]) == 0
+        for stage in ("fixrate", "newviol"):
+            self._assert_out_dir_matches(ws, tmp_path / stage, stage)
 
     def test_sample_sheet_matches_stage(self, mini, tmp_path):
         ws = mini / "workspace"

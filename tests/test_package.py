@@ -70,3 +70,20 @@ class TestLeanStartup:
         assert len(statuses) == 10
         assert set(statuses.values()) == {"cached"}
         assert loaded == ORCHESTRATOR
+
+    def test_cached_parallel_run_starts_no_thread(self, tmp_path):
+        config = minicorpus.materialize(tmp_path, seed=17)
+        run_pipeline(load_config(config))
+        lines, loaded = _apreval_modules_after(
+            "import sys, threading\n"
+            "started = []\n"
+            "start = threading.Thread.start\n"
+            "threading.Thread.start = lambda self: (started.append(self.name), start(self))[1]\n"
+            "from apreval.cli import main\n"
+            f"assert main(['run', '--config', {str(config)!r}, '--jobs', '2']) == 0\n"
+            "print('threads', len(started), 'concurrent.futures' in sys.modules, 'queue' in sys.modules)"
+        )
+        assert lines[-1] == "threads 0 False False"
+        statuses = dict(line.split() for line in lines[:-1] if not line.startswith("workspace:"))
+        assert set(statuses.values()) == {"cached"} and len(statuses) == 10
+        assert loaded == ORCHESTRATOR

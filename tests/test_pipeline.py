@@ -5,6 +5,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 
 from apreval import minicorpus, pipeline, violations
 from apreval import semantic as semantic_mod
+from apreval.cli import main
 from apreval.errors import (
     AdapterTimeoutError,
     ConfigError,
@@ -24,6 +26,7 @@ from apreval.errors import (
 )
 from apreval.pipeline import (
     STAGE_ORDER,
+    STAGES,
     PipelineConfig,
     PipelineRun,
     SamplingParams,
@@ -131,6 +134,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert "extra_knob" in str(err.value)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, tmp_path, jobs):
+        (tmp_path / "corpus").mkdir()
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path / "c.json", jobs=jobs))
+        assert err.value.key_path == "jobs"
+        config = load_config(write_config(tmp_path / "c.json"))
+        with pytest.raises(ConfigError) as err:
+            PipelineRun(config, jobs=jobs)
+        assert err.value.key_path == "jobs"
 
     def test_template_without_input_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -849,29 +863,41 @@ class TestPerRuleRepair:
             assert f.read_text(encoding="utf-8") == other.read_text(encoding="utf-8"), f.name
 
 
-def _stop_parallel_run(tmp_path: Path, stop) -> int:
-    """Stop an ``apreval run --jobs 2`` while both test runners sleep.
+#: a tool that sleeps on ``repair/input`` after writing its pid, and is the
+#: stub tool ``argv[1]`` otherwise
+_SLEEPER = """\
+import os, sys, time
+from pathlib import Path
+role, input_dir, output_dir = sys.argv[1:]
+if Path(input_dir).name == "input":
+    Path(output_dir, "sleeper.pid").write_text(str(os.getpid()))
+    time.sleep(60)
+os.execv(sys.executable, [sys.executable, "-m", "apreval.stubs", role, input_dir, output_dir])
+"""
 
-    Both sleeping adapters must be gone shortly after; returns the run's
-    exit status.
+
+def _stop_parallel_run(tmp_path: Path, stop) -> int:
+    """Stop a forced ``apreval run --jobs 2`` while the baseline-side test
+    runner of ``semantic`` and metric extractor of ``metrics`` both sleep.
+
+    Both sleeping adapters must be gone shortly after, and no stage's old
+    directory left aside; returns the run's exit status.
     """
-    sleeper = tmp_path / "sleeper.py"
-    sleeper.write_text(
-        "import os, sys, time\n"
-        "from pathlib import Path\n"
-        "Path(sys.argv[1], 'sleeper.pid').write_text(str(os.getpid()))\n"
-        "time.sleep(60)\n",
-        encoding="utf-8",
-    )
     config_path = minicorpus.materialize(tmp_path, seed=17)
-    doc = json.loads(config_path.read_text(encoding="utf-8"))
-    doc["jobs"] = 2
-    doc["adapters"]["test_runner"] = {"command": f"{PY} {sleeper} {{output}} {{input}}", "timeout": 60}
-    config_path.write_text(json.dumps(doc), encoding="utf-8")
-    semantic = tmp_path / "workspace" / "semantic"
-    pid_files = [semantic / "baseline_raw" / "sleeper.pid", semantic / "repaired_raw" / "sleeper.pid"]
+    run_pipeline(load_config(config_path))  # so that the forced run sets each old stage aside
+    sleeper = tmp_path / "sleeper.py"
+    sleeper.write_text(_SLEEPER, encoding="utf-8")
+
+    def edit(doc):
+        doc["jobs"] = 2
+        doc["adapters"]["test_runner"].update(command=f"{PY} {sleeper} testrunner {{input}} {{output}}", timeout=60)
+        doc["adapters"]["metric_extractor"].update(command=f"{PY} {sleeper} metrics {{input}} {{output}}", timeout=60)
+
+    _edit_config(config_path, edit)
+    ws = tmp_path / "workspace"
+    pid_files = [ws / "semantic" / "baseline_raw" / "sleeper.pid", ws / "metrics" / "pre_raw" / "sleeper.pid"]
     run = subprocess.Popen(
-        [PY, "-m", "apreval.cli", "run", "--config", str(config_path)],
+        [PY, "-m", "apreval.cli", "run", "--config", str(config_path), "--force"],
         cwd=tmp_path, env=_adapter_env(), start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
@@ -888,6 +914,7 @@ def _stop_parallel_run(tmp_path: Path, stop) -> int:
         while any(map(_pid_alive, pids)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(_pid_alive, pids))
+        assert not list(ws.glob(".*.prev"))
     finally:
         for pid in [run.pid, *pids]:
             if _pid_alive(pid):
@@ -951,7 +978,8 @@ class TestFailureIsolation:
 
     def test_interrupt_stops_parallel_adapters(self, tmp_path):
         # what Ctrl-C in a terminal sends
-        _stop_parallel_run(tmp_path, lambda run: os.killpg(run.pid, signal.SIGINT))
+        returncode = _stop_parallel_run(tmp_path, lambda run: os.killpg(run.pid, signal.SIGINT))
+        assert returncode == -signal.SIGINT
 
     def test_sigterm_stops_parallel_adapters(self, tmp_path):
         returncode = _stop_parallel_run(tmp_path, lambda run: os.kill(run.pid, signal.SIGTERM))
@@ -1081,3 +1109,127 @@ class TestEmitReports:
     def test_missing_fixrate_is_an_error(self, tmp_path):
         with pytest.raises(MissingStageOutputError):
             emit_reports(tmp_path)
+
+
+#: a stub tool ``argv[2]`` that first sleeps ``argv[1]`` seconds
+_SLOW = """\
+import os, sys, time
+time.sleep(float(sys.argv[1]))
+os.execv(sys.executable, [sys.executable, "-m", "apreval.stubs", *sys.argv[2:]])
+"""
+
+
+def _slow_tools(tmp_path: Path, jobs: int, **delays: float) -> PipelineConfig:
+    """The mini-corpus config with ``jobs`` and each role in ``delays`` slowed down."""
+    script = tmp_path / "slow.py"
+    script.write_text(_SLOW, encoding="utf-8")
+    stubs = {"analyzer": "analyzer", "test_runner": "testrunner", "metric_extractor": "metrics"}
+
+    def edit(doc):
+        doc["jobs"] = jobs
+        for role, delay in delays.items():
+            doc["adapters"][role]["command"] = f"{{python}} {script} {delay} {stubs[role]} {{input}} {{output}}"
+
+    return _edit_config(minicorpus.materialize(tmp_path, seed=17), edit)
+
+
+def _windows(cfg) -> dict[str, tuple[float, float]]:
+    state = json.loads((cfg.workspace_dir / "state.json").read_text(encoding="utf-8"))
+    return {name: (record["started"], record["finished"]) for name, record in state["stages"].items()}
+
+
+class TestStageOverlap:
+    def test_upstream_stages_are_derived_from_the_inputs(self, tmp_path):
+        # on a workspace with no stage output yet, as on a cold run
+        run = PipelineRun(load_config(minicorpus.materialize(tmp_path, seed=17)))
+        assert {stage.name: run._upstream(stage) for stage in STAGES} == {
+            "prepare": set(),
+            "analyze_pre": {"prepare"},
+            "repair": {"prepare", "analyze_pre"},
+            "analyze_post": {"repair"},
+            "fixrate": {"analyze_pre", "analyze_post", "repair"},
+            "newviol": {"analyze_pre", "analyze_post", "repair"},
+            "sample": {"newviol", "repair"},
+            "semantic": {"repair"},
+            "metrics": {"repair"},
+            "report": {"fixrate", "newviol", "sample", "semantic", "metrics"},
+        }
+
+    def test_report_waits_for_a_slow_test_runner(self, tmp_path):
+        cfg = _slow_tools(tmp_path, 2, test_runner=1.0)
+        run_pipeline(cfg)
+        report = json.loads((cfg.workspace_dir / "report" / "summary.json").read_text(encoding="utf-8"))
+        assert report["semantic"]["executed"] == 35
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_independent_stages_overlap_only_above_one_job(self, tmp_path, jobs):
+        cfg = _slow_tools(tmp_path, jobs, test_runner=0.3, metric_extractor=0.3)
+        run_pipeline(cfg)
+        windows = _windows(cfg)
+        (sem_start, sem_end), (met_start, met_end) = windows["semantic"], windows["metrics"]
+        post_start, post_end = windows["analyze_post"]
+        if jobs == 1:
+            assert post_end <= sem_start and sem_end <= met_start
+        else:
+            assert max(sem_start, met_start) < post_end < min(sem_end, met_end)
+        assert windows["report"][0] >= max(end for name, (_, end) in windows.items() if name != "report")
+
+    def test_failed_stage_starts_no_other(self, tmp_path, monkeypatch):
+        # the analyzer fails on repair/output while semantic and metrics run
+        script = tmp_path / "analyzer.py"
+        script.write_text(
+            "import os, sys\n"
+            "from pathlib import Path\n"
+            "if Path(sys.argv[1]).name == 'output':\n"
+            "    sys.exit(7)\n"
+            "os.execv(sys.executable, [sys.executable, '-m', 'apreval.stubs', 'analyzer', *sys.argv[1:]])\n",
+            encoding="utf-8",
+        )
+        cfg = _slow_tools(tmp_path, 2, test_runner=0.5)
+        config_path = tmp_path / "config.json"
+        _edit_config(config_path, lambda doc: doc["adapters"]["analyzer"].update(
+            command=f"{{python}} {script} {{input}} {{output}}"))
+        at_unlock = []
+        unlock = pipeline._WorkspaceLock.__exit__
+        threads = set(threading.enumerate())
+
+        def recording_unlock(self, *exc):
+            at_unlock.append(([t.name for t in threading.enumerate() if t not in threads],
+                              len(pipeline._running_adapters)))
+            return unlock(self, *exc)
+
+        monkeypatch.setattr(pipeline._WorkspaceLock, "__exit__", recording_unlock)
+        assert main(["run", "--config", str(config_path)]) == 3
+        # every worker and adapter was done before the workspace lock went
+        assert at_unlock == [([], 0)]
+        state = json.loads((cfg.workspace_dir / "state.json").read_text(encoding="utf-8"))["stages"]
+        assert state["analyze_post"]["status"] == "failed"
+        assert {name: record["status"] for name, record in state.items() if name != "analyze_post"} == dict.fromkeys(
+            ["prepare", "analyze_pre", "repair", "semantic", "metrics"], "ok")
+        for stage in ("fixrate", "newviol", "sample", "report"):
+            assert not (cfg.workspace_dir / stage).exists()
+
+    def test_jobs_give_the_same_workspace_cold_and_after_an_edit(self, reuse_root, tmp_path):
+        serial = _copy_run(reuse_root, tmp_path / "serial")
+        parallel = load_config(minicorpus.materialize(tmp_path / "parallel", seed=17))
+        run_pipeline(parallel, jobs=2)
+        assert _workspace_bytes(parallel) == _workspace_bytes(serial)
+        for cfg, jobs in ((serial, 1), (parallel, 2)):
+            _neutral_edit(cfg)
+            run_pipeline(cfg, jobs=jobs)
+        assert _workspace_bytes(parallel) == _workspace_bytes(serial)
+
+    def test_more_workers_than_cores_lose_no_update(self, reuse_root, tmp_path):
+        # the six calls after repair all run at once, switching threads often
+        cfg = load_config(minicorpus.materialize(tmp_path / "parallel", seed=17))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            before = pipeline._adapter_spawns
+            run_pipeline(cfg, jobs=8)
+            spawns = pipeline._adapter_spawns - before
+        finally:
+            sys.setswitchinterval(interval)
+        assert spawns == 9
+        assert not pipeline._running_adapters
+        assert _workspace_bytes(cfg) == _workspace_bytes(_copy_run(reuse_root, tmp_path / "serial"))
