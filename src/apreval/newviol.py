@@ -287,12 +287,12 @@ def _new_rows(data: bytes) -> tuple[int, list[tuple[int, dict[str, str]]]]:
     return rows, new
 
 
-def read_new_violations(path: Path) -> list[Violation]:
-    """The NEW violations of a ``new_violations.csv``, in file order.
+def _load_new(path: Path) -> tuple[int, list[Violation]]:
+    """The number of rows of a ``new_violations.csv`` and its NEW violations, in file order.
 
     A wrong header, a short or long row or a bad value raises ``MalformedInputError``.
     """
-    _, new = parse_file(path, _new_rows)
+    rows, new = parse_file(path, _new_rows)
     violations: list[Violation] = []
     for line, row in new:
         try:
@@ -309,18 +309,24 @@ def read_new_violations(path: Path) -> list[Violation]:
             )
         except ValueError as exc:
             raise MalformedInputError(f"{path}: {exc}", line) from None
-    return violations
+    return rows, violations
 
 
-def summarize_new_violations(path: Path) -> dict:
-    """The ``newviol`` section of ``summary.json``, read back from ``new_violations.csv``.
+def read_new_violations(path: Path) -> list[Violation]:
+    """The NEW violations of a ``new_violations.csv``, in file order."""
+    return _load_new(path)[1]
 
-    Counts come from the CSV fields as written, with no record built per row.
-    """
-    rows, new = parse_file(path, _new_rows)
+
+def summarize_new(rows: int, new: Sequence[Violation]) -> dict:
+    """The ``newviol`` section of ``summary.json``: ``rows`` post-repair violations, ``new`` of them NEW."""
     return {
         "post_violations": rows,
         "total_new": len(new),
-        "matrix": dict(Counter(f"{row['type']}/{row['severity']}" for _, row in new)),
-        "top_rules": list(_by_frequency(Counter(row["rule"] for _, row in new))),
+        "matrix": dict(Counter(f"{v.vtype.value}/{v.severity.value}" for v in new)),
+        "top_rules": list(_by_frequency(Counter(v.rule for v in new))),
     }
+
+
+def summarize_new_violations(path: Path) -> dict:
+    """The ``newviol`` section of ``summary.json``, read back from ``new_violations.csv``."""
+    return summarize_new(*_load_new(path))

@@ -14,13 +14,15 @@ so the whole pipeline runs without any external toolchain.
 Each stage body imports the axis module it needs, so a run whose stages
 are all cached loads no analysis code at all. A body that needs tools
 yields each batch of adapter calls and is sent their results, so that
-under ``--jobs`` the calls of independent stages overlap.
+the in-process stages compute while a tool runs, and under ``--jobs``
+above 1 the calls of independent stages overlap.
 """
 
 from __future__ import annotations
 
 import _thread
 import hashlib
+import inspect
 import json
 import os
 import shlex
@@ -33,7 +35,7 @@ from contextlib import suppress
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     AdapterFailureError,
@@ -49,6 +51,7 @@ from .violations import (
     NormalizationPolicy,
     RuleProfile,
     StateLabel,
+    Violation,
     ViolationReport,
     get_profile,
     json_text,
@@ -66,6 +69,8 @@ if TYPE_CHECKING:
 ROLES = ("analyzer", "repairer", "test_runner", "metric_extractor", "compiler")
 
 _ALLOWED_PLACEHOLDERS = {"input", "output", "workdir", "python", "rule"}
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -487,7 +492,7 @@ class PipelineRun:
         self.summary: dict[str, str] = {}
         # file hashes and tree listings shared by the digests of one run, so
         # that each file is read at most once; emptied whenever adapter calls
-        # end, and a stage directory forgotten when its body ends
+        # end, and a stage directory forgotten when its body starts
         self._memo: _DigestMemo = {}
         # (digest, pairs) of repair/input against repair/output, shared by
         # the newviol and sample bodies and dropped once both are done
@@ -495,6 +500,10 @@ class PipelineRun:
         # absolute path -> (sha256, report) of the normalized reports, seeded
         # by the analyze stages and dropped once no reader is left to run
         self._reports: dict[str, tuple[bytes, ViolationReport]] = {}
+        # the same for new_violations.csv: its NEW violations for sample and
+        # its summary.json section for report, both seeded by newviol
+        self._new: dict[str, tuple[bytes, list[Violation]]] = {}
+        self._new_summaries: dict[str, tuple[bytes, dict]] = {}
         # stage being rebuilt -> (old directory, old steps, new record), for _step
         self._rebuilds: dict[str, tuple[Path, dict, dict]] = {}
 
@@ -577,7 +586,10 @@ class PipelineRun:
         shutil.rmtree(prev_dir, ignore_errors=True)  # left by a killed run
         self._drop(name, aside=prev_dir)
         stage_dir.mkdir(parents=True)
-        record = {"input_digest": digest, "started": time.time()}
+        # what the memo knew of this directory is stale; a body may memo the
+        # files it has finished writing, for the output digest to reuse
+        self._forget(stage_dir)
+        record = {"input_digest": digest, "started": time.time(), "calls_s": 0.0}
         reusable = not self.force and previous is not None and previous.get("status") == "ok"
         self._rebuilds[name] = (prev_dir, previous.get("steps", {}) if reusable else {}, record)
         try:
@@ -599,7 +611,6 @@ class PipelineRun:
         finally:
             del self._rebuilds[name]
             shutil.rmtree(prev_dir, ignore_errors=True)
-            self._forget(stage_dir)
         output_digest = _digest_paths([stage_dir], "", self._memo)
         record.update(status="ok", output_digest=output_digest, finished=time.time())
         self.state["stages"][name] = record
@@ -636,18 +647,34 @@ class PipelineRun:
         steps[sub] = {"input_digest": key}
         return [partial(run_tool_adapter, adapter, input_dir, stage_dir / sub)]
 
-    def _report(self, path: Path, state: StateLabel) -> ViolationReport:
-        """The normalized report in ``path``, parsed at most once per run.
+    def _parsed(self, entries: dict[str, tuple[bytes, _T]], path: Path, load: Callable[[Path], _T]) -> _T:
+        """``load(path)``, or its entry in ``entries`` if the file still has that entry's sha256.
 
-        An entry is checked against the file's sha256 in the memo, which the
-        reading stage's input digest has just filled.
+        The sha256 comes from the memo, which the reading stage's input
+        digest has just filled.
         """
         key = os.path.abspath(path)
         sha = _memo_sha256(key, self._memo)
-        entry = self._reports.get(key)
+        entry = entries.get(key)
         if entry is None or entry[0] != sha:
-            entry = self._reports[key] = (sha, read_report(path, state))
+            entry = entries[key] = (sha, load(path))
         return entry[1]
+
+    def _report(self, path: Path, state: StateLabel) -> ViolationReport:
+        """The normalized report in ``path``, parsed at most once per run."""
+        return self._parsed(self._reports, path, partial(read_report, state=state))
+
+    def _new_violations(self) -> list[Violation]:
+        """The NEW violations of ``new_violations.csv``, parsed at most once per run."""
+        from .newviol import read_new_violations
+
+        return self._parsed(self._new, self.workspace / _NEW_CSV, read_new_violations)
+
+    def _new_summary(self, path: Path) -> dict:
+        """The ``newviol`` section of ``summary.json`` for the ``new_violations.csv`` in ``path``."""
+        from .newviol import summarize_new_violations
+
+        return self._parsed(self._new_summaries, path, summarize_new_violations)
 
     def _load_matched_reports(self) -> tuple[ViolationReport, ViolationReport]:
         """Pre report restricted to the repaired files, plus the post report."""
@@ -674,18 +701,32 @@ class PipelineRun:
     def _execute(self, order: list[Stage]) -> None:
         """Run each stage of ``order`` once the stages it reads from are done.
 
-        Stage bodies run on this thread. The adapter calls they yield run here
-        too when ``jobs`` is 1 (one stage at a time, in order) or a call has
-        nothing beside it, and on ``jobs`` worker threads otherwise. Once a
-        stage fails no other starts; those running finish, then it is raised.
+        Stage bodies run on this thread, and the adapter calls they yield on
+        ``jobs`` worker threads, or here when nothing else is ready to run.
+        A ready tool stage (one whose body yields calls) starts before an
+        in-process one, and due calls go to the workers before an in-process
+        body begins. With ``jobs`` 1 the tool stages take the one worker in
+        turn, in ``STAGES`` order, while the in-process stages run here
+        beside them, and each turn first takes the calls that have ended.
+        Once a stage fails no other starts; those running finish, then it
+        is raised.
         """
         upstream = {stage.name: self._upstream(stage) for stage in order}
+        tools = [stage.name for stage in order if inspect.isgeneratorfunction(stage.body)]
         waiting, unfinished = list(order), {stage.name for stage in order}
         started: dict[Generator, str] = {}
         due: list[tuple[Generator, list]] = []  # batches of calls not yet begun
-        running: dict[Generator, list] = {}  # each batch on the workers: its (result, error)s
+        running: dict[Generator, list] = {}  # each batch on the workers: its (result, error, seconds)s
         failure: Exception | None = None
-        workers: list = []  # started when calls first overlap
+        workers: list = []  # started when calls would otherwise wait
+
+        def startable(stage: Stage) -> bool:
+            if failure is not None or upstream[stage.name] & unfinished:
+                return False
+            # under --jobs 1 a tool stage waits for the tool stages before it
+            return self.jobs > 1 or stage.name not in tools or not unfinished.intersection(
+                tools[: tools.index(stage.name)]
+            )
 
         def resume(gen: Generator, results: list | None = None, error: BaseException | None = None) -> None:
             nonlocal failure
@@ -702,55 +743,82 @@ class PipelineRun:
                 self._reports.clear()
             if not unfinished & {"newviol", "sample"}:
                 self._sources = None
+            if "sample" not in unfinished:
+                self._new.clear()
+            if "report" not in unfinished:
+                self._new_summaries.clear()
+
+        def finish(gen: Generator, outcomes: list) -> None:
+            results, errors, seconds = zip(*outcomes)
+            record = self._rebuilds[started[gen]][2]
+            record["calls_s"] = round(record["calls_s"] + sum(seconds), 6)
+            error = next(filter(None, errors), None)
+            self._memo.clear()  # the tools may have written anywhere
+            resume(gen, None if error else list(results), error)
+
+        def take(item: tuple) -> None:
+            gen, i, outcome = item
+            running[gen][i] = outcome
+            if all(running[gen]):
+                finish(gen, running.pop(gen))
 
         try:
             while True:
-                for stage in list(waiting):
-                    if failure is None and not upstream[stage.name] & unfinished and (self.jobs > 1 or not due):
-                        waiting.remove(stage)
-                        gen = self._run_stage(stage)
-                        started[gen] = stage.name
-                        resume(gen)
-                if not due and not running:
-                    break
-                if not running and (self.jobs == 1 or (len(due) == 1 and len(due[0][1]) == 1)):
+                # under --jobs 1 ended calls come first, so that the next tool stage
+                # can start; above 1 the ready stages start first, as they always did
+                if workers and self.jobs == 1:
+                    with suppress(Empty):
+                        while True:
+                            take(ended.get_nowait())
+                ready = [stage for stage in waiting if startable(stage)]
+                # a tool stage first, so that its calls are due before an in-process body begins
+                stage = next((stage for stage in ready if stage.name in tools), ready[0] if ready else None)
+                inline = not running and (self.jobs == 1 or (len(due) == 1 and len(due[0][1]) == 1))
+                if due and (stage.name not in tools if stage else not inline):
+                    if not workers:
+                        import threading
+                        from queue import Empty, SimpleQueue
+
+                        todo, ended = SimpleQueue(), SimpleQueue()
+
+                        def work() -> None:
+                            while (item := todo.get()) is not None:
+                                gen, i, call = item
+                                begun = time.perf_counter()
+                                try:
+                                    outcome = (call(), None)
+                                except BaseException as exc:  # raised on the main thread
+                                    outcome = (None, exc)
+                                ended.put((gen, i, (*outcome, time.perf_counter() - begun)))
+
+                        for _ in range(self.jobs):
+                            workers.append(threading.Thread(target=work, daemon=True))
+                            workers[-1].start()
+                    for gen, calls in due:
+                        running[gen] = [None] * len(calls)
+                        for i, call in enumerate(calls):
+                            todo.put((gen, i, call))
+                    due.clear()
+                if stage is not None:
+                    waiting.remove(stage)
+                    gen = self._run_stage(stage)
+                    started[gen] = stage.name
+                    resume(gen)
+                elif due:
                     gen, calls = due.pop()
-                    try:
-                        results, error = [call() for call in calls], None
-                    except Exception as exc:
-                        results, error = None, exc
-                    self._memo.clear()  # the tools may have written anywhere
-                    resume(gen, results, error)
-                    continue
-                if not workers:
-                    import threading
-                    from queue import Empty, SimpleQueue
-
-                    todo, ended = SimpleQueue(), SimpleQueue()
-
-                    def work() -> None:
-                        while (item := todo.get()) is not None:
-                            gen, i, call = item
-                            try:
-                                ended.put((gen, i, (call(), None)))
-                            except BaseException as exc:  # raised on the main thread
-                                ended.put((gen, i, (None, exc)))
-
-                    for _ in range(self.jobs):
-                        workers.append(threading.Thread(target=work, daemon=True))
-                        workers[-1].start()
-                for gen, calls in due:
-                    running[gen] = [None] * len(calls)
-                    for i, call in enumerate(calls):
-                        todo.put((gen, i, call))
-                due.clear()
-                gen, i, outcome = ended.get()
-                running[gen][i] = outcome
-                if all(running[gen]):
-                    results, errors = zip(*running.pop(gen))
-                    error = next(filter(None, errors), None)
-                    self._memo.clear()
-                    resume(gen, None if error else list(results), error)
+                    outcomes = []
+                    for call in calls:
+                        begun = time.perf_counter()
+                        try:
+                            outcomes.append((call(), None, time.perf_counter() - begun))
+                        except Exception as exc:
+                            outcomes.append((None, exc, time.perf_counter() - begun))
+                            break
+                    finish(gen, outcomes)
+                elif running:
+                    take(ended.get())
+                else:
+                    break
             if failure is not None:
                 raise failure
         finally:
@@ -897,13 +965,18 @@ def _newviol(run: PipelineRun, stage_dir: Path) -> None:
     sources = run._repair_sources()
     verdicts = newviol_mod.detect_new_violations(pre, post, sources, run.config.normalization)
     newviol_mod.write_newviol(stage_dir, verdicts, newviol_mod.categorize_new(verdicts), sources)
+    # a re-read gives these same rows back, so sample and report need not parse
+    new = [vd.violation for vd in verdicts if vd.verdict is newviol_mod.VerdictKind.NEW]
+    key = os.path.abspath(run.workspace / _NEW_CSV)
+    sha = _memo_sha256(key, run._memo)
+    run._new[key] = (sha, new)
+    run._new_summaries[key] = (sha, newviol_mod.summarize_new(len(verdicts), new))
 
 
 def _sample(run: PipelineRun, stage_dir: Path) -> None:
     from . import sampling as sampling_mod
-    from .newviol import read_new_violations
 
-    new = read_new_violations(run.workspace / _NEW_CSV)
+    new = run._new_violations()
     sample = sampling_mod.draw_sample(new, run.config.sampling, run.config.seed)
     # fragments come from the repaired code, so index sources that way
     sampling_mod.write_sample(
@@ -967,7 +1040,8 @@ STAGES = (
     Stage("semantic", _under(*_TREES), _fingerprint("test_runner", "compiler"), _semantic, "test_runner"),
     Stage("metrics", _under(*_TREES), _fingerprint("metric_extractor"), _metrics, "metric_extractor"),
     # the axes after fix rate are optional, so only those present are read
-    Stage("report", _under(_FIXRATE_JSON), lambda run: "", lambda run, stage_dir: emit_reports(run.workspace),
+    Stage("report", _under(_FIXRATE_JSON), lambda run: "",
+          lambda run, stage_dir: emit_reports(run.workspace, run._new_summary),
           optional=("newviol", "sample", "semantic", "metrics")),
 )
 
@@ -996,13 +1070,15 @@ _REPORT_CSVS = {
 }
 
 
-def emit_reports(workspace: Path) -> dict:
+def emit_reports(workspace: Path, summarize_newviol: Callable[[Path], dict] | None = None) -> dict:
     """Merge all axis outputs into ``report/summary.json`` plus CSV copies.
 
     The fix-rate axis is required (it is the baseline every other analysis
     builds on); the other axes are marked skipped when their stage outputs
-    are absent. Output depends only on the stage outputs, so identical
-    workspaces produce byte-identical reports.
+    are absent. ``summarize_newviol`` gives the ``newviol`` section for a
+    ``new_violations.csv`` (by default ``newviol.summarize_new_violations``).
+    Output depends only on the stage outputs, so identical workspaces
+    produce byte-identical reports.
     """
     workspace = Path(workspace)
     report_dir = workspace / "report"
@@ -1017,7 +1093,7 @@ def emit_reports(workspace: Path) -> dict:
     if new_csv.is_file():
         from .newviol import summarize_new_violations
 
-        summary["newviol"] = summarize_new_violations(new_csv)
+        summary["newviol"] = (summarize_newviol or summarize_new_violations)(new_csv)
     else:
         summary["newviol"] = {"status": "skipped"}
 

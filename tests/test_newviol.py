@@ -16,7 +16,9 @@ from apreval.newviol import (
     NewViolationVerdict,
     _LineIndex,
     read_new_violations,
+    summarize_new,
     summarize_new_violations,
+    write_newviol,
 )
 from apreval.violations import Severity, StateLabel, ViolationType
 
@@ -492,6 +494,24 @@ class TestReadNewViolations:
             reader(path)
         assert err.value.line == 3
         assert str(err.value) == f"{path}: expected 9 fields, got 2 (line 3)"
+
+    def test_written_rows_read_back_as_the_new_verdicts(self, tmp_path):
+        # the pipeline hands these rows from newviol to sample and report
+        # instead of re-reading the file, so both must agree
+        messages = ["plain", 'a, "quoted" one', "two\nlines", "cr\r\nlf", "bare\rcr", " padded "]
+        verdicts = [
+            NewViolationVerdict(mkviol(f"F{i}.java", "S1118", i + 1, message=message),
+                                VerdictKind.NEW if i % 3 else VerdictKind.NOT_NEW_FRAGMENT_FOUND,
+                                evidence=None if i % 3 else 1)
+            for i, message in enumerate(messages)
+        ]
+        write_newviol(tmp_path, verdicts, categorize_new(verdicts), {})
+        new = [vd.violation for vd in verdicts if vd.verdict is VerdictKind.NEW]
+        path = tmp_path / "new_violations.csv"
+        assert read_new_violations(path) == new
+        assert summarize_new(len(verdicts), new) == summarize_new_violations(path) == {
+            "post_violations": 6, "total_new": 4, "matrix": {"CodeSmell/Medium": 4}, "top_rules": [("S1118", 4)],
+        }
 
     def test_empty_file_is_refused(self, tmp_path):
         path = tmp_path / "new_violations.csv"

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from apreval import minicorpus, pipeline, violations
+from apreval import newviol as newviol_mod
 from apreval import semantic as semantic_mod
 from apreval.cli import main
 from apreval.errors import (
@@ -44,6 +45,9 @@ from apreval.violations import SORALD_30, StateLabel
 from conftest import mkreport, mkviol
 
 PY = sys.executable
+
+#: sha256 of the mini-corpus ``report/summary.json`` (seed 17)
+MINI_SUMMARY_SHA256 = "cd2c4f24d5c2ff3c612b3e9a5125eded5d715061edc71a86daf3283a2f4389af"
 
 
 def _pid_alive(pid: int) -> bool:
@@ -685,6 +689,64 @@ class TestReportsParsedOnce:
         assert _workspace_bytes(cfg) == cold
 
 
+def _count_new_loads(monkeypatch) -> list[Path]:
+    """Record the path of each ``new_violations.csv`` the pipeline parses."""
+    loads: list[Path] = []
+    load = newviol_mod._load_new
+
+    def counting(path):
+        loads.append(path)
+        return load(path)
+
+    monkeypatch.setattr(newviol_mod, "_load_new", counting)
+    return loads
+
+
+class TestNewViolationsParsedOnce:
+    def test_cold_run_hands_the_newviol_rows_on(self, tmp_path, monkeypatch):
+        cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
+        handed = []
+
+        def spying(read):
+            def spy(self, *args):
+                handed.append(read(self, *args))
+                return handed[-1]
+
+            return spy
+
+        monkeypatch.setattr(PipelineRun, "_new_violations", spying(PipelineRun._new_violations))
+        monkeypatch.setattr(PipelineRun, "_new_summary", spying(PipelineRun._new_summary))
+        loads = _count_new_loads(monkeypatch)
+        run = PipelineRun(cfg)
+        run.run()
+        assert loads == []  # sample and report take what newviol wrote
+        assert run._new == run._new_summaries == {}  # dropped once sample, then report, is done
+        path = cfg.workspace_dir / "newviol" / "new_violations.csv"
+        assert handed == [newviol_mod.read_new_violations(path), newviol_mod.summarize_new_violations(path)]
+        assert handed[0]
+
+    def test_cached_newviol_is_read_from_disk(self, tmp_path, monkeypatch):
+        cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
+        run_pipeline(cfg)
+        cold = _workspace_bytes(cfg)
+        loads = _count_new_loads(monkeypatch)
+        summary = run_pipeline(cfg, force=True, stages=["sample", "report"])
+        assert set(summary.values()) == {"ran"}
+        assert loads == [cfg.workspace_dir / "newviol" / "new_violations.csv"] * 2
+        assert _workspace_bytes(cfg) == cold
+
+    def test_stale_rows_are_read_again(self, tmp_path):
+        cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
+        run_pipeline(cfg)
+        path = cfg.workspace_dir / "newviol" / "new_violations.csv"
+        run = PipelineRun(cfg)
+        stale = hashlib.sha256(b"other bytes").digest()
+        run._new[os.path.abspath(path)] = (stale, [])
+        run._new_summaries[os.path.abspath(path)] = (stale, {})
+        assert run._new_violations() == newviol_mod.read_new_violations(path)
+        assert run._new_summary(path) == newviol_mod.summarize_new_violations(path)
+
+
 #: the stages that read ``repair/output``, and ``fixrate`` and ``report`` after them
 DOWNSTREAM_STAGES = ["analyze_post", "fixrate", "newviol", "sample", "semantic", "metrics", "report"]
 
@@ -876,35 +938,73 @@ os.execv(sys.executable, [sys.executable, "-m", "apreval.stubs", role, input_dir
 """
 
 
-def _stop_parallel_run(tmp_path: Path, stop) -> int:
-    """Stop a forced ``apreval run --jobs 2`` while the baseline-side test
-    runner of ``semantic`` and metric extractor of ``metrics`` both sleep.
+#: ``apreval run`` with the CLI arguments ``argv[3:]``, recording in
+#: ``argv[1]`` the worker threads and adapters left when the workspace lock
+#: is released; with ``argv[2]`` a path, the newviol stage writes it and then
+#: computes until the run is stopped
+_STOPPABLE = """\
+import json, sys, threading, time
+from pathlib import Path
+from apreval import newviol, pipeline
+from apreval.cli import main
 
-    Both sleeping adapters must be gone shortly after, and no stage's old
-    directory left aside; returns the run's exit status.
+at_unlock = Path(sys.argv[1])
+unlock = pipeline._WorkspaceLock.__exit__
+
+def recording_unlock(self, *exc):
+    threads = [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+    at_unlock.write_text(json.dumps([threads, len(pipeline._running_adapters)]))
+    return unlock(self, *exc)
+
+def computing(*args, **kwargs):
+    Path(sys.argv[2]).write_text("computing")
+    while True:
+        time.sleep(0.01)
+
+pipeline._WorkspaceLock.__exit__ = recording_unlock
+if sys.argv[2] != "-":
+    newviol.detect_new_violations = computing
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+def _stop_parallel_run(tmp_path: Path, stop, jobs: int = 2) -> int:
+    """Stop a forced ``apreval run --jobs <jobs>`` while its adapters sleep.
+
+    With ``jobs`` 2 the baseline-side test runner of ``semantic`` and metric
+    extractor of ``metrics`` both sleep; with ``jobs`` 1 the test runner
+    sleeps while ``newviol`` computes beside it. The sleeping adapters must
+    be gone shortly after, no worker thread or adapter left when the
+    workspace lock is released, and no stage's old directory left aside;
+    returns the run's exit status.
     """
     config_path = minicorpus.materialize(tmp_path, seed=17)
     run_pipeline(load_config(config_path))  # so that the forced run sets each old stage aside
-    sleeper = tmp_path / "sleeper.py"
+    sleeper, driver = tmp_path / "sleeper.py", tmp_path / "stoppable.py"
     sleeper.write_text(_SLEEPER, encoding="utf-8")
+    driver.write_text(_STOPPABLE, encoding="utf-8")
 
     def edit(doc):
-        doc["jobs"] = 2
+        doc["jobs"] = jobs
         doc["adapters"]["test_runner"].update(command=f"{PY} {sleeper} testrunner {{input}} {{output}}", timeout=60)
         doc["adapters"]["metric_extractor"].update(command=f"{PY} {sleeper} metrics {{input}} {{output}}", timeout=60)
 
     _edit_config(config_path, edit)
     ws = tmp_path / "workspace"
-    pid_files = [ws / "semantic" / "baseline_raw" / "sleeper.pid", ws / "metrics" / "pre_raw" / "sleeper.pid"]
+    at_unlock, computing = tmp_path / "at_unlock.json", tmp_path / "computing"
+    pid_files = [ws / "semantic" / "baseline_raw" / "sleeper.pid"]
+    if jobs > 1:
+        pid_files.append(ws / "metrics" / "pre_raw" / "sleeper.pid")
     run = subprocess.Popen(
-        [PY, "-m", "apreval.cli", "run", "--config", str(config_path), "--force"],
+        [PY, str(driver), str(at_unlock), str(computing) if jobs == 1 else "-",
+         "run", "--config", str(config_path), "--force"],
         cwd=tmp_path, env=_adapter_env(), start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     pids = []
     try:
         deadline = time.monotonic() + 60.0
-        while not all(f.is_file() and f.read_text() for f in pid_files):
+        while not all(f.is_file() and f.read_text() for f in pid_files) or (jobs == 1 and not computing.is_file()):
             assert run.poll() is None and time.monotonic() < deadline
             time.sleep(0.05)
         pids = [int(f.read_text()) for f in pid_files]
@@ -914,6 +1014,7 @@ def _stop_parallel_run(tmp_path: Path, stop) -> int:
         while any(map(_pid_alive, pids)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not any(map(_pid_alive, pids))
+        assert json.loads(at_unlock.read_text(encoding="utf-8")) == [[], 0]
         assert not list(ws.glob(".*.prev"))
     finally:
         for pid in [run.pid, *pids]:
@@ -1133,6 +1234,36 @@ def _slow_tools(tmp_path: Path, jobs: int, **delays: float) -> PipelineConfig:
     return _edit_config(minicorpus.materialize(tmp_path, seed=17), edit)
 
 
+#: the stub tool ``argv[3:]``, first sleeping ``argv[2]`` seconds, that
+#: appends its start and end time to the log ``argv[1]``
+_LOGGED = """\
+import subprocess, sys, time
+start = time.time()
+time.sleep(float(sys.argv[2]))
+code = subprocess.call([sys.executable, "-m", "apreval.stubs", *sys.argv[3:]])
+with open(sys.argv[1], "a", encoding="utf-8") as log:
+    log.write(f"{start!r} {time.time()!r}\\n")
+sys.exit(code)
+"""
+
+
+def _logged_tools(tmp_path: Path, jobs: int, **delays: float) -> tuple[PipelineConfig, Path]:
+    """The mini-corpus config with ``jobs``, every tool logging its interval
+    and each role in ``delays`` slowed down; returns it and the log."""
+    script, log = tmp_path / "logged.py", tmp_path / "calls.log"
+    script.write_text(_LOGGED, encoding="utf-8")
+    stubs = {"analyzer": "analyzer", "repairer": "repairer", "test_runner": "testrunner",
+             "metric_extractor": "metrics", "compiler": "compiler"}
+
+    def edit(doc):
+        doc["jobs"] = jobs
+        for role, stub in stubs.items():
+            delay = delays.get(role, 0)
+            doc["adapters"][role]["command"] = f"{{python}} {script} {log} {delay} {stub} {{input}} {{output}}"
+
+    return _edit_config(minicorpus.materialize(tmp_path, seed=17), edit), log
+
+
 def _windows(cfg) -> dict[str, tuple[float, float]]:
     state = json.loads((cfg.workspace_dir / "state.json").read_text(encoding="utf-8"))
     return {name: (record["started"], record["finished"]) for name, record in state["stages"].items()}
@@ -1173,6 +1304,48 @@ class TestStageOverlap:
         else:
             assert max(sem_start, met_start) < post_end < min(sem_end, met_end)
         assert windows["report"][0] >= max(end for name, (_, end) in windows.items() if name != "report")
+
+    def test_one_job_runs_in_process_stages_beside_one_tool(self, tmp_path):
+        cfg, log = _logged_tools(tmp_path, 1, test_runner=0.3)
+        run_pipeline(cfg)
+        calls = sorted(tuple(map(float, line.split())) for line in log.read_text(encoding="utf-8").splitlines())
+        assert len(calls) == 9
+        # one adapter at a time
+        assert all(end <= start for (_, end), (start, _) in zip(calls, calls[1:]))
+        windows = _windows(cfg)
+        tools = [name for name in STAGE_ORDER if name not in IN_PROCESS_STAGES]
+        for earlier, later in zip(tools, tools[1:]):
+            assert windows[earlier][1] <= windows[later][0], (earlier, later)
+        # newviol computes while semantic's tools run
+        (sem_start, sem_end), (new_start, new_end) = windows["semantic"], windows["newviol"]
+        assert sem_start < new_end and new_start < sem_end
+        assert windows["report"][0] >= max(end for name, (_, end) in windows.items() if name != "report")
+
+    def test_calls_s_sums_the_adapter_calls_of_each_stage(self, tmp_path):
+        cfg, log = _logged_tools(tmp_path, 1, test_runner=0.3)
+        run_pipeline(cfg)
+        state = json.loads((cfg.workspace_dir / "state.json").read_text(encoding="utf-8"))["stages"]
+        calls_s = {name: record["calls_s"] for name, record in state.items()}
+        assert {name for name, seconds in calls_s.items() if seconds == 0} == set(IN_PROCESS_STAGES)
+        for name, record in state.items():
+            assert calls_s[name] <= record["finished"] - record["started"], name
+        # timed around each whole call: the tool's own run plus its spawn
+        logged = sum(end - start for start, end in
+                     (map(float, line.split()) for line in log.read_text(encoding="utf-8").splitlines()))
+        assert logged <= sum(calls_s.values())
+        assert calls_s["semantic"] >= 0.6  # its two test runner calls sleep 0.3 s each
+
+    @pytest.mark.parametrize("stop, code", [
+        # Ctrl-C: the run dies of SIGINT, which a shell shows as status 130
+        (lambda run: os.killpg(run.pid, signal.SIGINT), -signal.SIGINT),
+        (lambda run: os.kill(run.pid, signal.SIGTERM), 128 + signal.SIGTERM),
+    ], ids=["ctrl-c", "sigterm"])
+    def test_one_job_stops_while_newviol_computes_beside_a_tool(self, tmp_path, stop, code):
+        assert _stop_parallel_run(tmp_path, stop, jobs=1) == code
+        cfg = load_config(minicorpus.materialize(tmp_path, seed=17))  # the stub tools again
+        run_pipeline(cfg)
+        summary = cfg.workspace_dir / "report" / "summary.json"
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == MINI_SUMMARY_SHA256
 
     def test_failed_stage_starts_no_other(self, tmp_path, monkeypatch):
         # the analyzer fails on repair/output while semantic and metrics run
