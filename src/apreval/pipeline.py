@@ -1,21 +1,24 @@
 """End-to-end orchestration: corpus prep, tool adapters, cached stages.
 
-A run walks the ``STAGES`` table in order (prepare, analyze pre/post around
-the repair, then the four analysis axes, then report emission); that table
-is the one place that declares each stage's inputs, config fingerprint,
-adapter role and body. Each stage persists its outputs under
-``workspace/<stage>/`` and records a content digest of its inputs; a stage
-reruns only when that digest changes or ``--force`` is given, so slow
-external tools are never invoked redundantly. External tools are described
-by command templates and run as subprocesses with timeout enforcement,
-artifact checks, and log capture. Scripted stub tools ship with the package
-so the whole pipeline runs without any external toolchain.
+The ``STAGES`` table declares each stage once: its inputs, config
+fingerprint, adapter role, body, and the hand-offs its body reads. A run
+is split as in "Build systems à la carte" (Mokhov, Mitchell and Peyton
+Jones, ICFP 2018). The scheduler, :func:`schedule`, knows only tasks (a
+name, upstream names, a tool flag and a generator that yields batches of
+calls): it starts each task once its upstream tasks have ended, and runs
+their calls on a :class:`CallRunner`. The rebuilder,
+``PipelineRun._run_stage``, is the task of one stage: it skips the stage,
+takes it as cached when its input digest is unchanged, or rebuilds
+``workspace/<stage>/``, and records which in ``state.json``.
 
-Each stage body imports the axis module it needs, so a run whose stages
-are all cached loads no analysis code at all. A body that needs tools
-yields each batch of adapter calls and is sent their results, so that
-the in-process stages compute while a tool runs, and under ``--jobs``
-above 1 the calls of independent stages overlap.
+External tools are described by command templates and run as
+subprocesses with timeout enforcement, artifact checks, and log capture;
+scripted stub tools ship with the package, so the whole pipeline runs
+without any external toolchain. Each stage body imports the axis module
+it needs, so a run whose stages are all cached loads no analysis code.
+Parsed values pass between stages through one hand-off table, used only
+while the files they came from are unchanged and dropped once the last
+stage that reads them is done.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import _thread
 import hashlib
 import inspect
 import json
+import math
 import os
 import shlex
 import shutil
@@ -31,11 +35,11 @@ import signal
 import string
 import sys
 import time
-from contextlib import suppress
+from contextlib import closing, suppress
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AdapterFailureError,
@@ -69,8 +73,6 @@ if TYPE_CHECKING:
 ROLES = ("analyzer", "repairer", "test_runner", "metric_extractor", "compiler")
 
 _ALLOWED_PLACEHOLDERS = {"input", "output", "workdir", "python", "rule"}
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,25 @@ _TOP_KEYS = {f.name for f in fields(PipelineConfig)}
 _ADAPTER_KEYS = {"command", "timeout", "expected_artifacts"}
 _SAMPLING_KEYS = {f.name for f in fields(SamplingParams)}
 
+#: what each kind of config value must be; an int is also a number, a bool neither
+_KINDS = {str: "a string", int: "an integer", float: "a finite number", list: "a list of strings", dict: "an object"}
+
+
+def _typed(doc: dict, key: str, kind: type, default: object, where: str = "") -> object:
+    """``doc[key]``, or ``default`` if absent, refused unless it is of ``kind``."""
+    value = doc.get(key, default)
+    ok = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+    if ok and kind is float:
+        ok = math.isfinite(value)  # JSON as Python reads it allows NaN and Infinity
+    if ok and kind is list:
+        ok = all(isinstance(item, str) for item in value)
+    if not ok:
+        raise ConfigError(where + key, f"must be {_KINDS[kind]}")
+    return value
+
 
 def load_config(path: str | Path) -> PipelineConfig:
-    """Load and fully validate a JSON pipeline config; unknown keys reject."""
+    """Load and fully validate a JSON pipeline config; unknown keys and wrongly typed values reject."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(str(path), "config file does not exist")
@@ -164,43 +182,41 @@ def load_config(path: str | Path) -> PipelineConfig:
             raise ConfigError(f"adapters.{role}.{sorted(unknown)[0]}", "unknown adapter key")
         if "command" not in raw:
             raise ConfigError(f"adapters.{role}.command", "required key is missing")
+        where = f"adapters.{role}."
         adapters[role] = ToolAdapter(
             name=role,
-            command_template=str(raw["command"]),
-            timeout=float(raw.get("timeout", 600.0)),
-            expected_artifacts=tuple(raw.get("expected_artifacts", ())),
+            command_template=_typed(raw, "command", str, None, where),
+            timeout=float(_typed(raw, "timeout", float, 600.0, where)),
+            expected_artifacts=tuple(_typed(raw, "expected_artifacts", list, [], where)),
         )
 
-    raw_sampling = doc.get("sampling", {})
-    if not isinstance(raw_sampling, dict):
-        raise ConfigError("sampling", "must be an object")
+    raw_sampling = _typed(doc, "sampling", dict, {})
     unknown = set(raw_sampling) - _SAMPLING_KEYS
     if unknown:
         raise ConfigError(f"sampling.{sorted(unknown)[0]}", "unknown sampling key")
-    sampling = SamplingParams(**{key: float(value) for key, value in raw_sampling.items()})
+    sampling = SamplingParams(**{key: float(_typed(raw_sampling, key, float, None, "sampling."))
+                                 for key in raw_sampling})
 
     try:
         normalization = NormalizationPolicy(doc.get("normalization", "exact"))
     except ValueError:
         raise ConfigError("normalization", f"must be one of {[p.value for p in NormalizationPolicy]}") from None
 
-    jobs = int(doc.get("jobs", 1))
+    jobs = _typed(doc, "jobs", int, 1)
     if jobs < 1:
         raise ConfigError("jobs", "must be at least 1")
     base = path.parent
-    corpus_dir = (base / doc["corpus_dir"]).resolve()
-    workspace_dir = (base / doc["workspace_dir"]).resolve()
     return PipelineConfig(
-        corpus_dir=corpus_dir,
-        workspace_dir=workspace_dir,
+        corpus_dir=(base / _typed(doc, "corpus_dir", str, None)).resolve(),
+        workspace_dir=(base / _typed(doc, "workspace_dir", str, None)).resolve(),
         adapters=adapters,
-        profile=str(doc.get("profile", "sorald-30")),
+        profile=_typed(doc, "profile", str, "sorald-30"),
         sampling=sampling,
-        seed=int(doc.get("seed", 0)),
+        seed=_typed(doc, "seed", int, 0),
         jobs=jobs,
         normalization=normalization,
-        report_adapter=str(doc.get("report_adapter", "csv")),
-        report_adapter_options=dict(doc.get("report_adapter_options", {})),
+        report_adapter=_typed(doc, "report_adapter", str, "csv"),
+        report_adapter_options=dict(_typed(doc, "report_adapter_options", dict, {})),
     )
 
 
@@ -440,6 +456,159 @@ def load_sources(original_dir: Path, repaired_dir: Path) -> dict[str, SourcePair
     return pairs
 
 
+# --- the scheduler ------------------------------------------------------------
+
+class CallRunner:
+    """Runs the calls of :func:`schedule`: one on the calling thread, or any
+    number put to ``jobs`` worker threads, started at the first call put,
+    which take the calls in the order put."""
+
+    def __init__(self, jobs: int):
+        self.jobs = jobs
+        self.threads: list = []
+        self.closed = False
+
+    @staticmethod
+    def run(call: Callable[[], object]) -> tuple[object, BaseException | None, float]:
+        """``call()``'s outcome: its (result, error, seconds)."""
+        begun = time.perf_counter()
+        try:
+            return call(), None, time.perf_counter() - begun
+        except BaseException as exc:  # raised again by the task the outcome goes to
+            return None, exc, time.perf_counter() - begun
+
+    def put(self, tag: object, call: Callable[[], object]) -> None:
+        if not self.threads:
+            import threading
+            from queue import SimpleQueue
+
+            self.todo, self.done = SimpleQueue(), SimpleQueue()
+            for _ in range(self.jobs):
+                self.threads.append(threading.Thread(target=self._work, daemon=True))
+                self.threads[-1].start()
+        self.todo.put((tag, call))
+
+    def _work(self) -> None:
+        while (item := self.todo.get()) is not None and not self.closed:
+            self.done.put((item[0], self.run(item[1])))
+
+    def ended(self, block: bool) -> tuple[object, tuple] | None:
+        """The tag and outcome of a call put that has ended, or ``None`` if none has and ``block`` is false."""
+        return self.done.get() if self.threads and (block or not self.done.empty()) else None
+
+    def close(self) -> None:
+        """Drop the calls put but not yet begun, and wait for the rest to end."""
+        self.closed = True
+        for _ in self.threads:
+            self.todo.put(None)
+        for thread in self.threads:
+            thread.join(0.01)
+            while thread.is_alive():
+                # interrupted: adapters lead their own sessions, out of
+                # reach of the terminal's SIGINT, so stop them
+                for proc in list(_running_adapters):
+                    _kill_process_group(proc)
+                thread.join(0.01)
+
+
+class Task(NamedTuple):
+    """One unit of work for :func:`schedule`: ``start()`` gives its generator."""
+
+    name: str
+    upstream: set[str]
+    tool: bool  # its generator yields calls; an in-process task's yields none
+    start: Callable[[], Generator[list, list, None]]
+
+
+def schedule(tasks: Sequence[Task], jobs: int, runner: Callable[[int], CallRunner] = CallRunner) -> None:
+    """Start each task once its upstream tasks have ended, and run the calls it yields.
+
+    A task's generator yields batches of calls, each a non-empty list, and
+    is sent the outcomes of each batch: a (result, error, seconds) per call,
+    in batch order, cut short after an error when the batch ran here.
+    Task generators run on this thread, and their calls on the ``jobs``
+    worker threads of ``runner(jobs)``, or here when nothing else is ready
+    to run. A ready tool task starts before an in-process one, and due
+    calls go to the workers before an in-process task starts. With
+    ``jobs`` 1 the tool tasks take the one worker in turn, in the order of
+    ``tasks``, while the in-process tasks run here beside them, and each
+    turn first takes the calls that have ended. Once a task raises no
+    other starts; those running finish, then the first error is raised.
+    However the loop ends, the calls not yet begun are dropped and every
+    unfinished generator is closed.
+    """
+    tools = [task.name for task in tasks if task.tool]
+    waiting, unfinished = list(tasks), {task.name for task in tasks}
+    started: dict[Generator, str] = {}
+    due: list[tuple[Generator, list]] = []  # batches of calls not yet begun
+    running: dict[Generator, list] = {}  # each batch put to the workers: its outcomes so far
+    failure: Exception | None = None
+    calls = runner(jobs)
+
+    def startable(task: Task) -> bool:
+        if failure is not None or task.upstream & unfinished:
+            return False
+        # under --jobs 1 a tool task waits for the tool tasks before it
+        return jobs > 1 or not task.tool or not unfinished.intersection(tools[: tools.index(task.name)])
+
+    def resume(gen: Generator, outcomes: list | None = None) -> None:
+        nonlocal failure
+        try:
+            due.append((gen, gen.send(outcomes)))
+            return
+        except StopIteration:
+            pass
+        except Exception as exc:
+            failure = failure or exc
+        unfinished.discard(started.pop(gen))
+
+    def take(item: tuple) -> None:
+        (gen, i), outcome = item
+        running[gen][i] = outcome
+        if all(running[gen]):
+            resume(gen, running.pop(gen))
+
+    try:
+        while True:
+            # under --jobs 1 ended calls come first, so that the next tool task
+            # can start; above 1 the ready tasks start first
+            while jobs == 1 and (item := calls.ended(block=False)) is not None:
+                take(item)
+            ready = [task for task in waiting if startable(task)]
+            # a tool task first, so that its calls are due before an in-process task starts
+            task = next((task for task in ready if task.tool), ready[0] if ready else None)
+            inline = not running and (jobs == 1 or (len(due) == 1 and len(due[0][1]) == 1))
+            if due and (not task.tool if task else not inline):
+                for gen, batch in due:
+                    running[gen] = [None] * len(batch)
+                    for i, call in enumerate(batch):
+                        calls.put((gen, i), call)
+                due.clear()
+            if task is not None:
+                waiting.remove(task)
+                gen = task.start()
+                started[gen] = task.name
+                resume(gen)
+            elif due:
+                gen, batch = due.pop()
+                outcomes = []
+                for call in batch:
+                    outcomes.append(calls.run(call))
+                    if outcomes[-1][1] is not None:
+                        break
+                resume(gen, outcomes)
+            elif running:
+                take(calls.ended(block=True))
+            else:
+                break
+        if failure is not None:
+            raise failure
+    finally:
+        calls.close()
+        for gen in started:
+            gen.close()
+
+
 # --- the run itself -----------------------------------------------------------
 
 #: workspace paths read by a stage other than the one that writes them
@@ -455,6 +624,32 @@ _NEW_CSV = "newviol/new_violations.csv"
 _FIXRATE_JSON = "fixrate/fixrate.json"
 
 
+class Handoff(NamedTuple):
+    """A value that stages hand on to later ones: ``load`` of the workspace ``paths``."""
+
+    paths: tuple[str, ...]
+    load: Callable[..., object]
+
+
+def _new_rows(path: Path) -> list[Violation]:
+    from .newviol import read_new_violations
+
+    return read_new_violations(path)
+
+
+def _new_summary(path: Path) -> dict:
+    from .newviol import summarize_new_violations
+
+    return summarize_new_violations(path)
+
+
+_PRE_REPORT = Handoff((_PRE_CSV,), partial(read_report, state=StateLabel.PRE_REPAIR))
+_POST_REPORT = Handoff((_POST_CSV,), partial(read_report, state=StateLabel.POST_REPAIR))
+_PAIRS = Handoff(_TREES, load_sources)  # the SourcePairs of the repair stage's input and output
+_NEW = Handoff((_NEW_CSV,), _new_rows)  # its NEW violations
+_NEW_SUMMARY = Handoff((_NEW_CSV,), _new_summary)  # its section of summary.json
+
+
 class Stage(NamedTuple):
     """One stage: the inputs and config fingerprint it is cached on, and its body.
 
@@ -463,6 +658,8 @@ class Stage(NamedTuple):
     and ``extra(run)``. ``body(run, stage_dir)`` builds ``workspace/<name>/``;
     a body that needs tools yields each batch of adapter calls and is sent
     their results. A stage whose adapter ``role`` is unbound is skipped.
+    ``reads`` names the hand-offs the body takes with ``run._parsed``; the
+    run keeps each hand-off until the last stage that reads it is done.
     """
 
     name: str
@@ -471,6 +668,7 @@ class Stage(NamedTuple):
     body: Callable[[PipelineRun, Path], object]
     role: str | None = None
     optional: tuple[str, ...] = ()
+    reads: tuple[Handoff, ...] = ()
 
     def inputs(self, run: PipelineRun) -> list[Path]:
         return self.needs(run) + [path for path in run._at(*self.optional) if path.exists()]
@@ -494,16 +692,10 @@ class PipelineRun:
         # that each file is read at most once; emptied whenever adapter calls
         # end, and a stage directory forgotten when its body starts
         self._memo: _DigestMemo = {}
-        # (digest, pairs) of repair/input against repair/output, shared by
-        # the newviol and sample bodies and dropped once both are done
-        self._sources: tuple[str, dict[str, SourcePair]] | None = None
-        # absolute path -> (sha256, report) of the normalized reports, seeded
-        # by the analyze stages and dropped once no reader is left to run
-        self._reports: dict[str, tuple[bytes, ViolationReport]] = {}
-        # the same for new_violations.csv: its NEW violations for sample and
-        # its summary.json section for report, both seeded by newviol
-        self._new: dict[str, tuple[bytes, list[Violation]]] = {}
-        self._new_summaries: dict[str, tuple[bytes, dict]] = {}
+        # hand-off -> (digest of its paths, value)
+        self._handoffs: dict[Handoff, tuple[str, object]] = {}
+        # the stages of this run not yet done, by name
+        self._pending: dict[str, Stage] = {}
         # stage being rebuilt -> (old directory, old steps, new record), for _step
         self._rebuilds: dict[str, tuple[Path, dict, dict]] = {}
 
@@ -553,69 +745,85 @@ class PipelineRun:
             else:
                 os.replace(stage_dir, aside)
 
-    def _run_stage(self, stage: Stage) -> Generator[list[Callable[[], object]], list, None]:
-        """Skip, reuse, or (re)build one stage, and record which.
+    def _run_stage(self, stage: Stage) -> Generator[list[Callable[[], object]], list[tuple], None]:
+        """Skip, reuse, or (re)build one stage, record which, then drop the
+        hand-offs that no stage left to run reads.
 
-        A generator, through which the body's batches of adapter calls pass
-        out and their outcomes back in. A stage whose adapter role is unbound
-        is dropped, so no output of an earlier run outlives it; a missing
-        input raises :class:`MissingStageOutputError` naming the first one.
+        The stage's task for :func:`schedule`: the body's batches of adapter
+        calls pass out, and each batch's time goes to ``calls_s`` and its
+        results (or first error) on to the body. A stage whose adapter role
+        is unbound is dropped, so no output of an earlier run outlives it; a
+        missing input raises :class:`MissingStageOutputError` naming the first one.
         """
         name = stage.name
-        if stage.role is not None and self.config.adapters.get(stage.role) is None:
-            self._drop(name)
-            self.summary[name] = f"skipped ({stage.role} role not bound)"
-            return
         try:
-            digest = _digest_paths(stage.inputs(self), stage.extra(self), self._memo)
-        except FileNotFoundError as exc:
-            raise MissingStageOutputError(name, str(exc)) from None
-        previous = self.state["stages"].get(name)
-        stage_dir = self.workspace / name
-        if (
-            not self.force
-            and previous is not None
-            and previous.get("status") == "ok"
-            and previous.get("input_digest") == digest
-            and stage_dir.is_dir()
-        ):
-            self.summary[name] = "cached"
-            return
-        # the old outputs stay readable beside the rebuild, for _step to reuse
-        prev_dir = self.workspace / f".{name}.prev"
-        shutil.rmtree(prev_dir, ignore_errors=True)  # left by a killed run
-        self._drop(name, aside=prev_dir)
-        stage_dir.mkdir(parents=True)
-        # what the memo knew of this directory is stale; a body may memo the
-        # files it has finished writing, for the output digest to reuse
-        self._forget(stage_dir)
-        record = {"input_digest": digest, "started": time.time(), "calls_s": 0.0}
-        reusable = not self.force and previous is not None and previous.get("status") == "ok"
-        self._rebuilds[name] = (prev_dir, previous.get("steps", {}) if reusable else {}, record)
-        try:
-            body = stage.body(self, stage_dir)
-            if isinstance(body, Generator):
-                yield from body
-            for sub, step in record.get("steps", {}).items():
-                if "output_digest" not in step:  # its adapter ran in this build
-                    step["output_digest"] = digest_paths([stage_dir / sub])
-        except Exception as exc:
-            record.update(status="failed", error=str(exc), finished=time.time())
+            if stage.role is not None and self.config.adapters.get(stage.role) is None:
+                self._drop(name)
+                self.summary[name] = f"skipped ({stage.role} role not bound)"
+                return
+            try:
+                digest = _digest_paths(stage.inputs(self), stage.extra(self), self._memo)
+            except FileNotFoundError as exc:
+                raise MissingStageOutputError(name, str(exc)) from None
+            previous = self.state["stages"].get(name)
+            stage_dir = self.workspace / name
+            if (
+                not self.force
+                and previous is not None
+                and previous.get("status") == "ok"
+                and previous.get("input_digest") == digest
+                and stage_dir.is_dir()
+            ):
+                self.summary[name] = "cached"
+                return
+            # the old outputs stay readable beside the rebuild, for _step to reuse
+            prev_dir = self.workspace / f".{name}.prev"
+            shutil.rmtree(prev_dir, ignore_errors=True)  # left by a killed run
+            self._drop(name, aside=prev_dir)
+            stage_dir.mkdir(parents=True)
+            # what the memo knew of this directory is stale; a body may memo the
+            # files it has finished writing, for the output digest to reuse
+            self._forget(stage_dir)
+            record = {"input_digest": digest, "started": time.time(), "calls_s": 0.0}
+            reusable = not self.force and previous is not None and previous.get("status") == "ok"
+            self._rebuilds[name] = (prev_dir, previous.get("steps", {}) if reusable else {}, record)
+            try:
+                body = stage.body(self, stage_dir)
+                if isinstance(body, Generator):
+                    with closing(body), suppress(StopIteration):
+                        batch = next(body)
+                        while True:
+                            outcomes = yield batch
+                            results, errors, seconds = zip(*outcomes)
+                            record["calls_s"] = round(record["calls_s"] + sum(seconds), 6)
+                            self._memo.clear()  # the tools may have written anywhere
+                            error = next(filter(None, errors), None)
+                            batch = body.throw(error) if error else body.send(list(results))
+                for sub, step in record.get("steps", {}).items():
+                    if "output_digest" not in step:  # its adapter ran in this build
+                        step["output_digest"] = digest_paths([stage_dir / sub])
+            except Exception as exc:
+                record.update(status="failed", error=str(exc), finished=time.time())
+                self.state["stages"][name] = record
+                self._save_state()
+                # adapter failures keep their own type so the CLI can map them
+                # to a distinct exit code
+                if isinstance(exc, (StageFailureError, AdapterFailureError)):
+                    raise
+                raise StageFailureError(name, str(exc)) from exc
+            finally:
+                del self._rebuilds[name]
+                shutil.rmtree(prev_dir, ignore_errors=True)
+            output_digest = _digest_paths([stage_dir], "", self._memo)
+            record.update(status="ok", output_digest=output_digest, finished=time.time())
             self.state["stages"][name] = record
             self._save_state()
-            # adapter failures keep their own type so the CLI can map them
-            # to a distinct exit code
-            if isinstance(exc, (StageFailureError, AdapterFailureError)):
-                raise
-            raise StageFailureError(name, str(exc)) from exc
+            self.summary[name] = "ran"
         finally:
-            del self._rebuilds[name]
-            shutil.rmtree(prev_dir, ignore_errors=True)
-        output_digest = _digest_paths([stage_dir], "", self._memo)
-        record.update(status="ok", output_digest=output_digest, finished=time.time())
-        self.state["stages"][name] = record
-        self._save_state()
-        self.summary[name] = "ran"
+            self._pending.pop(name, None)
+            read = {handoff for left in self._pending.values() for handoff in left.reads}
+            for handoff in [handoff for handoff in self._handoffs if handoff not in read]:
+                del self._handoffs[handoff]
 
     def _forget(self, path: Path) -> None:
         """Drop the memo entries at, under or above ``path``."""
@@ -647,197 +855,36 @@ class PipelineRun:
         steps[sub] = {"input_digest": key}
         return [partial(run_tool_adapter, adapter, input_dir, stage_dir / sub)]
 
-    def _parsed(self, entries: dict[str, tuple[bytes, _T]], path: Path, load: Callable[[Path], _T]) -> _T:
-        """``load(path)``, or its entry in ``entries`` if the file still has that entry's sha256.
+    def _hand_off(self, handoff: Handoff, value: object) -> None:
+        """Hand on ``value``, which is what ``handoff`` loads from the files just written."""
+        self._handoffs[handoff] = (_digest_paths(self._at(*handoff.paths), "", self._memo), value)
 
-        The sha256 comes from the memo, which the reading stage's input
+    def _parsed(self, handoff: Handoff) -> Any:
+        """``handoff``'s value as handed on, if its paths still have the digest
+        they had then, or else loaded from them, once per run.
+
+        The digest comes from the memo, which the reading stage's input
         digest has just filled.
         """
-        key = os.path.abspath(path)
-        sha = _memo_sha256(key, self._memo)
-        entry = entries.get(key)
-        if entry is None or entry[0] != sha:
-            entry = entries[key] = (sha, load(path))
+        paths = self._at(*handoff.paths)
+        digest = _digest_paths(paths, "", self._memo)
+        entry = self._handoffs.get(handoff)
+        if entry is None or entry[0] != digest:
+            entry = self._handoffs[handoff] = (digest, handoff.load(*paths))
         return entry[1]
-
-    def _report(self, path: Path, state: StateLabel) -> ViolationReport:
-        """The normalized report in ``path``, parsed at most once per run."""
-        return self._parsed(self._reports, path, partial(read_report, state=state))
-
-    def _new_violations(self) -> list[Violation]:
-        """The NEW violations of ``new_violations.csv``, parsed at most once per run."""
-        from .newviol import read_new_violations
-
-        return self._parsed(self._new, self.workspace / _NEW_CSV, read_new_violations)
-
-    def _new_summary(self, path: Path) -> dict:
-        """The ``newviol`` section of ``summary.json`` for the ``new_violations.csv`` in ``path``."""
-        from .newviol import summarize_new_violations
-
-        return self._parsed(self._new_summaries, path, summarize_new_violations)
 
     def _load_matched_reports(self) -> tuple[ViolationReport, ViolationReport]:
         """Pre report restricted to the repaired files, plus the post report."""
         from .fixrate import restrict_to_files
 
-        pre_csv, post_csv, violating_txt = self._at(*_MATCHED)
-        pre = restrict_to_files(self._report(pre_csv, StateLabel.PRE_REPAIR), _read_lines(violating_txt))
-        return pre, self._report(post_csv, StateLabel.POST_REPAIR)
-
-    def _repair_sources(self) -> dict[str, SourcePair]:
-        """SourcePairs of the repair stage's input and output, loaded once per run."""
-        trees = self._at(*_TREES)
-        digest = _digest_paths(trees, "", self._memo)
-        if self._sources is None or self._sources[0] != digest:
-            self._sources = (digest, load_sources(*trees))
-        return self._sources[1]
+        pre = restrict_to_files(self._parsed(_PRE_REPORT), _read_lines(self.workspace / _VIOLATING))
+        return pre, self._parsed(_POST_REPORT)
 
     def _upstream(self, stage: Stage) -> set[str]:
         """The stages whose directory holds an input of ``stage``, present or not."""
         ws = self.workspace
         paths = stage.needs(self) + self._at(*stage.optional)
         return {path.relative_to(ws).parts[0] for path in paths if path.is_relative_to(ws)}
-
-    def _execute(self, order: list[Stage]) -> None:
-        """Run each stage of ``order`` once the stages it reads from are done.
-
-        Stage bodies run on this thread, and the adapter calls they yield on
-        ``jobs`` worker threads, or here when nothing else is ready to run.
-        A ready tool stage (one whose body yields calls) starts before an
-        in-process one, and due calls go to the workers before an in-process
-        body begins. With ``jobs`` 1 the tool stages take the one worker in
-        turn, in ``STAGES`` order, while the in-process stages run here
-        beside them, and each turn first takes the calls that have ended.
-        Once a stage fails no other starts; those running finish, then it
-        is raised.
-        """
-        upstream = {stage.name: self._upstream(stage) for stage in order}
-        tools = [stage.name for stage in order if inspect.isgeneratorfunction(stage.body)]
-        waiting, unfinished = list(order), {stage.name for stage in order}
-        started: dict[Generator, str] = {}
-        due: list[tuple[Generator, list]] = []  # batches of calls not yet begun
-        running: dict[Generator, list] = {}  # each batch on the workers: its (result, error, seconds)s
-        failure: Exception | None = None
-        workers: list = []  # started when calls would otherwise wait
-
-        def startable(stage: Stage) -> bool:
-            if failure is not None or upstream[stage.name] & unfinished:
-                return False
-            # under --jobs 1 a tool stage waits for the tool stages before it
-            return self.jobs > 1 or stage.name not in tools or not unfinished.intersection(
-                tools[: tools.index(stage.name)]
-            )
-
-        def resume(gen: Generator, results: list | None = None, error: BaseException | None = None) -> None:
-            nonlocal failure
-            try:
-                due.append((gen, gen.send(results) if error is None else gen.throw(error)))
-                return
-            except StopIteration:
-                pass
-            except Exception as exc:
-                failure = failure or exc
-            unfinished.discard(started.pop(gen))
-            # drop what no stage left to run reads
-            if not unfinished & {"repair", "fixrate", "newviol"}:
-                self._reports.clear()
-            if not unfinished & {"newviol", "sample"}:
-                self._sources = None
-            if "sample" not in unfinished:
-                self._new.clear()
-            if "report" not in unfinished:
-                self._new_summaries.clear()
-
-        def finish(gen: Generator, outcomes: list) -> None:
-            results, errors, seconds = zip(*outcomes)
-            record = self._rebuilds[started[gen]][2]
-            record["calls_s"] = round(record["calls_s"] + sum(seconds), 6)
-            error = next(filter(None, errors), None)
-            self._memo.clear()  # the tools may have written anywhere
-            resume(gen, None if error else list(results), error)
-
-        def take(item: tuple) -> None:
-            gen, i, outcome = item
-            running[gen][i] = outcome
-            if all(running[gen]):
-                finish(gen, running.pop(gen))
-
-        try:
-            while True:
-                # under --jobs 1 ended calls come first, so that the next tool stage
-                # can start; above 1 the ready stages start first, as they always did
-                if workers and self.jobs == 1:
-                    with suppress(Empty):
-                        while True:
-                            take(ended.get_nowait())
-                ready = [stage for stage in waiting if startable(stage)]
-                # a tool stage first, so that its calls are due before an in-process body begins
-                stage = next((stage for stage in ready if stage.name in tools), ready[0] if ready else None)
-                inline = not running and (self.jobs == 1 or (len(due) == 1 and len(due[0][1]) == 1))
-                if due and (stage.name not in tools if stage else not inline):
-                    if not workers:
-                        import threading
-                        from queue import Empty, SimpleQueue
-
-                        todo, ended = SimpleQueue(), SimpleQueue()
-
-                        def work() -> None:
-                            while (item := todo.get()) is not None:
-                                gen, i, call = item
-                                begun = time.perf_counter()
-                                try:
-                                    outcome = (call(), None)
-                                except BaseException as exc:  # raised on the main thread
-                                    outcome = (None, exc)
-                                ended.put((gen, i, (*outcome, time.perf_counter() - begun)))
-
-                        for _ in range(self.jobs):
-                            workers.append(threading.Thread(target=work, daemon=True))
-                            workers[-1].start()
-                    for gen, calls in due:
-                        running[gen] = [None] * len(calls)
-                        for i, call in enumerate(calls):
-                            todo.put((gen, i, call))
-                    due.clear()
-                if stage is not None:
-                    waiting.remove(stage)
-                    gen = self._run_stage(stage)
-                    started[gen] = stage.name
-                    resume(gen)
-                elif due:
-                    gen, calls = due.pop()
-                    outcomes = []
-                    for call in calls:
-                        begun = time.perf_counter()
-                        try:
-                            outcomes.append((call(), None, time.perf_counter() - begun))
-                        except Exception as exc:
-                            outcomes.append((None, exc, time.perf_counter() - begun))
-                            break
-                    finish(gen, outcomes)
-                elif running:
-                    take(ended.get())
-                else:
-                    break
-            if failure is not None:
-                raise failure
-        finally:
-            if workers:
-                with suppress(Empty):  # drop the calls not yet begun
-                    while True:
-                        todo.get_nowait()
-                for worker in workers:
-                    todo.put(None)
-                for worker in workers:
-                    worker.join(0.01)
-                    while worker.is_alive():
-                        # interrupted: adapters lead their own sessions, out of
-                        # reach of the terminal's SIGINT, so stop them
-                        for proc in list(_running_adapters):
-                            _kill_process_group(proc)
-                        worker.join(0.01)
-            for gen in started:
-                gen.close()  # its stage cleans up after itself
 
     def run(self, stages: Sequence[str] | None = None) -> dict[str, str]:
         """Execute the requested stages (all by default); the summary is in ``STAGES`` order."""
@@ -848,7 +895,13 @@ class PipelineRun:
         self.workspace.mkdir(parents=True, exist_ok=True)
         with _WorkspaceLock(self.workspace):
             self._load_state()
-            self._execute([stage for stage in STAGES if stage.name in requested])
+            self._pending = {stage.name: stage for stage in STAGES if stage.name in requested}
+            tasks = [
+                Task(stage.name, self._upstream(stage), inspect.isgeneratorfunction(stage.body),
+                     partial(self._run_stage, stage))
+                for stage in self._pending.values()
+            ]
+            schedule(tasks, self.jobs)
         return {name: self.summary[name] for name in STAGE_ORDER if name in self.summary}
 
 
@@ -911,7 +964,7 @@ def _analyzer_fingerprint(run: PipelineRun) -> str:
     return extra
 
 
-def _analyze(tree: str, state: StateLabel, out_csv: str, run: PipelineRun, stage_dir: Path) -> Iterator[list]:
+def _analyze(tree: str, state: StateLabel, handoff: Handoff, run: PipelineRun, stage_dir: Path) -> Iterator[list]:
     analyzer = run.config.adapters["analyzer"]
     [artifacts] = yield [partial(run_tool_adapter, analyzer, run.workspace / tree, stage_dir / "raw")]
     if analyzer.expected_artifacts:
@@ -923,17 +976,15 @@ def _analyze(tree: str, state: StateLabel, out_csv: str, run: PipelineRun, stage
     options = run.config.report_adapter_options
     report = parse_file(report_file, lambda data: parse_report(data, run.config.report_adapter, state, options))
     data = serialize_report(report).encode("utf-8")
-    out = run.workspace / out_csv
-    out.write_bytes(data)
+    (run.workspace / handoff.paths[0]).write_bytes(data)
     # a CSV re-read gives this same report back, so later stages need not parse
-    run._reports[os.path.abspath(out)] = (hashlib.sha256(data).digest(), report)
+    run._hand_off(handoff, report)
 
 
 def _repair(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
     repairer = run.config.adapters["repairer"]
-    sources, pre_csv, compilable_txt = run._at(_SOURCES, _PRE_CSV, _COMPILABLE)
-    pre = run._report(pre_csv, StateLabel.PRE_REPAIR)
-    violating = prepare_corpus_violating(_read_lines(compilable_txt), pre, run.profile)
+    sources, compilable_txt = run._at(_SOURCES, _COMPILABLE)
+    violating = prepare_corpus_violating(_read_lines(compilable_txt), run._parsed(_PRE_REPORT), run.profile)
     _write_lines(run.workspace / _VIOLATING, violating)
     input_dir, output_dir = run._at(*_TREES)
     _copy_files(sources, violating, input_dir)
@@ -962,25 +1013,23 @@ def _newviol(run: PipelineRun, stage_dir: Path) -> None:
     from . import newviol as newviol_mod
 
     pre, post = run._load_matched_reports()
-    sources = run._repair_sources()
+    sources = run._parsed(_PAIRS)
     verdicts = newviol_mod.detect_new_violations(pre, post, sources, run.config.normalization)
     newviol_mod.write_newviol(stage_dir, verdicts, newviol_mod.categorize_new(verdicts), sources)
     # a re-read gives these same rows back, so sample and report need not parse
     new = [vd.violation for vd in verdicts if vd.verdict is newviol_mod.VerdictKind.NEW]
-    key = os.path.abspath(run.workspace / _NEW_CSV)
-    sha = _memo_sha256(key, run._memo)
-    run._new[key] = (sha, new)
-    run._new_summaries[key] = (sha, newviol_mod.summarize_new(len(verdicts), new))
+    run._hand_off(_NEW, new)
+    run._hand_off(_NEW_SUMMARY, newviol_mod.summarize_new(len(verdicts), new))
 
 
 def _sample(run: PipelineRun, stage_dir: Path) -> None:
     from . import sampling as sampling_mod
 
-    new = run._new_violations()
+    new = run._parsed(_NEW)
     sample = sampling_mod.draw_sample(new, run.config.sampling, run.config.seed)
     # fragments come from the repaired code, so index sources that way
     sampling_mod.write_sample(
-        stage_dir / "sheet.csv", sample, len(new), run._repair_sources(),
+        stage_dir / "sheet.csv", sample, len(new), run._parsed(_PAIRS),
         stage_dir / "allocation.json",
     )
 
@@ -1026,23 +1075,26 @@ def _metrics(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
 STAGES = (
     Stage("prepare", _corpus, _fingerprint("compiler"), _prepare),
     Stage("analyze_pre", _under(_SOURCES), _analyzer_fingerprint,
-          partial(_analyze, _SOURCES, StateLabel.PRE_REPAIR, _PRE_CSV), "analyzer"),
+          partial(_analyze, _SOURCES, StateLabel.PRE_REPAIR, _PRE_REPORT), "analyzer"),
     Stage("repair", _under(_SOURCES, _PRE_CSV, _COMPILABLE),
-          lambda run: _fingerprint("repairer")(run) + "|" + run.profile.name, _repair, "repairer"),
+          lambda run: _fingerprint("repairer")(run) + "|" + run.profile.name, _repair, "repairer",
+          reads=(_PRE_REPORT,)),
     Stage("analyze_post", _under(_REPAIR_OUT), _analyzer_fingerprint,
-          partial(_analyze, _REPAIR_OUT, StateLabel.POST_REPAIR, _POST_CSV), "analyzer"),
-    Stage("fixrate", _under(*_MATCHED), lambda run: run.profile.name, _fixrate),
+          partial(_analyze, _REPAIR_OUT, StateLabel.POST_REPAIR, _POST_REPORT), "analyzer"),
+    Stage("fixrate", _under(*_MATCHED), lambda run: run.profile.name, _fixrate,
+          reads=(_PRE_REPORT, _POST_REPORT)),
     Stage("newviol", _under(*_MATCHED, *_TREES),
-          lambda run: run.profile.name + "|" + run.config.normalization.value, _newviol),
+          lambda run: run.profile.name + "|" + run.config.normalization.value, _newviol,
+          reads=(_PRE_REPORT, _POST_REPORT, _PAIRS)),
     Stage("sample", _under(_NEW_CSV, *_TREES),
           lambda run: json.dumps({**asdict(run.config.sampling), "seed": run.config.seed}, sort_keys=True),
-          _sample),
+          _sample, reads=(_NEW, _PAIRS)),
     Stage("semantic", _under(*_TREES), _fingerprint("test_runner", "compiler"), _semantic, "test_runner"),
     Stage("metrics", _under(*_TREES), _fingerprint("metric_extractor"), _metrics, "metric_extractor"),
     # the axes after fix rate are optional, so only those present are read
     Stage("report", _under(_FIXRATE_JSON), lambda run: "",
-          lambda run, stage_dir: emit_reports(run.workspace, run._new_summary),
-          optional=("newviol", "sample", "semantic", "metrics")),
+          lambda run, stage_dir: emit_reports(run.workspace, lambda path: run._parsed(_NEW_SUMMARY)),
+          optional=("newviol", "sample", "semantic", "metrics"), reads=(_NEW_SUMMARY,)),
 )
 
 STAGE_ORDER = tuple(stage.name for stage in STAGES)
@@ -1091,9 +1143,7 @@ def emit_reports(workspace: Path, summarize_newviol: Callable[[Path], dict] | No
 
     new_csv = workspace / _NEW_CSV
     if new_csv.is_file():
-        from .newviol import summarize_new_violations
-
-        summary["newviol"] = (summarize_newviol or summarize_new_violations)(new_csv)
+        summary["newviol"] = (summarize_newviol or _new_summary)(new_csv)
     else:
         summary["newviol"] = {"status": "skipped"}
 

@@ -150,6 +150,37 @@ class TestLoadConfig:
             PipelineRun(config, jobs=jobs)
         assert err.value.key_path == "jobs"
 
+    @pytest.mark.parametrize("key_path, edit", [
+        ("adapters.analyzer.expected_artifacts",
+         lambda doc: doc["adapters"]["analyzer"].update(expected_artifacts="violations.csv")),
+        ("adapters.analyzer.timeout", lambda doc: doc["adapters"]["analyzer"].update(timeout="abc")),
+        ("adapters.analyzer.timeout", lambda doc: doc["adapters"]["analyzer"].update(timeout=True)),
+        ("adapters.analyzer.timeout", lambda doc: doc["adapters"]["analyzer"].update(timeout=float("nan"))),
+        ("sampling.margin", lambda doc: doc.update(sampling={"margin": float("inf")})),
+        ("adapters.analyzer.command", lambda doc: doc["adapters"]["analyzer"].update(command=["a", "{input}"])),
+        ("jobs", lambda doc: doc.update(jobs="two")),
+        ("jobs", lambda doc: doc.update(jobs=2.0)),
+        ("seed", lambda doc: doc.update(seed=1.7)),
+        ("sampling", lambda doc: doc.update(sampling=[0.9])),
+        ("sampling.confidence", lambda doc: doc.update(sampling={"confidence": "x"})),
+        ("report_adapter_options", lambda doc: doc.update(report_adapter_options=[1, 2])),
+        ("corpus_dir", lambda doc: doc.update(corpus_dir=3)),
+        ("workspace_dir", lambda doc: doc.update(workspace_dir=None)),
+        ("profile", lambda doc: doc.update(profile=30)),
+    ])
+    def test_wrongly_typed_value_rejected(self, tmp_path, capsys, key_path, edit):
+        (tmp_path / "corpus").mkdir()
+        path = write_config(tmp_path / "c.json", sampling={"confidence": 0.9, "margin": 1}, seed=3, jobs=2)
+        load_config(path)  # an int is a number too
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.key_path == key_path
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key_path}")
+
     def test_template_without_input_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             ToolAdapter(name="analyzer", command_template="tool --fast")
@@ -571,7 +602,7 @@ class TestDigestPaths:
         run = PipelineRun(cfg)
         summary = run.run()
         assert summary["newviol"] == summary["sample"] == "ran"
-        assert run._sources is None
+        assert run._handoffs == {}  # the sources too
         originals = _rglob_files(repair / "input")
         expected = set(originals)
         for path in originals:
@@ -636,7 +667,7 @@ class TestReportsParsedOnce:
         _, run, summary, parses = parsed_run
         assert set(summary.values()) == {"ran"}
         assert parses == 2
-        assert run._reports == {}  # dropped after newviol
+        assert run._handoffs == {}  # the reports too
 
     def test_rerun_reading_from_disk_is_byte_identical(self, parsed_run, monkeypatch):
         cfg, _, _, _ = parsed_run
@@ -706,21 +737,20 @@ class TestNewViolationsParsedOnce:
     def test_cold_run_hands_the_newviol_rows_on(self, tmp_path, monkeypatch):
         cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
         handed = []
+        parsed = PipelineRun._parsed
 
-        def spying(read):
-            def spy(self, *args):
-                handed.append(read(self, *args))
-                return handed[-1]
+        def spy(self, handoff):
+            value = parsed(self, handoff)
+            if handoff in (pipeline._NEW, pipeline._NEW_SUMMARY):
+                handed.append(value)
+            return value
 
-            return spy
-
-        monkeypatch.setattr(PipelineRun, "_new_violations", spying(PipelineRun._new_violations))
-        monkeypatch.setattr(PipelineRun, "_new_summary", spying(PipelineRun._new_summary))
+        monkeypatch.setattr(PipelineRun, "_parsed", spy)
         loads = _count_new_loads(monkeypatch)
         run = PipelineRun(cfg)
         run.run()
         assert loads == []  # sample and report take what newviol wrote
-        assert run._new == run._new_summaries == {}  # dropped once sample, then report, is done
+        assert run._handoffs == {}  # the NEW rows and the summary too
         path = cfg.workspace_dir / "newviol" / "new_violations.csv"
         assert handed == [newviol_mod.read_new_violations(path), newviol_mod.summarize_new_violations(path)]
         assert handed[0]
@@ -740,11 +770,48 @@ class TestNewViolationsParsedOnce:
         run_pipeline(cfg)
         path = cfg.workspace_dir / "newviol" / "new_violations.csv"
         run = PipelineRun(cfg)
-        stale = hashlib.sha256(b"other bytes").digest()
-        run._new[os.path.abspath(path)] = (stale, [])
-        run._new_summaries[os.path.abspath(path)] = (stale, {})
-        assert run._new_violations() == newviol_mod.read_new_violations(path)
-        assert run._new_summary(path) == newviol_mod.summarize_new_violations(path)
+        stale = hashlib.sha256(b"other bytes").hexdigest()
+        run._handoffs[pipeline._NEW] = (stale, [])
+        run._handoffs[pipeline._NEW_SUMMARY] = (stale, {})
+        assert run._parsed(pipeline._NEW) == newviol_mod.read_new_violations(path)
+        assert run._parsed(pipeline._NEW_SUMMARY) == newviol_mod.summarize_new_violations(path)
+
+
+#: each hand-off, the stages it is kept for, and those that find it seeded on a cold run
+HANDOFF_READERS = {
+    "pre report": (pipeline._PRE_REPORT, {"repair", "fixrate", "newviol"}, {"repair", "fixrate", "newviol"}),
+    "post report": (pipeline._POST_REPORT, {"repair", "fixrate", "newviol"}, {"fixrate", "newviol"}),
+    "sources": (pipeline._PAIRS, {"newviol", "sample"}, {"sample"}),
+    "NEW rows": (pipeline._NEW, {"sample"}, {"sample"}),
+    "newviol summary": (pipeline._NEW_SUMMARY, {"report"}, {"report"}),
+}
+
+
+class TestHandoffLifetimes:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_entry_lives_until_its_last_reader_is_done(self, tmp_path, monkeypatch, jobs):
+        cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
+        events: list[tuple[str, str, set]] = []  # (start or end, stage, hand-offs kept then)
+        run_stage = PipelineRun._run_stage
+
+        def spy(self, stage):
+            events.append(("start", stage.name, set(self._handoffs)))
+            yield from run_stage(self, stage)
+            events.append(("end", stage.name, set(self._handoffs)))
+
+        monkeypatch.setattr(PipelineRun, "_run_stage", spy)
+        run = PipelineRun(cfg, jobs=jobs)
+        assert set(run.run().values()) == {"ran"}
+        assert run._handoffs == {}
+        for label, (handoff, readers, seeded) in HANDOFF_READERS.items():
+            kept = [handoff in held for _, _, held in events]
+            last = max(i for i, (kind, name, _) in enumerate(events) if kind == "end" and name in readers)
+            first = kept.index(True)
+            # kept from its first appearance until the last reader ends, and never again
+            assert kept == [first <= i < last for i in range(len(events))], label
+            for kind, name, held in events:
+                if kind == "start" and name in seeded:
+                    assert handoff in held, (label, name)
 
 
 #: the stages that read ``repair/output``, and ``fixrate`` and ``report`` after them
