@@ -17,13 +17,18 @@ otherwise produces spurious "new" verdicts.
 
 from __future__ import annotations
 
+import csv
+import hashlib
+import json
+import os
+import stat
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MalformedInputError, MissingSourceError, SpanOutOfBoundsError
 # NormalizationPolicy is defined beside the report types, so that a config can
@@ -36,6 +41,7 @@ from .violations import (
     ViolationType,
     csv_writer,
     decode_input,
+    normalize_path,
     parse_file,
     read_csv_table,
     table_text,
@@ -61,6 +67,52 @@ class SourcePair:
     @property
     def repaired_deleted(self) -> bool:
         return len(self.repaired_lines) == 0
+
+
+class SourceTrees(Mapping):
+    """The SourcePair of each of ``files`` in an original tree, read from it
+    and from the repaired tree when first looked up."""
+
+    def __init__(self, original_dir: Path, repaired_dir: Path, files: Iterable[str]):
+        self.original_dir, self.repaired_dir = original_dir, repaired_dir
+        self.files = dict.fromkeys(files)
+        self._pairs: dict[str, SourcePair] = {}
+
+    def original(self, rel: str) -> str | None:
+        """The path of ``rel`` in the original tree, if it is one of its files."""
+        return os.path.join(self.original_dir, rel) if rel in self.files else None
+
+    def repaired(self, rel: str) -> str:
+        return os.path.join(self.repaired_dir, rel)
+
+    def __getitem__(self, rel: str) -> SourcePair:
+        pair = self._pairs.get(rel)
+        if pair is None:
+            if rel not in self.files:
+                raise KeyError(rel)
+            original = Path(self.original(rel)).read_text(encoding="utf-8")
+            repaired = self.repaired(rel)
+            text = Path(repaired).read_text(encoding="utf-8") if os.path.isfile(repaired) else ""
+            pair = self._pairs[rel] = SourcePair.from_texts(rel, original, text)
+        return pair
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.files)
+
+    def __len__(self) -> int:
+        return len(self.files)
+
+    def deleted(self) -> list[str]:
+        """The files whose pair is ``repaired_deleted`` (the repaired file is
+        absent or empty), sorted, found without reading any."""
+        def empty(rel: str) -> bool:
+            try:
+                st = os.stat(self.repaired(rel))
+            except OSError:
+                return True
+            return not stat.S_ISREG(st.st_mode) or st.st_size == 0
+
+        return sorted(filter(empty, self.files))
 
 
 @dataclass(frozen=True)
@@ -212,15 +264,17 @@ class NewViolationBreakdown:
 
 def categorize_new(verdicts: Iterable[NewViolationVerdict]) -> NewViolationBreakdown:
     """Aggregate NEW verdicts into the 3x3 type/severity matrix and rule list."""
+    return tally_new(vd.violation for vd in verdicts if vd.verdict is VerdictKind.NEW)
+
+
+def tally_new(new: Iterable[Violation]) -> NewViolationBreakdown:
+    """The breakdown of the NEW violations ``new``."""
     matrix: dict[tuple[ViolationType, Severity], int] = {
         (t, s): 0 for t in ViolationType for s in Severity
     }
     by_rule: Counter[str] = Counter()
     total = 0
-    for verdict in verdicts:
-        if verdict.verdict is not VerdictKind.NEW:
-            continue
-        v = verdict.violation
+    for v in new:
         matrix[(v.vtype, v.severity)] += 1
         by_rule[v.rule] += 1
         total += 1
@@ -248,16 +302,36 @@ def write_newviol(
 ) -> None:
     """Write ``new_violations.csv``, ``new_matrix.csv``, ``new_frequency.csv`` and ``notes.txt``."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    with (out_dir / "new_violations.csv").open("w", encoding="utf-8", newline="") as fh:
+    write_verdicts(out_dir / "new_violations.csv", verdict_rows(verdicts))
+    write_breakdown(out_dir, breakdown, sorted(p.file_id for p in sources.values() if p.repaired_deleted))
+
+
+def verdict_rows(verdicts: Iterable[NewViolationVerdict]) -> Iterator[tuple[list, Violation | None]]:
+    """Each verdict's ``new_violations.csv`` row, with its violation when NEW."""
+    for vd in verdicts:
+        v = vd.violation
+        row = [v.file_id, v.rule, v.vtype.value, v.severity.value, v.start_line, v.end_line,
+               v.message, vd.verdict.value, "" if vd.evidence is None else vd.evidence]
+        yield row, v if vd.verdict is VerdictKind.NEW else None
+
+
+def write_verdicts(path: Path, rows: Iterable[tuple[list, Violation | None]]) -> tuple[int, list[Violation]]:
+    """Write ``new_violations.csv`` from the rows of :func:`verdict_rows`, taken
+    one at a time; the number of rows and the NEW violations, in order."""
+    count, new = 0, []
+    with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv_writer(fh)
         writer.writerow(NEW_VIOLATIONS_HEADER)
-        for vd in verdicts:
-            v = vd.violation
-            writer.writerow(
-                [v.file_id, v.rule, v.vtype.value, v.severity.value, v.start_line,
-                 v.end_line, v.message, vd.verdict.value,
-                 "" if vd.evidence is None else vd.evidence]
-            )
+        for row, v in rows:
+            writer.writerow(row)
+            count += 1
+            if v is not None:
+                new.append(v)
+    return count, new
+
+
+def write_breakdown(out_dir: Path, breakdown: NewViolationBreakdown, deleted: Iterable[str]) -> None:
+    """Write ``new_matrix.csv``, ``new_frequency.csv`` and ``notes.txt``, which names the ``deleted`` files."""
     cells = sorted(breakdown.matrix.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value))
     (out_dir / "new_matrix.csv").write_text(
         table_text(("type", "severity", "count"), ((t.value, s.value, n) for (t, s), n in cells)),
@@ -266,24 +340,28 @@ def write_newviol(
     (out_dir / "new_frequency.csv").write_text(
         table_text(("rule", "count"), breakdown.rule_frequency), encoding="utf-8"
     )
-    deleted = sorted(p.file_id for p in sources.values() if p.repaired_deleted)
     (out_dir / "notes.txt").write_text(
         "".join(f"FileDeleted: {rel}\n" for rel in deleted), encoding="utf-8"
     )
 
 
-def _new_rows(data: bytes) -> tuple[int, list[tuple[int, dict[str, str]]]]:
+def _new_violation(row: list[str]) -> Violation:
+    file_id, rule, vtype, severity, start_line, end_line, message = row[:7]
+    return Violation(file_id=file_id, rule=rule, vtype=ViolationType(vtype), severity=Severity(severity),
+                     start_line=int(start_line), end_line=int(end_line), message=message)
+
+
+def _new_rows(data: bytes) -> tuple[int, list[tuple[int, list[str]]]]:
     """The number of rows in a ``new_violations.csv`` and its NEW rows, each with the line it starts on."""
     text = decode_input(data)
     if not text:
         raise MalformedInputError("empty file: expected a header row", 1)
     rows = 0
-    new: list[tuple[int, dict[str, str]]] = []
+    new: list[tuple[int, list[str]]] = []
     for line, fields in read_csv_table(text, NEW_VIOLATIONS_HEADER):
         rows += 1
-        row = dict(zip(NEW_VIOLATIONS_HEADER, fields))
-        if row["verdict"] == VerdictKind.NEW.value:
-            new.append((line, row))
+        if fields[7] == VerdictKind.NEW.value:
+            new.append((line, fields))
     return rows, new
 
 
@@ -296,20 +374,48 @@ def _load_new(path: Path) -> tuple[int, list[Violation]]:
     violations: list[Violation] = []
     for line, row in new:
         try:
-            violations.append(
-                Violation(
-                    file_id=row["file"],
-                    rule=row["rule"],
-                    vtype=ViolationType(row["type"]),
-                    severity=Severity(row["severity"]),
-                    start_line=int(row["start_line"]),
-                    end_line=int(row["end_line"]),
-                    message=row["message"],
-                )
-            )
+            violations.append(_new_violation(row))
         except ValueError as exc:
             raise MalformedInputError(f"{path}: {exc}", line) from None
     return rows, violations
+
+
+def finding_digests(path: Path, files: Collection[str] | None = None) -> dict[str, bytes]:
+    """A digest of the header and each file's rows in the native CSV report
+    in ``path``, by canonical file id, for every file or those in ``files``:
+    the findings part of the per-file keys that new-violation verdicts are
+    reused by.
+
+    The file is read one row at a time. No violation is built and no field
+    checked: a malformed row changes its file's digest, so reading that
+    file's findings raises.
+    """
+    digests: dict[str, bytes] = {}
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MalformedInputError(f"{path}: empty stream: expected a header row", 1)
+            header = json.dumps(header).encode()
+            # canonical reports hold each file's rows together: one group per
+            # file, and a file's later groups are chained onto its digest
+            for file_id, group in groupby(filter(None, reader), itemgetter(0)):
+                file_id = normalize_path(file_id)
+                if files is None or file_id in files:
+                    rows = json.dumps(list(group)).encode()
+                    digests[file_id] = hashlib.sha256(digests.get(file_id, header) + rows).digest()
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise MalformedInputError(f"{path}: {exc}", reader.line_num) from None
+    return digests
+
+
+def read_verdict_rows(path: Path, files: Collection[str]) -> Iterator[tuple[list, Violation | None]]:
+    """The rows of a ``new_violations.csv`` written by :func:`write_verdicts`
+    whose file is in ``files``, in file order, parsed one at a time."""
+    for _, row in read_csv_table(decode_input(path.read_bytes()), NEW_VIOLATIONS_HEADER):
+        if row[0] in files:
+            yield row, _new_violation(row) if row[7] == VerdictKind.NEW.value else None
 
 
 def read_new_violations(path: Path) -> list[Violation]:

@@ -39,7 +39,7 @@ from contextlib import closing, suppress
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Collection, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AdapterFailureError,
@@ -68,7 +68,7 @@ from .violations import (
 if TYPE_CHECKING:
     import subprocess
 
-    from .newviol import SourcePair
+    from .newviol import SourcePair, SourceTrees
 
 ROLES = ("analyzer", "repairer", "test_runner", "metric_extractor", "compiler")
 
@@ -370,7 +370,7 @@ def _file_sha256(path: str) -> bytes:
     h = hashlib.sha256()
     fd = os.open(path, os.O_RDONLY)
     try:
-        while chunk := os.read(fd, 1 << 20):
+        while chunk := os.read(fd, 1 << 16):
             h.update(chunk)
     finally:
         os.close(fd)
@@ -444,16 +444,11 @@ class _WorkspaceLock:
         return False
 
 
-def load_sources(original_dir: Path, repaired_dir: Path) -> dict[str, SourcePair]:
-    """Build SourcePairs for every file present in the original tree."""
-    from .newviol import SourcePair
+def load_sources(original_dir: Path, repaired_dir: Path) -> SourceTrees:
+    """SourcePairs for every file present in the original tree, each read when first looked up."""
+    from .newviol import SourceTrees
 
-    pairs: dict[str, SourcePair] = {}
-    for rel, path in _walk_files(str(original_dir)):
-        repaired_path = repaired_dir / rel
-        repaired_text = repaired_path.read_text(encoding="utf-8") if repaired_path.is_file() else ""
-        pairs[rel] = SourcePair.from_texts(rel, Path(path).read_text(encoding="utf-8"), repaired_text)
-    return pairs
+    return SourceTrees(original_dir, repaired_dir, [rel for rel, _ in _walk_files(str(original_dir))])
 
 
 # --- the scheduler ------------------------------------------------------------
@@ -611,6 +606,9 @@ def schedule(tasks: Sequence[Task], jobs: int, runner: Callable[[int], CallRunne
 
 # --- the run itself -----------------------------------------------------------
 
+#: hex digits of a file's key in the ``newviol`` record
+_KEY_LEN = 16
+
 #: workspace paths read by a stage other than the one that writes them
 _SOURCES = "prepare/sources"
 _COMPILABLE = "prepare/compilable.txt"
@@ -696,7 +694,8 @@ class PipelineRun:
         self._handoffs: dict[Handoff, tuple[str, object]] = {}
         # the stages of this run not yet done, by name
         self._pending: dict[str, Stage] = {}
-        # stage being rebuilt -> (old directory, old steps, new record), for _step
+        # stage being rebuilt -> (its old directory, the record of the build
+        # there if it may be reused from or else {}, its new record)
         self._rebuilds: dict[str, tuple[Path, dict, dict]] = {}
 
     def _at(self, *rels: str) -> list[Path]:
@@ -786,7 +785,7 @@ class PipelineRun:
             self._forget(stage_dir)
             record = {"input_digest": digest, "started": time.time(), "calls_s": 0.0}
             reusable = not self.force and previous is not None and previous.get("status") == "ok"
-            self._rebuilds[name] = (prev_dir, previous.get("steps", {}) if reusable else {}, record)
+            self._rebuilds[name] = (prev_dir, previous if reusable else {}, record)
             try:
                 body = stage.body(self, stage_dir)
                 if isinstance(body, Generator):
@@ -800,8 +799,8 @@ class PipelineRun:
                             error = next(filter(None, errors), None)
                             batch = body.throw(error) if error else body.send(list(results))
                 for sub, step in record.get("steps", {}).items():
-                    if "output_digest" not in step:  # its adapter ran in this build
-                        step["output_digest"] = digest_paths([stage_dir / sub])
+                    if "output_digest" not in step:  # built in this build
+                        step["output_digest"] = _digest_paths([stage_dir / sub], "", self._memo)
             except Exception as exc:
                 record.update(status="failed", error=str(exc), finished=time.time())
                 self.state["stages"][name] = record
@@ -835,24 +834,31 @@ class PipelineRun:
         for key in stale:
             del self._memo[key]
 
-    def _step(self, stage_dir: Path, sub: str, adapter: ToolAdapter, input_dir: Path) -> list[Callable[[], object]]:
-        """The adapter call that builds ``stage_dir/sub`` from ``input_dir``; none
-        when the stage's last ``ok`` build recorded the same key (input tree plus
-        adapter fingerprint) and its copy still has the recorded output digest,
-        which is then moved in. ``--force`` reuses nothing."""
-        prev_dir, old_steps, record = self._rebuilds[stage_dir.name]
-        key = _digest_paths([input_dir], _adapter_fingerprint(adapter), self._memo)
-        old, old_dir = old_steps.get(sub, {}), prev_dir / sub
+    def _reused(self, stage_dir: Path, sub: str, key: str) -> bool:
+        """Whether ``stage_dir/sub``, a file or tree built from inputs of digest
+        ``key``, was moved in: it is when the stage's last ``ok`` build recorded
+        the same key and its copy still has the recorded output digest.
+        ``--force`` reuses nothing."""
+        prev_dir, old, record = self._rebuilds[stage_dir.name]
+        old_step, old_path = old.get("steps", {}).get(sub, {}), prev_dir / sub
         steps = record.setdefault("steps", {})
         if (
-            old.get("input_digest") == key
-            and old_dir.is_dir()
-            and digest_paths([old_dir]) == old.get("output_digest")
+            old_step.get("input_digest") == key
+            and old_path.exists()
+            and digest_paths([old_path]) == old_step.get("output_digest")
         ):
-            os.replace(old_dir, stage_dir / sub)
-            steps[sub] = old
-            return []
+            os.replace(old_path, stage_dir / sub)
+            steps[sub] = old_step
+            return True
         steps[sub] = {"input_digest": key}
+        return False
+
+    def _step(self, stage_dir: Path, sub: str, adapter: ToolAdapter, input_dir: Path) -> list[Callable[[], object]]:
+        """The adapter call that builds ``stage_dir/sub`` from ``input_dir``, or
+        none when :meth:`_reused` moves in the old one, keyed by the input tree
+        and the adapter fingerprint."""
+        if self._reused(stage_dir, sub, _digest_paths([input_dir], _adapter_fingerprint(adapter), self._memo)):
+            return []
         return [partial(run_tool_adapter, adapter, input_dir, stage_dir / sub)]
 
     def _hand_off(self, handoff: Handoff, value: object) -> None:
@@ -873,12 +879,17 @@ class PipelineRun:
             entry = self._handoffs[handoff] = (digest, handoff.load(*paths))
         return entry[1]
 
-    def _load_matched_reports(self) -> tuple[ViolationReport, ViolationReport]:
-        """Pre report restricted to the repaired files, plus the post report."""
+    def _findings(self, handoff: Handoff, files: Collection[str]) -> ViolationReport:
+        """The findings in ``files`` of a report hand-off: taken from it if its
+        CSV still has the digest it had then, or else from that CSV's rows of
+        those files alone."""
         from .fixrate import restrict_to_files
 
-        pre = restrict_to_files(self._parsed(_PRE_REPORT), _read_lines(self.workspace / _VIOLATING))
-        return pre, self._parsed(_POST_REPORT)
+        paths = self._at(*handoff.paths)
+        entry = self._handoffs.get(handoff)
+        if entry is not None and entry[0] == _digest_paths(paths, "", self._memo):
+            return restrict_to_files(entry[1], files)
+        return handoff.load(*paths, files=files)
 
     def _upstream(self, stage: Stage) -> set[str]:
         """The stages whose directory holds an input of ``stage``, present or not."""
@@ -895,6 +906,7 @@ class PipelineRun:
         self.workspace.mkdir(parents=True, exist_ok=True)
         with _WorkspaceLock(self.workspace):
             self._load_state()
+            self.summary = {}
             self._pending = {stage.name: stage for stage in STAGES if stage.name in requested}
             tasks = [
                 Task(stage.name, self._upstream(stage), inspect.isgeneratorfunction(stage.body),
@@ -973,10 +985,13 @@ def _analyze(tree: str, state: StateLabel, handoff: Handoff, run: PipelineRun, s
         report_file = stage_dir / "raw" / artifacts[0]
     else:
         raise MissingArtifactError(analyzer.name, "<analysis report>")
+    csv_path = run.workspace / handoff.paths[0]
+    # the same raw report, read the same way, gives the same CSV: move the old one in
+    if run._reused(stage_dir, csv_path.name, _digest_paths([report_file], _analyzer_fingerprint(run), run._memo)):
+        return
     options = run.config.report_adapter_options
     report = parse_file(report_file, lambda data: parse_report(data, run.config.report_adapter, state, options))
-    data = serialize_report(report).encode("utf-8")
-    (run.workspace / handoff.paths[0]).write_bytes(data)
+    csv_path.write_bytes(serialize_report(report).encode("utf-8"))
     # a CSV re-read gives this same report back, so later stages need not parse
     run._hand_off(handoff, report)
 
@@ -1003,23 +1018,73 @@ def _repair(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
 def _fixrate(run: PipelineRun, stage_dir: Path) -> None:
     from . import fixrate as fixrate_mod
 
-    pre, post = run._load_matched_reports()
+    pre = fixrate_mod.restrict_to_files(run._parsed(_PRE_REPORT), _read_lines(run.workspace / _VIOLATING))
+    post = run._parsed(_POST_REPORT)
     outcome = fixrate_mod.match_violations(pre, post)
     table = fixrate_mod.compute_fix_rates(outcome, run.profile)
     fixrate_mod.write_fixrate(stage_dir, outcome, fixrate_mod.summarize_fix_rate(table))
 
 
+def _newviol_fingerprint(run: PipelineRun) -> str:
+    return run.profile.name + "|" + run.config.normalization.value
+
+
 def _newviol(run: PipelineRun, stage_dir: Path) -> None:
+    """Judge the post findings of each file whose inputs changed since the
+    last build, and take the other files' rows from that build. A file's
+    verdicts depend only on its original and repaired bytes and its own pre
+    (if sent to repair) and post findings; the record keeps a short key of
+    these per file."""
+    import heapq
+
     from . import newviol as newviol_mod
 
-    pre, post = run._load_matched_reports()
-    sources = run._parsed(_PAIRS)
-    verdicts = newviol_mod.detect_new_violations(pre, post, sources, run.config.normalization)
-    newviol_mod.write_newviol(stage_dir, verdicts, newviol_mod.categorize_new(verdicts), sources)
+    trees = run._parsed(_PAIRS)
+    post_rows = newviol_mod.finding_digests(run.workspace / _POST_CSV)
+    violating = set(_read_lines(run.workspace / _VIOLATING))
+    pre_rows = newviol_mod.finding_digests(run.workspace / _PRE_CSV, violating & post_rows.keys())
+    fingerprint = hashlib.sha256(_newviol_fingerprint(run).encode())
+    absent = bytes(32)  # in place of a 32-byte digest
+
+    def key(file_id: str, post: bytes) -> str:
+        original, repaired = trees.original(file_id), trees.repaired(file_id)
+        h = fingerprint.copy()
+        # each part a digest, so only the file id is of varying length
+        h.update(b"".join((
+            absent if original is None else _memo_sha256(original, run._memo),
+            _memo_sha256(repaired, run._memo) if original and os.path.isfile(repaired) else absent,
+            pre_rows.get(file_id, absent),
+            post,
+        )))
+        h.update(file_id.encode())
+        return h.hexdigest()[:_KEY_LEN]
+
+    keys = {file_id: key(file_id, post) for file_id, post in post_rows.items()}
+    prev_dir, old, record = run._rebuilds["newviol"]
+    old_keys = old.get("files", "")
+    if old_keys and not (prev_dir.is_dir() and digest_paths([prev_dir]) == old.get("output_digest")):
+        old_keys = ""  # the old rows were changed by hand
+    old_keys = {old_keys[i : i + _KEY_LEN] for i in range(0, len(old_keys), _KEY_LEN)}
+    kept = {file_id for file_id, k in keys.items() if k in old_keys}
+    changed = keys.keys() - kept
+    verdicts = []
+    if changed:
+        pre, post = run._findings(_PRE_REPORT, changed & violating), run._findings(_POST_REPORT, changed)
+        # the changed files' sources, read in one go before any is judged:
+        # reads between the judging left freed memory in pieces, and peak RSS rose
+        sources = {file_id: trees[file_id] for file_id in sorted(changed) if file_id in trees.files}
+        verdicts = newviol_mod.detect_new_violations(pre, post, sources, run.config.normalization)
+    rows = newviol_mod.verdict_rows(verdicts)
+    if kept:
+        # both in canonical order, which groups the rows by file
+        old_rows = newviol_mod.read_verdict_rows(prev_dir / "new_violations.csv", kept)
+        rows = heapq.merge(old_rows, rows, key=lambda item: item[0][0])
+    count, new = newviol_mod.write_verdicts(stage_dir / "new_violations.csv", rows)
+    newviol_mod.write_breakdown(stage_dir, newviol_mod.tally_new(new), trees.deleted())
+    record["files"] = "".join(sorted(keys.values()))
     # a re-read gives these same rows back, so sample and report need not parse
-    new = [vd.violation for vd in verdicts if vd.verdict is newviol_mod.VerdictKind.NEW]
     run._hand_off(_NEW, new)
-    run._hand_off(_NEW_SUMMARY, newviol_mod.summarize_new(len(verdicts), new))
+    run._hand_off(_NEW_SUMMARY, newviol_mod.summarize_new(count, new))
 
 
 def _sample(run: PipelineRun, stage_dir: Path) -> None:
@@ -1083,8 +1148,7 @@ STAGES = (
           partial(_analyze, _REPAIR_OUT, StateLabel.POST_REPAIR, _POST_REPORT), "analyzer"),
     Stage("fixrate", _under(*_MATCHED), lambda run: run.profile.name, _fixrate,
           reads=(_PRE_REPORT, _POST_REPORT)),
-    Stage("newviol", _under(*_MATCHED, *_TREES),
-          lambda run: run.profile.name + "|" + run.config.normalization.value, _newviol,
+    Stage("newviol", _under(*_MATCHED, *_TREES), _newviol_fingerprint, _newviol,
           reads=(_PRE_REPORT, _POST_REPORT, _PAIRS)),
     Stage("sample", _under(_NEW_CSV, *_TREES),
           lambda run: json.dumps({**asdict(run.config.sampling), "seed": run.config.seed}, sort_keys=True),

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -118,12 +119,15 @@ def classify_compile_error(diagnostic: str) -> CompileErrorMatch:
 # --- ingestion ----------------------------------------------------------------
 
 
+#: each status by its name in a result file
+_STATUSES = {status.value: status for status in TestStatus}
+
+
 def _parse_results_csv(text: str) -> Iterable[TestOutcome]:
     for line, (test_id, target_file, status_raw, failure_kind) in read_csv_table(text, RESULTS_CSV_HEADER):
-        try:
-            status = TestStatus(status_raw.strip().lower())
-        except ValueError:
-            raise MalformedInputError(f"unknown status {status_raw!r}", line) from None
+        status = _STATUSES.get(status_raw.strip().lower())
+        if status is None:
+            raise MalformedInputError(f"unknown status {status_raw!r}", line)
         try:
             yield TestOutcome(
                 test_id=test_id,
@@ -141,7 +145,7 @@ def ingest_test_results(raw: bytes | str | IO) -> list[TestOutcome]:
     Output is sorted by test id; a duplicated test id is malformed input
     because the pre/post diff needs one outcome per test per state.
     """
-    outcomes = sorted(_parse_results_csv(decode_input(raw)), key=lambda o: o.test_id)
+    outcomes = sorted(_parse_results_csv(decode_input(raw)), key=attrgetter("test_id"))
     for a, b in zip(outcomes, outcomes[1:]):
         if a.test_id == b.test_id:
             raise MalformedInputError(f"duplicate test id {a.test_id!r}")

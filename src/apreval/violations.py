@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .errors import (
     ConfigError,
@@ -272,28 +272,37 @@ def _check_csv_field(text: str, what: str) -> None:
         raise MalformedInputError(f"{what} holds a field longer than {limit} characters")
 
 
-def _csv_adapter(text: str, options: Mapping) -> Iterable[Violation]:
+def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The rows of a native CSV report, each with the line it starts on."""
     if "\0" in text:  # see _check_csv_field
         raise MalformedInputError("report contains a NUL character")
     if not text:
         raise MalformedInputError("empty stream: expected a header row", 1)
-    for line, row in read_csv_table(text, CSV_HEADER):
-        for name, value in zip(CSV_HEADER[:-1], row):  # every field but the message
-            if not value.strip():
-                raise MissingRequiredFieldError(name, line)
-        file_id, rule, vtype, severity, start_line, end_line, message = row
-        try:
-            yield Violation(
-                file_id=_file_id(file_id, "file", line),
-                rule=rule.strip(),
-                vtype=_parse_vtype(vtype, line),
-                severity=_parse_severity(severity, line),
-                start_line=_parse_line_no(start_line, "start_line", line),
-                end_line=_parse_line_no(end_line, "end_line", line),
-                message=message,
-            )
-        except ValueError as exc:
-            raise MalformedInputError(str(exc), line) from None
+    return read_csv_table(text, CSV_HEADER)
+
+
+def _csv_violation(line: int, row: list[str]) -> Violation:
+    for name, value in zip(CSV_HEADER[:-1], row):  # every field but the message
+        if not value.strip():
+            raise MissingRequiredFieldError(name, line)
+    file_id, rule, vtype, severity, start_line, end_line, message = row
+    try:
+        return Violation(
+            file_id=_file_id(file_id, "file", line),
+            rule=rule.strip(),
+            vtype=_parse_vtype(vtype, line),
+            severity=_parse_severity(severity, line),
+            start_line=_parse_line_no(start_line, "start_line", line),
+            end_line=_parse_line_no(end_line, "end_line", line),
+            message=message,
+        )
+    except ValueError as exc:
+        raise MalformedInputError(str(exc), line) from None
+
+
+def _csv_adapter(text: str, options: Mapping) -> Iterable[Violation]:
+    for line, row in _csv_rows(text):
+        yield _csv_violation(line, row)
 
 
 def load_data_json(name: str) -> dict:
@@ -391,9 +400,19 @@ def parse_report(
     return normalize_report(ViolationReport(state=state, entries=entries))
 
 
-def read_report(path: Path, state: StateLabel) -> ViolationReport:
-    """The native CSV report in ``path``; a ``MalformedInputError`` names the file."""
-    return parse_file(path, lambda data: parse_report(data, "csv", state))
+def read_report(path: Path, state: StateLabel, files: Collection[str] | None = None) -> ViolationReport:
+    """The native CSV report in ``path``, or only its findings in ``files``
+    (canonical file ids), built from those rows alone; a
+    ``MalformedInputError`` names the file."""
+    if files is None:
+        return parse_file(path, lambda data: parse_report(data, "csv", state))
+
+    def pick(data: bytes) -> ViolationReport:
+        rows = _csv_rows(decode_input(data))
+        entries = tuple(_csv_violation(line, row) for line, row in rows if normalize_path(row[0]) in files)
+        return normalize_report(ViolationReport(state=state, entries=entries))
+
+    return parse_file(path, pick)
 
 
 def json_text(obj) -> str:

@@ -11,9 +11,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apreval import minicorpus, pipeline, violations
 from apreval import newviol as newviol_mod
+from apreval import sampling as sampling_mod
 from apreval import semantic as semantic_mod
 from apreval.cli import main
 from apreval.errors import (
@@ -389,6 +392,11 @@ class TestMiniCorpusRun:
         summary = run_pipeline(cfg, stages=["fixrate", "report"])
         assert set(summary) == {"fixrate", "report"}
 
+    def test_each_run_reports_only_its_own_stages(self, tmp_path):
+        run = PipelineRun(load_config(minicorpus.materialize(tmp_path, seed=17)))
+        assert run.run(["prepare", "analyze_pre"]) == {"prepare": "ran", "analyze_pre": "ran"}
+        assert run.run(["repair"]) == {"repair": "ran"}
+
     def test_jobs_parallelism_gives_same_outputs(self, mini_run, tmp_path):
         _, cfg, _ = mini_run
         config2 = minicorpus.materialize(tmp_path, seed=17)
@@ -586,7 +594,9 @@ class TestDigestPaths:
         assert set(hashed.values()) == {1}
 
     def test_cold_run_reads_each_source_once(self, tmp_path, monkeypatch):
-        # newviol and sample share one load of repair/input and repair/output
+        # newviol and sample share one load of each source pair they need:
+        # those of the files with post-repair findings, which the sample is
+        # drawn from; no other source file is read
         cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
         repair = cfg.workspace_dir / "repair"
         trees = {repair / "input", repair / "output"}
@@ -603,13 +613,19 @@ class TestDigestPaths:
         summary = run.run()
         assert summary["newviol"] == summary["sample"] == "ran"
         assert run._handoffs == {}  # the sources too
-        originals = _rglob_files(repair / "input")
-        expected = set(originals)
-        for path in originals:
-            repaired = repair / "output" / path.relative_to(repair / "input")
-            if repaired.is_file():
-                expected.add(repaired)
+        post = violations.read_report(cfg.workspace_dir / "analyze_post" / "post_violations.csv",
+                                      StateLabel.POST_REPAIR)
+        needed = {v.file_id for v in post.entries}
+        sheet = (cfg.workspace_dir / "sample" / "sheet.csv").read_bytes().decode("utf-8")
+        sampled = {row[1] for _, row in violations.read_csv_table(sheet, sampling_mod.SHEET_HEADER)}
+        assert sampled and sampled <= needed
+        expected = set()
+        for rel in needed:
+            expected.add(repair / "input" / rel)
+            if (repair / "output" / rel).is_file():
+                expected.add(repair / "output" / rel)
         assert set(read) == expected
+        assert len(expected) < len(_rglob_files(repair))
         assert set(read.values()) == {1}
 
 
@@ -965,6 +981,167 @@ class TestSubStepReuse:
         assert "semantic/baseline_raw" in outputs
         assert not (cfg.workspace_dir / ".semantic.prev").exists()
         assert _workspace_bytes(cfg) == edited_reference
+
+
+def _post_files(cfg) -> set[str]:
+    post = violations.read_report(cfg.workspace_dir / "analyze_post" / "post_violations.csv", StateLabel.POST_REPAIR)
+    return {v.file_id for v in post.entries}
+
+
+def _spy_judged(monkeypatch) -> list[set[str]]:
+    """Record the files of the post findings each ``detect_new_violations`` call judges."""
+    judged: list[set[str]] = []
+    detect = newviol_mod.detect_new_violations
+
+    def spy(pre, post, sources, normalization):
+        judged.append({v.file_id for v in post.entries})
+        return detect(pre, post, sources, normalization)
+
+    monkeypatch.setattr(newviol_mod, "detect_new_violations", spy)
+    return judged
+
+
+#: the stages that judge the post findings and sample them, with the analysis they read
+JUDGING_STAGES = ["analyze_post", "fixrate", "newviol", "sample"]
+JUDGED_OUTPUTS = ("newviol/new_violations.csv", "newviol/new_matrix.csv", "newviol/new_frequency.csv",
+                  "newviol/notes.txt", "sample/sheet.csv", "sample/allocation.json")
+
+#: a line the stub analyzer reports
+_FINDING_LINE = "    int added = 0; // @viol:S1481:CodeSmell:Low added by an edit"
+
+
+def _edit_lines(path: Path, kind: str, a: int, b: int) -> None:
+    """Insert a blank or a finding line at ``a``, or move line ``a`` to ``b``."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    if kind == "moved" and len(lines) > 1:
+        lines.insert(b % len(lines), lines.pop(a % len(lines)))
+    elif kind != "moved":
+        lines.insert(a % (len(lines) + 1), " " * (1 + b % 3) + "\n" if kind == "whitespace" else _FINDING_LINE + "\n")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+class TestEditCutoffs:
+    """An edited rerun judges only the files whose inputs changed, and parses
+    no analyzer report whose raw bytes did not change."""
+
+    def test_neutral_edit_judges_only_the_edited_file(self, reuse_root, tmp_path, monkeypatch, edited_reference):
+        cfg = _copy_run(reuse_root, tmp_path)
+        _neutral_edit(cfg)
+        parses = _count_parses(monkeypatch)
+        built: list[str] = []  # the file of each violation built from a report row
+        csv_violation = violations._csv_violation
+        monkeypatch.setattr(violations, "_csv_violation", lambda line, row: built.append(row[0]) or csv_violation(line, row))
+        pairs: list[str] = []
+        from_texts = newviol_mod.SourcePair.from_texts.__func__
+        monkeypatch.setattr(newviol_mod.SourcePair, "from_texts",
+                            classmethod(lambda cls, rel, *texts: pairs.append(rel) or from_texts(cls, rel, *texts)))
+        judged = _spy_judged(monkeypatch)
+        loaded_by_newviol: list[list[str]] = []
+        detect = newviol_mod.detect_new_violations
+        monkeypatch.setattr(newviol_mod, "detect_new_violations",
+                            lambda *args: loaded_by_newviol.append(list(pairs)) or detect(*args))
+        summary = run_pipeline(cfg)
+        assert summary["analyze_post"] == summary["newviol"] == summary["sample"] == "ran"
+        assert parses == []  # analyze_post moved its old CSV in; fixrate is cached
+        assert judged == [{"EventBus.java"}]
+        assert loaded_by_newviol == [["EventBus.java"]]
+        ws = cfg.workspace_dir
+        rows = [
+            row for name in ("analyze_pre/pre_violations.csv", "analyze_post/post_violations.csv")
+            for _, row in violations.read_csv_table((ws / name).read_text(encoding="utf-8"), violations.CSV_HEADER)
+            if row[0] == "EventBus.java"
+        ]
+        # the other files' NEW rows become violations too, for the sample, as
+        # a re-read of new_violations.csv would make them; no report row does
+        assert built == ["EventBus.java"] * len(rows)
+        sheet = (ws / "sample" / "sheet.csv").read_text(encoding="utf-8")
+        sampled = {row[1] for _, row in violations.read_csv_table(sheet, sampling_mod.SHEET_HEADER)}
+        assert sorted(pairs) == sorted(sampled | {"EventBus.java"})  # sample loads what it draws from
+        assert _workspace_bytes(cfg) == edited_reference
+        state = json.loads((ws / "state.json").read_text(encoding="utf-8"))
+        assert len(state["stages"]["newviol"]["files"]) == 16 * len(_post_files(cfg))
+
+    def test_force_reuses_nothing(self, reuse_root, tmp_path, monkeypatch):
+        cfg = _copy_run(reuse_root, tmp_path)
+        before = _workspace_bytes(cfg, logs=True)
+        parses = _count_parses(monkeypatch)
+        judged = _spy_judged(monkeypatch)
+        assert set(run_pipeline(cfg, force=True).values()) == {"ran"}
+        assert len(parses) == 2  # each analyze stage parses its raw report
+        assert judged == [_post_files(cfg)]
+        assert _workspace_bytes(cfg, logs=True) == before
+
+    def test_changed_adapter_options_parse_again(self, reuse_root, tmp_path, monkeypatch):
+        cfg = _copy_run(reuse_root, tmp_path)
+        before = _workspace_bytes(cfg)
+        # the native CSV adapter takes no options, so only the fingerprint changes
+        cfg = _edit_config(cfg.workspace_dir.parent / "config.json",
+                           lambda doc: doc.update(report_adapter_options={"unused": True}))
+        parses = _count_parses(monkeypatch)
+        summary = run_pipeline(cfg)
+        assert summary["analyze_pre"] == summary["analyze_post"] == "ran"
+        assert len(parses) == 2
+        assert _workspace_bytes(cfg) == before
+
+    @pytest.mark.parametrize("report, finding", [
+        # a pre finding added at the key of a NEW one makes it a key match; the
+        # row goes at the end, apart from the file's other pre rows
+        ("analyze_pre/pre_violations.csv", "AccountStore.java,S115,CodeSmell,High,5,5,constant renamed by tool"),
+        # a post finding dropped takes its row away; the file keeps another
+        ("analyze_post/post_violations.csv", "UtilityBox.java,S1106,CodeSmell,Low,2,2,brace placement of injected constructor"),
+    ])
+    def test_finding_edit_rejudges_its_file(self, reuse_root, tmp_path, monkeypatch, report, finding):
+        cfg = _copy_run(reuse_root, tmp_path)
+        path = cfg.workspace_dir / report
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        if report.startswith("analyze_pre"):
+            lines.append(finding + "\n")
+        else:
+            lines.remove(finding + "\n")
+        path.write_text("".join(lines), encoding="utf-8")
+        judged = _spy_judged(monkeypatch)
+        summary = run_pipeline(cfg, stages=JUDGING_STAGES)
+        assert summary["analyze_post"] == "cached" and summary["newviol"] == "ran"
+        assert judged == [{finding.split(",")[0]}]  # the file's sources and other findings are unchanged
+        incremental = {name: (cfg.workspace_dir / name).read_bytes() for name in JUDGED_OUTPUTS}
+        rows = incremental["newviol/new_violations.csv"].decode("utf-8").splitlines()
+        assert [row for row in rows if row.startswith(finding)] == (
+            [finding + ",not_new_key_match,5"] if report.startswith("analyze_pre") else [])
+        run_pipeline(cfg, stages=["fixrate", "newviol", "sample"], force=True)
+        assert {name: (cfg.workspace_dir / name).read_bytes() for name in JUDGED_OUTPUTS} == incremental
+
+    @pytest.mark.parametrize("edited", ["analyze_post/post_violations.csv", "newviol/new_violations.csv"])
+    def test_hand_edited_output_is_not_reused(self, reuse_root, tmp_path, monkeypatch, edited_reference, edited):
+        # a stage's own output, edited by hand: the record's output digest
+        # notices, so the edited rerun builds it afresh
+        cfg = _copy_run(reuse_root, tmp_path)
+        path = cfg.workspace_dir / edited
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if ",CodeSmell," in line and not line.startswith("EventBus"))
+        lines[row] = lines[row].replace(",CodeSmell,", ",Bug,")
+        path.write_text("".join(lines), encoding="utf-8")
+        _neutral_edit(cfg)
+        parses = _count_parses(monkeypatch)
+        judged = _spy_judged(monkeypatch)
+        run_pipeline(cfg)
+        assert len(parses) == (edited.startswith("analyze_post") and 1)
+        assert judged == [_post_files(cfg) if edited.startswith("newviol") else {"EventBus.java"}]
+        assert _workspace_bytes(cfg) == edited_reference
+
+    @settings(max_examples=10, deadline=None)
+    @given(edits=st.lists(st.tuples(st.sampled_from(["whitespace", "moved", "finding"]),
+                                    st.integers(0, 999), st.integers(0, 999), st.integers(0, 999)),
+                          min_size=1, max_size=2))
+    def test_edited_reruns_match_a_fresh_judgement(self, reuse_root, tmp_path_factory, edits):
+        cfg = _copy_run(reuse_root, tmp_path_factory.mktemp("edits"))
+        output = cfg.workspace_dir / "repair" / "output"
+        files = sorted(output.rglob("*.java"))
+        for kind, which, a, b in edits:
+            _edit_lines(files[which % len(files)], kind, a, b)
+            run_pipeline(cfg, stages=JUDGING_STAGES)
+        incremental = {name: (cfg.workspace_dir / name).read_bytes() for name in JUDGED_OUTPUTS}
+        assert set(run_pipeline(cfg, stages=JUDGING_STAGES, force=True).values()) == {"ran"}
+        assert {name: (cfg.workspace_dir / name).read_bytes() for name in JUDGED_OUTPUTS} == incremental
 
 
 class TestPerRuleRepair:
