@@ -86,17 +86,16 @@ def _cmd_newviol(args: argparse.Namespace) -> int:
     pre = restrict_to_files(pre, sources)
     policy = NormalizationPolicy(args.normalize)
     verdicts = newviol_mod.detect_new_violations(pre, post, sources, policy)
-    breakdown = newviol_mod.categorize_new(verdicts)
-    newviol_mod.write_newviol(Path(args.out), verdicts, breakdown, sources)
-    print(f"{len(verdicts)} post-repair violations, {breakdown.total_new} classified new")
+    rows, new = newviol_mod.write_newviol(Path(args.out), newviol_mod.verdict_rows(verdicts), sources.deleted())
+    print(f"{rows} post-repair violations, {len(new)} classified new")
     return EXIT_OK
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     from . import sampling as sampling_mod
-    from .newviol import read_new_violations
+    from .newviol import load_new
 
-    new = read_new_violations(Path(args.new_violations))
+    new = load_new(Path(args.new_violations))[1]
     params = SamplingParams(confidence=args.confidence, margin=args.margin)
     sample = sampling_mod.draw_sample(new, params, args.seed)
     sources = load_sources(Path(args.original), Path(args.repaired))

@@ -17,16 +17,13 @@ otherwise produces spurious "new" verdicts.
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
 import os
 import stat
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -41,8 +38,6 @@ from .violations import (
     ViolationType,
     csv_writer,
     decode_input,
-    normalize_path,
-    parse_file,
     read_csv_table,
     table_text,
 )
@@ -295,31 +290,16 @@ NEW_VIOLATIONS_HEADER = (
 
 
 def write_newviol(
-    out_dir: Path,
-    verdicts: Sequence[NewViolationVerdict],
-    breakdown: NewViolationBreakdown,
-    sources: Mapping[str, SourcePair],
-) -> None:
-    """Write ``new_violations.csv``, ``new_matrix.csv``, ``new_frequency.csv`` and ``notes.txt``."""
+    out_dir: Path, rows: Iterable[tuple[list, Violation | None]], deleted: Iterable[str]
+) -> tuple[int, list[Violation]]:
+    """Write ``new_violations.csv`` from ``rows``, those of :func:`verdict_rows`
+    or :func:`read_verdict_rows` taken one at a time, then ``new_matrix.csv``
+    and ``new_frequency.csv`` from their NEW violations and ``notes.txt``,
+    which names the ``deleted`` files; the number of rows and the NEW
+    violations, in order, as :func:`load_new` reads them back."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_verdicts(out_dir / "new_violations.csv", verdict_rows(verdicts))
-    write_breakdown(out_dir, breakdown, sorted(p.file_id for p in sources.values() if p.repaired_deleted))
-
-
-def verdict_rows(verdicts: Iterable[NewViolationVerdict]) -> Iterator[tuple[list, Violation | None]]:
-    """Each verdict's ``new_violations.csv`` row, with its violation when NEW."""
-    for vd in verdicts:
-        v = vd.violation
-        row = [v.file_id, v.rule, v.vtype.value, v.severity.value, v.start_line, v.end_line,
-               v.message, vd.verdict.value, "" if vd.evidence is None else vd.evidence]
-        yield row, v if vd.verdict is VerdictKind.NEW else None
-
-
-def write_verdicts(path: Path, rows: Iterable[tuple[list, Violation | None]]) -> tuple[int, list[Violation]]:
-    """Write ``new_violations.csv`` from the rows of :func:`verdict_rows`, taken
-    one at a time; the number of rows and the NEW violations, in order."""
     count, new = 0, []
-    with path.open("w", encoding="utf-8", newline="") as fh:
+    with (out_dir / "new_violations.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv_writer(fh)
         writer.writerow(NEW_VIOLATIONS_HEADER)
         for row, v in rows:
@@ -327,11 +307,7 @@ def write_verdicts(path: Path, rows: Iterable[tuple[list, Violation | None]]) ->
             count += 1
             if v is not None:
                 new.append(v)
-    return count, new
-
-
-def write_breakdown(out_dir: Path, breakdown: NewViolationBreakdown, deleted: Iterable[str]) -> None:
-    """Write ``new_matrix.csv``, ``new_frequency.csv`` and ``notes.txt``, which names the ``deleted`` files."""
+    breakdown = tally_new(new)
     cells = sorted(breakdown.matrix.items(), key=lambda kv: (kv[0][0].value, kv[0][1].value))
     (out_dir / "new_matrix.csv").write_text(
         table_text(("type", "severity", "count"), ((t.value, s.value, n) for (t, s), n in cells)),
@@ -343,84 +319,54 @@ def write_breakdown(out_dir: Path, breakdown: NewViolationBreakdown, deleted: It
     (out_dir / "notes.txt").write_text(
         "".join(f"FileDeleted: {rel}\n" for rel in deleted), encoding="utf-8"
     )
+    return count, new
 
 
-def _new_violation(row: list[str]) -> Violation:
-    file_id, rule, vtype, severity, start_line, end_line, message = row[:7]
-    return Violation(file_id=file_id, rule=rule, vtype=ViolationType(vtype), severity=Severity(severity),
-                     start_line=int(start_line), end_line=int(end_line), message=message)
+def verdict_rows(verdicts: Iterable[NewViolationVerdict]) -> Iterator[tuple[list, Violation | None]]:
+    """Each verdict's ``new_violations.csv`` row, with its violation when NEW."""
+    for vd in verdicts:
+        v = vd.violation
+        row = [v.file_id, v.rule, v.vtype.value, v.severity.value, v.start_line, v.end_line,
+               v.message, vd.verdict.value, "" if vd.evidence is None else vd.evidence]
+        yield row, v if vd.verdict is VerdictKind.NEW else None
 
 
-def _new_rows(data: bytes) -> tuple[int, list[tuple[int, list[str]]]]:
-    """The number of rows in a ``new_violations.csv`` and its NEW rows, each with the line it starts on."""
-    text = decode_input(data)
-    if not text:
-        raise MalformedInputError("empty file: expected a header row", 1)
-    rows = 0
-    new: list[tuple[int, list[str]]] = []
-    for line, fields in read_csv_table(text, NEW_VIOLATIONS_HEADER):
-        rows += 1
-        if fields[7] == VerdictKind.NEW.value:
-            new.append((line, fields))
-    return rows, new
+def read_verdict_rows(
+    path: Path, files: Collection[str] | None = None
+) -> Iterator[tuple[list, Violation | None]]:
+    """The rows of a ``new_violations.csv``, or those whose file is in
+    ``files``, in file order, parsed one at a time, each with its violation
+    when NEW.
 
-
-def _load_new(path: Path) -> tuple[int, list[Violation]]:
-    """The number of rows of a ``new_violations.csv`` and its NEW violations, in file order.
-
-    A wrong header, a short or long row or a bad value raises ``MalformedInputError``.
+    An empty file, one that is not UTF-8, a wrong header, a short or long row
+    or a bad value raises ``MalformedInputError`` naming ``path`` and the line
+    the row starts on.
     """
-    rows, new = parse_file(path, _new_rows)
-    violations: list[Violation] = []
-    for line, row in new:
-        try:
-            violations.append(_new_violation(row))
-        except ValueError as exc:
-            raise MalformedInputError(f"{path}: {exc}", line) from None
-    return rows, violations
+    try:
+        text = decode_input(path.read_bytes())
+        if not text:
+            raise MalformedInputError("empty file: expected a header row", 1)
+        for line, row in read_csv_table(text, NEW_VIOLATIONS_HEADER):
+            if files is None or row[0] in files:
+                file_id, rule, vtype, severity, start_line, end_line, message, verdict, _ = row
+                yield row, Violation(
+                    file_id=file_id, rule=rule, vtype=ViolationType(vtype), severity=Severity(severity),
+                    start_line=int(start_line), end_line=int(end_line), message=message,
+                ) if verdict == VerdictKind.NEW.value else None
+    except MalformedInputError as exc:
+        raise MalformedInputError(f"{path}: {exc.message}", exc.line) from None
+    except ValueError as exc:  # a bad value in a NEW row
+        raise MalformedInputError(f"{path}: {exc}", line) from None
 
 
-def finding_digests(path: Path, files: Collection[str] | None = None) -> dict[str, bytes]:
-    """A digest of the header and each file's rows in the native CSV report
-    in ``path``, by canonical file id, for every file or those in ``files``:
-    the findings part of the per-file keys that new-violation verdicts are
-    reused by.
-
-    The file is read one row at a time. No violation is built and no field
-    checked: a malformed row changes its file's digest, so reading that
-    file's findings raises.
-    """
-    digests: dict[str, bytes] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise MalformedInputError(f"{path}: empty stream: expected a header row", 1)
-            header = json.dumps(header).encode()
-            # canonical reports hold each file's rows together: one group per
-            # file, and a file's later groups are chained onto its digest
-            for file_id, group in groupby(filter(None, reader), itemgetter(0)):
-                file_id = normalize_path(file_id)
-                if files is None or file_id in files:
-                    rows = json.dumps(list(group)).encode()
-                    digests[file_id] = hashlib.sha256(digests.get(file_id, header) + rows).digest()
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise MalformedInputError(f"{path}: {exc}", reader.line_num) from None
-    return digests
-
-
-def read_verdict_rows(path: Path, files: Collection[str]) -> Iterator[tuple[list, Violation | None]]:
-    """The rows of a ``new_violations.csv`` written by :func:`write_verdicts`
-    whose file is in ``files``, in file order, parsed one at a time."""
-    for _, row in read_csv_table(decode_input(path.read_bytes()), NEW_VIOLATIONS_HEADER):
-        if row[0] in files:
-            yield row, _new_violation(row) if row[7] == VerdictKind.NEW.value else None
-
-
-def read_new_violations(path: Path) -> list[Violation]:
-    """The NEW violations of a ``new_violations.csv``, in file order."""
-    return _load_new(path)[1]
+def load_new(path: Path) -> tuple[int, list[Violation]]:
+    """The number of rows of a ``new_violations.csv`` and its NEW violations, in file order."""
+    count, new = 0, []
+    for _, v in read_verdict_rows(path):
+        count += 1
+        if v is not None:
+            new.append(v)
+    return count, new
 
 
 def summarize_new(rows: int, new: Sequence[Violation]) -> dict:
@@ -431,8 +377,3 @@ def summarize_new(rows: int, new: Sequence[Violation]) -> dict:
         "matrix": dict(Counter(f"{v.vtype.value}/{v.severity.value}" for v in new)),
         "top_rules": list(_by_frequency(Counter(v.rule for v in new))),
     }
-
-
-def summarize_new_violations(path: Path) -> dict:
-    """The ``newviol`` section of ``summary.json``, read back from ``new_violations.csv``."""
-    return summarize_new(*_load_new(path))

@@ -52,11 +52,13 @@ from .errors import (
     WorkspaceLockedError,
 )
 from .violations import (
+    ADAPTERS,
     NormalizationPolicy,
     RuleProfile,
     StateLabel,
     Violation,
     ViolationReport,
+    finding_digests,
     get_profile,
     json_text,
     parse_file,
@@ -68,7 +70,7 @@ from .violations import (
 if TYPE_CHECKING:
     import subprocess
 
-    from .newviol import SourcePair, SourceTrees
+    from .newviol import SourceTrees
 
 ROLES = ("analyzer", "repairer", "test_runner", "metric_extractor", "compiler")
 
@@ -205,6 +207,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     jobs = _typed(doc, "jobs", int, 1)
     if jobs < 1:
         raise ConfigError("jobs", "must be at least 1")
+    report_adapter = _typed(doc, "report_adapter", str, "csv")
+    if report_adapter not in ADAPTERS:
+        raise ConfigError("report_adapter", f"must be one of {sorted(ADAPTERS)}")
     base = path.parent
     return PipelineConfig(
         corpus_dir=(base / _typed(doc, "corpus_dir", str, None)).resolve(),
@@ -215,7 +220,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         seed=_typed(doc, "seed", int, 0),
         jobs=jobs,
         normalization=normalization,
-        report_adapter=_typed(doc, "report_adapter", str, "csv"),
+        report_adapter=report_adapter,
         report_adapter_options=dict(_typed(doc, "report_adapter_options", dict, {})),
     )
 
@@ -629,23 +634,16 @@ class Handoff(NamedTuple):
     load: Callable[..., object]
 
 
-def _new_rows(path: Path) -> list[Violation]:
-    from .newviol import read_new_violations
+def _load_new(path: Path) -> tuple[int, list[Violation]]:
+    from .newviol import load_new
 
-    return read_new_violations(path)
-
-
-def _new_summary(path: Path) -> dict:
-    from .newviol import summarize_new_violations
-
-    return summarize_new_violations(path)
+    return load_new(path)
 
 
 _PRE_REPORT = Handoff((_PRE_CSV,), partial(read_report, state=StateLabel.PRE_REPAIR))
 _POST_REPORT = Handoff((_POST_CSV,), partial(read_report, state=StateLabel.POST_REPAIR))
 _PAIRS = Handoff(_TREES, load_sources)  # the SourcePairs of the repair stage's input and output
-_NEW = Handoff((_NEW_CSV,), _new_rows)  # its NEW violations
-_NEW_SUMMARY = Handoff((_NEW_CSV,), _new_summary)  # its section of summary.json
+_NEW = Handoff((_NEW_CSV,), _load_new)  # its number of rows and NEW violations
 
 
 class Stage(NamedTuple):
@@ -1040,9 +1038,9 @@ def _newviol(run: PipelineRun, stage_dir: Path) -> None:
     from . import newviol as newviol_mod
 
     trees = run._parsed(_PAIRS)
-    post_rows = newviol_mod.finding_digests(run.workspace / _POST_CSV)
+    post_rows = finding_digests(run.workspace / _POST_CSV)
     violating = set(_read_lines(run.workspace / _VIOLATING))
-    pre_rows = newviol_mod.finding_digests(run.workspace / _PRE_CSV, violating & post_rows.keys())
+    pre_rows = finding_digests(run.workspace / _PRE_CSV, violating & post_rows.keys())
     fingerprint = hashlib.sha256(_newviol_fingerprint(run).encode())
     absent = bytes(32)  # in place of a 32-byte digest
 
@@ -1079,18 +1077,15 @@ def _newviol(run: PipelineRun, stage_dir: Path) -> None:
         # both in canonical order, which groups the rows by file
         old_rows = newviol_mod.read_verdict_rows(prev_dir / "new_violations.csv", kept)
         rows = heapq.merge(old_rows, rows, key=lambda item: item[0][0])
-    count, new = newviol_mod.write_verdicts(stage_dir / "new_violations.csv", rows)
-    newviol_mod.write_breakdown(stage_dir, newviol_mod.tally_new(new), trees.deleted())
     record["files"] = "".join(sorted(keys.values()))
     # a re-read gives these same rows back, so sample and report need not parse
-    run._hand_off(_NEW, new)
-    run._hand_off(_NEW_SUMMARY, newviol_mod.summarize_new(count, new))
+    run._hand_off(_NEW, newviol_mod.write_newviol(stage_dir, rows, trees.deleted()))
 
 
 def _sample(run: PipelineRun, stage_dir: Path) -> None:
     from . import sampling as sampling_mod
 
-    new = run._parsed(_NEW)
+    new = run._parsed(_NEW)[1]
     sample = sampling_mod.draw_sample(new, run.config.sampling, run.config.seed)
     # fragments come from the repaired code, so index sources that way
     sampling_mod.write_sample(
@@ -1157,8 +1152,8 @@ STAGES = (
     Stage("metrics", _under(*_TREES), _fingerprint("metric_extractor"), _metrics, "metric_extractor"),
     # the axes after fix rate are optional, so only those present are read
     Stage("report", _under(_FIXRATE_JSON), lambda run: "",
-          lambda run, stage_dir: emit_reports(run.workspace, lambda path: run._parsed(_NEW_SUMMARY)),
-          optional=("newviol", "sample", "semantic", "metrics"), reads=(_NEW_SUMMARY,)),
+          lambda run, stage_dir: emit_reports(run.workspace, lambda path: run._parsed(_NEW)),
+          optional=("newviol", "sample", "semantic", "metrics"), reads=(_NEW,)),
 )
 
 STAGE_ORDER = tuple(stage.name for stage in STAGES)
@@ -1186,13 +1181,15 @@ _REPORT_CSVS = {
 }
 
 
-def emit_reports(workspace: Path, summarize_newviol: Callable[[Path], dict] | None = None) -> dict:
+def emit_reports(
+    workspace: Path, load_newviol: Callable[[Path], tuple[int, list[Violation]]] | None = None
+) -> dict:
     """Merge all axis outputs into ``report/summary.json`` plus CSV copies.
 
     The fix-rate axis is required (it is the baseline every other analysis
     builds on); the other axes are marked skipped when their stage outputs
-    are absent. ``summarize_newviol`` gives the ``newviol`` section for a
-    ``new_violations.csv`` (by default ``newviol.summarize_new_violations``).
+    are absent. ``load_newviol`` gives the number of rows and the NEW
+    violations of a ``new_violations.csv`` (by default ``newviol.load_new``).
     Output depends only on the stage outputs, so identical workspaces
     produce byte-identical reports.
     """
@@ -1207,7 +1204,9 @@ def emit_reports(workspace: Path, summarize_newviol: Callable[[Path], dict] | No
 
     new_csv = workspace / _NEW_CSV
     if new_csv.is_file():
-        summary["newviol"] = (summarize_newviol or _new_summary)(new_csv)
+        from .newviol import summarize_new
+
+        summary["newviol"] = summarize_new(*(load_newviol or _load_new)(new_csv))
     else:
         summary["newviol"] = {"status": "skipped"}
 

@@ -11,12 +11,15 @@ deterministic. The identity used by matching is the four-field key
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import re
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
@@ -413,6 +416,36 @@ def read_report(path: Path, state: StateLabel, files: Collection[str] | None = N
         return normalize_report(ViolationReport(state=state, entries=entries))
 
     return parse_file(path, pick)
+
+
+def finding_digests(path: Path, files: Collection[str] | None = None) -> dict[str, bytes]:
+    """A digest of the header and each file's rows in the native CSV report
+    in ``path``, by canonical file id, for every file or those in ``files``:
+    the findings part of the per-file keys that new-violation verdicts are
+    reused by.
+
+    The file is read one row at a time. No violation is built and no field
+    checked: a malformed row changes its file's digest, so reading that
+    file's findings raises.
+    """
+    digests: dict[str, bytes] = {}
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise MalformedInputError(f"{path}: empty stream: expected a header row", 1)
+            header = json.dumps(header).encode()
+            # canonical reports hold each file's rows together: one group per
+            # file, and a file's later groups are chained onto its digest
+            for file_id, group in groupby(filter(None, reader), itemgetter(0)):
+                file_id = normalize_path(file_id)
+                if files is None or file_id in files:
+                    rows = json.dumps(list(group)).encode()
+                    digests[file_id] = hashlib.sha256(digests.get(file_id, header) + rows).digest()
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise MalformedInputError(f"{path}: {exc}", reader.line_num) from None
+    return digests
 
 
 def json_text(obj) -> str:

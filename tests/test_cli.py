@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +68,17 @@ class TestRun:
         config = minicorpus.materialize(tmp_path, seed=17)
         assert main(["run", "--config", str(config), "--jobs", jobs]) == 1
         assert capsys.readouterr().err == "config error: jobs: must be at least 1\n"
+        assert not (tmp_path / "workspace" / "state.json").exists()
+
+    def test_unknown_report_adapter_is_usage_error(self, tmp_path, capsys):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc["report_adapter"] = "nope"
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: report_adapter: must be one of ['analyzer-json', 'csv']\n"
+        )
         assert not (tmp_path / "workspace" / "state.json").exists()
 
     def test_malformed_analyzer_report_names_its_file(self, tmp_path, capsys):
@@ -418,6 +430,25 @@ class TestStageParity:
     @pytest.mark.parametrize("stage", ["fixrate", "newviol", "semantic", "metrics"])
     def test_out_dir_matches_stage_dir(self, mini, tmp_path, stage):
         self._assert_out_dir_matches(mini / "workspace", tmp_path / stage, stage)
+
+    def test_newviol_reads_each_judged_source_once(self, mini, tmp_path, monkeypatch):
+        # only files with post findings are judged; notes.txt needs no source read
+        ws = mini / "workspace"
+        trees = [ws / "repair" / "input", ws / "repair" / "output"]
+        reads = []
+        read_text = Path.read_text
+
+        def spy(self, *args, **kwargs):
+            if any(self.is_relative_to(tree) for tree in trees):
+                reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", spy)
+        args = [str(a) for a in _axis_args(ws)["newviol"]]
+        assert main(["newviol", *args, "--out", str(tmp_path / "newviol")]) == 0
+        with (ws / "analyze_post" / "post_violations.csv").open(encoding="utf-8", newline="") as fh:
+            judged = {row["file"] for row in csv.DictReader(fh)}
+        assert sorted(reads) == sorted(tree / rel for rel in judged for tree in trees if (tree / rel).is_file())
 
     def test_pre_findings_outside_the_repaired_files_are_left_out(self, tmp_path):
         # a pre finding in a file that was not sent to repair

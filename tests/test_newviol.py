@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from apreval.errors import MalformedInputError, MissingSourceError, SpanOutOfBoundsError
 from apreval.newviol import (
@@ -15,9 +17,10 @@ from apreval.newviol import (
     NEW_VIOLATIONS_HEADER,
     NewViolationVerdict,
     _LineIndex,
-    read_new_violations,
+    load_new,
+    read_verdict_rows,
     summarize_new,
-    summarize_new_violations,
+    verdict_rows,
     write_newviol,
 )
 from apreval.violations import Severity, StateLabel, ViolationType
@@ -465,6 +468,26 @@ class TestCategorize:
         assert breakdown.rule_frequency == (("S1106", 2), ("S103", 1), ("S2164", 1))
 
 
+#: pieces of the messages written to ``new_violations.csv``: the CSV's
+#: delimiter, quote and every line break, and padding
+MESSAGE_PIECES = ["plain", ",", '"', "\n", "\r\n", "\r", " ", "é"]
+
+
+@st.composite
+def verdict_lists(draw):
+    """Verdicts over up to four files, with messages built from ``MESSAGE_PIECES``."""
+    verdicts = []
+    for file_no in draw(st.lists(st.integers(0, 3), max_size=12)):
+        message = "".join(draw(st.lists(st.sampled_from(MESSAGE_PIECES), max_size=6)))
+        start = draw(st.integers(1, 50))
+        v = mkviol(f"F{file_no}.java", draw(st.sampled_from(["S1118", "S2164", "S103"])),
+                   start, start + draw(st.integers(0, 3)), vtype=draw(st.sampled_from(list(ViolationType))),
+                   severity=draw(st.sampled_from(list(Severity))), message=message)
+        kind = draw(st.sampled_from(list(VerdictKind)))
+        verdicts.append(NewViolationVerdict(v, kind, evidence=None if kind is VerdictKind.NEW else start))
+    return verdicts
+
+
 class TestReadNewViolations:
     @pytest.mark.parametrize("rows, line", [
         # a quoted two-line message on the bad row itself
@@ -480,10 +503,12 @@ class TestReadNewViolations:
         path = tmp_path / "new_violations.csv"
         path.write_text(",".join(NEW_VIOLATIONS_HEADER) + "\n" + rows, encoding="utf-8", newline="")
         with pytest.raises(MalformedInputError) as err:
-            read_new_violations(path)
+            load_new(path)
         assert err.value.line == line
 
-    @pytest.mark.parametrize("reader", [read_new_violations, summarize_new_violations])
+    # the reuse path reads only some files' rows, and still refuses a bad one
+    @pytest.mark.parametrize("reader", [load_new, lambda path: list(read_verdict_rows(path, {"A.java"}))],
+                             ids=["load_new", "read_verdict_rows"])
     def test_short_row_is_refused(self, tmp_path, reader):
         path = tmp_path / "new_violations.csv"
         path.write_text(
@@ -495,26 +520,46 @@ class TestReadNewViolations:
         assert err.value.line == 3
         assert str(err.value) == f"{path}: expected 9 fields, got 2 (line 3)"
 
-    def test_written_rows_read_back_as_the_new_verdicts(self, tmp_path):
-        # the pipeline hands these rows from newviol to sample and report
-        # instead of re-reading the file, so both must agree
-        messages = ["plain", 'a, "quoted" one', "two\nlines", "cr\r\nlf", "bare\rcr", " padded "]
-        verdicts = [
+    @settings(max_examples=60, deadline=None)
+    @given(verdicts=verdict_lists(), files=st.sets(st.sampled_from([f"F{i}.java" for i in range(4)])))
+    @example(
+        verdicts=[
             NewViolationVerdict(mkviol(f"F{i}.java", "S1118", i + 1, message=message),
                                 VerdictKind.NEW if i % 3 else VerdictKind.NOT_NEW_FRAGMENT_FOUND,
                                 evidence=None if i % 3 else 1)
-            for i, message in enumerate(messages)
-        ]
-        write_newviol(tmp_path, verdicts, categorize_new(verdicts), {})
+            for i, message in enumerate(["plain", 'a, "quoted" one', "two\nlines", "cr\r\nlf", "bare\rcr",
+                                         " padded "])
+        ],
+        files={"F1.java", "F4.java"},
+    )
+    def test_written_rows_read_back_as_the_new_verdicts(self, tmp_path_factory, verdicts, files):
+        # the pipeline hands what newviol wrote on to sample and report, and
+        # reuses the rows of unchanged files, instead of re-reading the file:
+        # each must agree with a re-read
+        out = tmp_path_factory.mktemp("newviol")
+        path = out / "new_violations.csv"
+        written = write_newviol(out, verdict_rows(verdicts), [])
         new = [vd.violation for vd in verdicts if vd.verdict is VerdictKind.NEW]
-        path = tmp_path / "new_violations.csv"
-        assert read_new_violations(path) == new
-        assert summarize_new(len(verdicts), new) == summarize_new_violations(path) == {
-            "post_violations": 6, "total_new": 4, "matrix": {"CodeSmell/Medium": 4}, "top_rules": [("S1118", 4)],
+        assert written == load_new(path) == (len(verdicts), new)
+        # summary.json's section agrees with the new_matrix and new_frequency tables
+        breakdown = categorize_new(verdicts)
+        assert summarize_new(*written) == {
+            "post_violations": len(verdicts),
+            "total_new": breakdown.total_new,
+            "matrix": {f"{t.value}/{s.value}": n for (t, s), n in breakdown.matrix.items() if n},
+            "top_rules": list(breakdown.rule_frequency),
         }
+
+        expected = [([str(field) for field in row], v) for row, v in verdict_rows(verdicts) if row[0] in files]
+        assert list(read_verdict_rows(path, files)) == expected
+
+        path.write_bytes(path.read_bytes() + b"F0.java,S1118,CodeSmell,Low,1,1,\xff,new,\n")
+        with pytest.raises(MalformedInputError, match="not valid UTF-8") as err:
+            list(read_verdict_rows(path, files))
+        assert str(err.value).startswith(f"{path}: ")
 
     def test_empty_file_is_refused(self, tmp_path):
         path = tmp_path / "new_violations.csv"
         path.write_text("", encoding="utf-8")
         with pytest.raises(MalformedInputError, match="empty file"):
-            read_new_violations(path)
+            load_new(path)

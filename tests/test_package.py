@@ -1,6 +1,8 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import apreval
 from apreval import minicorpus
@@ -87,3 +89,44 @@ class TestLeanStartup:
         statuses = dict(line.split() for line in lines[:-1] if not line.startswith("workspace:"))
         assert set(statuses.values()) == {"cached"} and len(statuses) == 10
         assert loaded == ORCHESTRATOR
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names a module imports and never uses, counting names in string annotations as used."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [
+        annotation
+        for node in ast.walk(tree)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if annotation is not None
+    ]
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= {name.id for name in ast.walk(ast.parse(node.value, mode="eval"))
+                         if isinstance(name, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
+
+
+class TestImports:
+    def test_every_imported_name_is_used(self):
+        modules = sorted(Path(apreval.__file__).parent.glob("*.py"))
+        assert modules
+        unused = {
+            path.name: names
+            for path in modules
+            if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))
+        }
+        assert unused == {}
+
+    def test_a_name_in_a_string_annotation_counts_as_used(self):
+        code = "from a import B, C, D\ndef f(x: 'B') -> 'list[C]':\n    pass\n"
+        assert _unused_imports(ast.parse(code)) == ["D (line 1)"]

@@ -142,6 +142,14 @@ class TestLoadConfig:
             load_config(path)
         assert "extra_knob" in str(err.value)
 
+    def test_unknown_report_adapter_rejected(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path / "c.json", report_adapter="nope"))
+        assert err.value.key_path == "report_adapter"
+        assert "must be one of ['analyzer-json', 'csv']" in str(err.value)
+        config = load_config(write_config(tmp_path / "c.json", report_adapter="analyzer-json"))
+        assert config.report_adapter == "analyzer-json"
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, tmp_path, jobs):
         (tmp_path / "corpus").mkdir()
@@ -739,13 +747,13 @@ class TestReportsParsedOnce:
 def _count_new_loads(monkeypatch) -> list[Path]:
     """Record the path of each ``new_violations.csv`` the pipeline parses."""
     loads: list[Path] = []
-    load = newviol_mod._load_new
+    load = newviol_mod.load_new
 
     def counting(path):
         loads.append(path)
         return load(path)
 
-    monkeypatch.setattr(newviol_mod, "_load_new", counting)
+    monkeypatch.setattr(newviol_mod, "load_new", counting)
     return loads
 
 
@@ -757,7 +765,7 @@ class TestNewViolationsParsedOnce:
 
         def spy(self, handoff):
             value = parsed(self, handoff)
-            if handoff in (pipeline._NEW, pipeline._NEW_SUMMARY):
+            if handoff == pipeline._NEW:
                 handed.append(value)
             return value
 
@@ -766,10 +774,10 @@ class TestNewViolationsParsedOnce:
         run = PipelineRun(cfg)
         run.run()
         assert loads == []  # sample and report take what newviol wrote
-        assert run._handoffs == {}  # the NEW rows and the summary too
+        assert run._handoffs == {}  # the NEW rows too
         path = cfg.workspace_dir / "newviol" / "new_violations.csv"
-        assert handed == [newviol_mod.read_new_violations(path), newviol_mod.summarize_new_violations(path)]
-        assert handed[0]
+        assert handed == [newviol_mod.load_new(path)] * 2
+        assert handed[0][1]
 
     def test_cached_newviol_is_read_from_disk(self, tmp_path, monkeypatch):
         cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
@@ -778,7 +786,7 @@ class TestNewViolationsParsedOnce:
         loads = _count_new_loads(monkeypatch)
         summary = run_pipeline(cfg, force=True, stages=["sample", "report"])
         assert set(summary.values()) == {"ran"}
-        assert loads == [cfg.workspace_dir / "newviol" / "new_violations.csv"] * 2
+        assert loads == [cfg.workspace_dir / "newviol" / "new_violations.csv"]
         assert _workspace_bytes(cfg) == cold
 
     def test_stale_rows_are_read_again(self, tmp_path):
@@ -787,10 +795,8 @@ class TestNewViolationsParsedOnce:
         path = cfg.workspace_dir / "newviol" / "new_violations.csv"
         run = PipelineRun(cfg)
         stale = hashlib.sha256(b"other bytes").hexdigest()
-        run._handoffs[pipeline._NEW] = (stale, [])
-        run._handoffs[pipeline._NEW_SUMMARY] = (stale, {})
-        assert run._parsed(pipeline._NEW) == newviol_mod.read_new_violations(path)
-        assert run._parsed(pipeline._NEW_SUMMARY) == newviol_mod.summarize_new_violations(path)
+        run._handoffs[pipeline._NEW] = (stale, (0, []))
+        assert run._parsed(pipeline._NEW) == newviol_mod.load_new(path)
 
 
 #: each hand-off, the stages it is kept for, and those that find it seeded on a cold run
@@ -798,8 +804,7 @@ HANDOFF_READERS = {
     "pre report": (pipeline._PRE_REPORT, {"repair", "fixrate", "newviol"}, {"repair", "fixrate", "newviol"}),
     "post report": (pipeline._POST_REPORT, {"repair", "fixrate", "newviol"}, {"fixrate", "newviol"}),
     "sources": (pipeline._PAIRS, {"newviol", "sample"}, {"sample"}),
-    "NEW rows": (pipeline._NEW, {"sample"}, {"sample"}),
-    "newviol summary": (pipeline._NEW_SUMMARY, {"report"}, {"report"}),
+    "NEW rows": (pipeline._NEW, {"sample", "report"}, {"sample", "report"}),
 }
 
 
