@@ -53,11 +53,13 @@ from .errors import (
 )
 from .violations import (
     ADAPTERS,
+    Z_TABLE,
     NormalizationPolicy,
     RuleProfile,
     StateLabel,
     Violation,
     ViolationReport,
+    analyzer_json_mapping,
     finding_digests,
     get_profile,
     json_text,
@@ -198,6 +200,11 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(f"sampling.{sorted(unknown)[0]}", "unknown sampling key")
     sampling = SamplingParams(**{key: float(_typed(raw_sampling, key, float, None, "sampling."))
                                  for key in raw_sampling})
+    if sampling.confidence not in Z_TABLE:  # the values sampling.cochran_sample_size takes
+        raise ConfigError("sampling.confidence", f"must be one of {sorted(Z_TABLE)}")
+    for key in ("margin", "proportion"):
+        if not 0 < getattr(sampling, key) < 1:
+            raise ConfigError(f"sampling.{key}", "must be in (0, 1)")
 
     try:
         normalization = NormalizationPolicy(doc.get("normalization", "exact"))
@@ -210,6 +217,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     report_adapter = _typed(doc, "report_adapter", str, "csv")
     if report_adapter not in ADAPTERS:
         raise ConfigError("report_adapter", f"must be one of {sorted(ADAPTERS)}")
+    options = dict(_typed(doc, "report_adapter_options", dict, {}))
+    if report_adapter == "analyzer-json":
+        analyzer_json_mapping(options)  # refuses an unknown mapping
     base = path.parent
     return PipelineConfig(
         corpus_dir=(base / _typed(doc, "corpus_dir", str, None)).resolve(),
@@ -221,7 +231,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         jobs=jobs,
         normalization=normalization,
         report_adapter=report_adapter,
-        report_adapter_options=dict(_typed(doc, "report_adapter_options", dict, {})),
+        report_adapter_options=options,
     )
 
 
@@ -260,11 +270,10 @@ def run_tool_adapter(
     input_dir: Path,
     output_dir: Path,
     rule: str | None = None,
-) -> list[str]:
+) -> None:
     """Spawn the adapter command and verify its declared artifacts.
 
-    stdout/stderr are captured to log files beside the artifacts. Returns
-    the sorted relative paths of everything the tool produced.
+    stdout/stderr are captured to log files beside the artifacts.
     """
     global _adapter_spawns
     import subprocess
@@ -309,11 +318,6 @@ def run_tool_adapter(
     for artifact in adapter.expected_artifacts:
         if not (output_dir / artifact).exists():
             raise MissingArtifactError(adapter.name, artifact)
-    return sorted(
-        p.relative_to(output_dir).as_posix()
-        for p in output_dir.rglob("*")
-        if p.is_file() and p.name not in ("adapter_stdout.log", "adapter_stderr.log")
-    )
 
 
 def _compile_results(compiler: ToolAdapter, out_dir: Path) -> tuple[list[str], dict[str, str]]:
@@ -459,9 +463,8 @@ def load_sources(original_dir: Path, repaired_dir: Path) -> SourceTrees:
 # --- the scheduler ------------------------------------------------------------
 
 class CallRunner:
-    """Runs the calls of :func:`schedule`: one on the calling thread, or any
-    number put to ``jobs`` worker threads, started at the first call put,
-    which take the calls in the order put."""
+    """Runs the calls of :func:`schedule` on ``jobs`` worker threads, started
+    at the first call put, which take the calls in the order put."""
 
     def __init__(self, jobs: int):
         self.jobs = jobs
@@ -525,22 +528,19 @@ def schedule(tasks: Sequence[Task], jobs: int, runner: Callable[[int], CallRunne
 
     A task's generator yields batches of calls, each a non-empty list, and
     is sent the outcomes of each batch: a (result, error, seconds) per call,
-    in batch order, cut short after an error when the batch ran here.
-    Task generators run on this thread, and their calls on the ``jobs``
-    worker threads of ``runner(jobs)``, or here when nothing else is ready
-    to run. A ready tool task starts before an in-process one, and due
-    calls go to the workers before an in-process task starts. With
-    ``jobs`` 1 the tool tasks take the one worker in turn, in the order of
-    ``tasks``, while the in-process tasks run here beside them, and each
-    turn first takes the calls that have ended. Once a task raises no
-    other starts; those running finish, then the first error is raised.
-    However the loop ends, the calls not yet begun are dropped and every
-    unfinished generator is closed.
+    in batch order. Task generators run on this thread, and every call on
+    the ``jobs`` worker threads of ``runner(jobs)``, put there as soon as its
+    batch is yielded. A ready tool task starts before an in-process one.
+    With ``jobs`` 1 the tool tasks take the one worker in turn, in the order
+    of ``tasks``, while the in-process tasks run here beside them, and each
+    turn first takes the calls that have ended. Once a task raises no other
+    starts; those running finish, then the first error is raised. However
+    the loop ends, the calls not yet begun are dropped and every unfinished
+    generator is closed.
     """
     tools = [task.name for task in tasks if task.tool]
     waiting, unfinished = list(tasks), {task.name for task in tasks}
     started: dict[Generator, str] = {}
-    due: list[tuple[Generator, list]] = []  # batches of calls not yet begun
     running: dict[Generator, list] = {}  # each batch put to the workers: its outcomes so far
     failure: Exception | None = None
     calls = runner(jobs)
@@ -554,12 +554,16 @@ def schedule(tasks: Sequence[Task], jobs: int, runner: Callable[[int], CallRunne
     def resume(gen: Generator, outcomes: list | None = None) -> None:
         nonlocal failure
         try:
-            due.append((gen, gen.send(outcomes)))
-            return
+            batch = gen.send(outcomes)
         except StopIteration:
             pass
         except Exception as exc:
             failure = failure or exc
+        else:
+            running[gen] = [None] * len(batch)
+            for i, call in enumerate(batch):
+                calls.put((gen, i), call)
+            return
         unfinished.discard(started.pop(gen))
 
     def take(item: tuple) -> None:
@@ -575,28 +579,13 @@ def schedule(tasks: Sequence[Task], jobs: int, runner: Callable[[int], CallRunne
             while jobs == 1 and (item := calls.ended(block=False)) is not None:
                 take(item)
             ready = [task for task in waiting if startable(task)]
-            # a tool task first, so that its calls are due before an in-process task starts
+            # a tool task first, so that its calls run while an in-process task does
             task = next((task for task in ready if task.tool), ready[0] if ready else None)
-            inline = not running and (jobs == 1 or (len(due) == 1 and len(due[0][1]) == 1))
-            if due and (not task.tool if task else not inline):
-                for gen, batch in due:
-                    running[gen] = [None] * len(batch)
-                    for i, call in enumerate(batch):
-                        calls.put((gen, i), call)
-                due.clear()
             if task is not None:
                 waiting.remove(task)
                 gen = task.start()
                 started[gen] = task.name
                 resume(gen)
-            elif due:
-                gen, batch = due.pop()
-                outcomes = []
-                for call in batch:
-                    outcomes.append(calls.run(call))
-                    if outcomes[-1][1] is not None:
-                        break
-                resume(gen, outcomes)
             elif running:
                 take(calls.ended(block=True))
             else:
@@ -693,8 +682,8 @@ class PipelineRun:
         # the stages of this run not yet done, by name
         self._pending: dict[str, Stage] = {}
         # stage being rebuilt -> (its old directory, the record of the build
-        # there if it may be reused from or else {}, its new record)
-        self._rebuilds: dict[str, tuple[Path, dict, dict]] = {}
+        # there, its new record, whether _rebuild has checked the old one)
+        self._rebuilds: dict[str, tuple[Path, dict, dict, bool]] = {}
 
     def _at(self, *rels: str) -> list[Path]:
         return [self.workspace / rel for rel in rels]
@@ -782,8 +771,7 @@ class PipelineRun:
             # files it has finished writing, for the output digest to reuse
             self._forget(stage_dir)
             record = {"input_digest": digest, "started": time.time(), "calls_s": 0.0}
-            reusable = not self.force and previous is not None and previous.get("status") == "ok"
-            self._rebuilds[name] = (prev_dir, previous if reusable else {}, record)
+            self._rebuilds[name] = (prev_dir, previous or {}, record, False)
             try:
                 body = stage.body(self, stage_dir)
                 if isinstance(body, Generator):
@@ -796,9 +784,6 @@ class PipelineRun:
                             self._memo.clear()  # the tools may have written anywhere
                             error = next(filter(None, errors), None)
                             batch = body.throw(error) if error else body.send(list(results))
-                for sub, step in record.get("steps", {}).items():
-                    if "output_digest" not in step:  # built in this build
-                        step["output_digest"] = _digest_paths([stage_dir / sub], "", self._memo)
             except Exception as exc:
                 record.update(status="failed", error=str(exc), finished=time.time())
                 self.state["stages"][name] = record
@@ -832,23 +817,31 @@ class PipelineRun:
         for key in stale:
             del self._memo[key]
 
+    def _rebuild(self, name: str) -> tuple[Path, dict, dict]:
+        """The old directory of stage ``name``'s rebuild, the record of the
+        build there if it may be reused from or else ``{}``, and the new record.
+
+        It may when it was ``ok``, ``--force`` is not given, and the directory
+        still has the output digest recorded; a hand edit there changes that.
+        This is checked once, at the first call, before any old output moves.
+        """
+        prev_dir, old, record, checked = self._rebuilds[name]
+        if not checked:
+            reusable = not self.force and old.get("status") == "ok" and prev_dir.is_dir()
+            if not (reusable and digest_paths([prev_dir]) == old.get("output_digest")):
+                old = {}
+            self._rebuilds[name] = (prev_dir, old, record, True)
+        return prev_dir, old, record
+
     def _reused(self, stage_dir: Path, sub: str, key: str) -> bool:
         """Whether ``stage_dir/sub``, a file or tree built from inputs of digest
-        ``key``, was moved in: it is when the stage's last ``ok`` build recorded
-        the same key and its copy still has the recorded output digest.
-        ``--force`` reuses nothing."""
-        prev_dir, old, record = self._rebuilds[stage_dir.name]
-        old_step, old_path = old.get("steps", {}).get(sub, {}), prev_dir / sub
-        steps = record.setdefault("steps", {})
-        if (
-            old_step.get("input_digest") == key
-            and old_path.exists()
-            and digest_paths([old_path]) == old_step.get("output_digest")
-        ):
-            os.replace(old_path, stage_dir / sub)
-            steps[sub] = old_step
+        ``key``, was moved in from the previous build: it is when
+        :meth:`_rebuild` gives that build, and it recorded the same key."""
+        prev_dir, old, record = self._rebuild(stage_dir.name)
+        record.setdefault("steps", {})[sub] = {"input_digest": key}
+        if old.get("steps", {}).get(sub, {}).get("input_digest") == key and (prev_dir / sub).exists():
+            os.replace(prev_dir / sub, stage_dir / sub)
             return True
-        steps[sub] = {"input_digest": key}
         return False
 
     def _step(self, stage_dir: Path, sub: str, adapter: ToolAdapter, input_dir: Path) -> list[Callable[[], object]]:
@@ -863,31 +856,27 @@ class PipelineRun:
         """Hand on ``value``, which is what ``handoff`` loads from the files just written."""
         self._handoffs[handoff] = (_digest_paths(self._at(*handoff.paths), "", self._memo), value)
 
-    def _parsed(self, handoff: Handoff) -> Any:
+    def _parsed(self, handoff: Handoff, files: Collection[str] | None = None) -> Any:
         """``handoff``'s value as handed on, if its paths still have the digest
         they had then, or else loaded from them, once per run.
 
-        The digest comes from the memo, which the reading stage's input
-        digest has just filled.
+        With ``files``, a report hand-off's findings in those files alone: a
+        stale value is then not loaded whole, but from its CSV's rows of those
+        files, and not kept. The digest comes from the memo, which the reading
+        stage's input digest has just filled.
         """
         paths = self._at(*handoff.paths)
         digest = _digest_paths(paths, "", self._memo)
         entry = self._handoffs.get(handoff)
         if entry is None or entry[0] != digest:
+            if files is not None:
+                return handoff.load(*paths, files=files)
             entry = self._handoffs[handoff] = (digest, handoff.load(*paths))
-        return entry[1]
-
-    def _findings(self, handoff: Handoff, files: Collection[str]) -> ViolationReport:
-        """The findings in ``files`` of a report hand-off: taken from it if its
-        CSV still has the digest it had then, or else from that CSV's rows of
-        those files alone."""
+        if files is None:
+            return entry[1]
         from .fixrate import restrict_to_files
 
-        paths = self._at(*handoff.paths)
-        entry = self._handoffs.get(handoff)
-        if entry is not None and entry[0] == _digest_paths(paths, "", self._memo):
-            return restrict_to_files(entry[1], files)
-        return handoff.load(*paths, files=files)
+        return restrict_to_files(entry[1], files)
 
     def _upstream(self, stage: Stage) -> set[str]:
         """The stages whose directory holds an input of ``stage``, present or not."""
@@ -976,13 +965,16 @@ def _analyzer_fingerprint(run: PipelineRun) -> str:
 
 def _analyze(tree: str, state: StateLabel, handoff: Handoff, run: PipelineRun, stage_dir: Path) -> Iterator[list]:
     analyzer = run.config.adapters["analyzer"]
-    [artifacts] = yield [partial(run_tool_adapter, analyzer, run.workspace / tree, stage_dir / "raw")]
+    raw = stage_dir / "raw"
+    yield [partial(run_tool_adapter, analyzer, run.workspace / tree, raw)]
     if analyzer.expected_artifacts:
-        report_file = stage_dir / "raw" / analyzer.expected_artifacts[0]
-    elif artifacts:
-        report_file = stage_dir / "raw" / artifacts[0]
-    else:
-        raise MissingArtifactError(analyzer.name, "<analysis report>")
+        report_file = raw / analyzer.expected_artifacts[0]
+    else:  # the first file the tool wrote, by relative path
+        written = [path.relative_to(raw).as_posix() for path in raw.rglob("*")
+                   if path.is_file() and path.name not in ("adapter_stdout.log", "adapter_stderr.log")]
+        if not written:
+            raise MissingArtifactError(analyzer.name, "<analysis report>")
+        report_file = raw / min(written)
     csv_path = run.workspace / handoff.paths[0]
     # the same raw report, read the same way, gives the same CSV: move the old one in
     if run._reused(stage_dir, csv_path.name, _digest_paths([report_file], _analyzer_fingerprint(run), run._memo)):
@@ -1058,16 +1050,14 @@ def _newviol(run: PipelineRun, stage_dir: Path) -> None:
         return h.hexdigest()[:_KEY_LEN]
 
     keys = {file_id: key(file_id, post) for file_id, post in post_rows.items()}
-    prev_dir, old, record = run._rebuilds["newviol"]
+    prev_dir, old, record = run._rebuild("newviol")
     old_keys = old.get("files", "")
-    if old_keys and not (prev_dir.is_dir() and digest_paths([prev_dir]) == old.get("output_digest")):
-        old_keys = ""  # the old rows were changed by hand
     old_keys = {old_keys[i : i + _KEY_LEN] for i in range(0, len(old_keys), _KEY_LEN)}
     kept = {file_id for file_id, k in keys.items() if k in old_keys}
     changed = keys.keys() - kept
     verdicts = []
     if changed:
-        pre, post = run._findings(_PRE_REPORT, changed & violating), run._findings(_POST_REPORT, changed)
+        pre, post = run._parsed(_PRE_REPORT, changed & violating), run._parsed(_POST_REPORT, changed)
         # the changed files' sources, read in one go before any is judged:
         # reads between the judging left freed memory in pieces, and peak RSS rose
         sources = {file_id: trees[file_id] for file_id in sorted(changed) if file_id in trees.files}

@@ -28,13 +28,10 @@ from .errors import (
 )
 from .newviol import SourcePair, extract_fragment
 from .stats import Direction, StatResult
-from .violations import Violation, csv_writer, json_text, read_csv_table
+from .violations import Z_TABLE, Violation, csv_writer, json_text, read_csv_table
 
 if TYPE_CHECKING:
     from .pipeline import SamplingParams
-
-#: z critical values for the supported confidence levels
-Z_TABLE = {0.90: 1.645, 0.95: 1.96, 0.99: 2.576}
 
 SHEET_HEADER = (
     "item_id", "file", "rule", "start_line", "end_line", "fragment",

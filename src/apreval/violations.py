@@ -62,6 +62,11 @@ class NormalizationPolicy(Enum):
     LOOSE = "loose"
 
 
+#: z critical values for the supported confidence levels of a validation
+#: sample; here, so that a config is checked without loading ``sampling``
+Z_TABLE = {0.90: 1.645, 0.95: 1.96, 0.99: 2.576}
+
+
 def check_rule_id(code: str) -> str:
     """Validate an analyzer rule code (``S`` + 1-5 digits) and return it."""
     if not RULE_ID_RE.fullmatch(code):
@@ -317,12 +322,18 @@ def load_data_json(name: str) -> dict:
         return json.load(fh)
 
 
-def _analyzer_json_adapter(text: str, options: Mapping) -> Iterable[Violation]:
+def analyzer_json_mapping(options: Mapping) -> dict:
+    """The packaged field mapping that ``options`` name, ``sonarqube-9`` by default."""
     mappings = load_data_json("analyzer_json_mappings.json")
-    mapping_name = options.get("mapping", "sonarqube-9")
-    if mapping_name not in mappings:
-        raise UnknownAdapterError(mapping_name, list(mappings))
-    m = mappings[mapping_name]
+    name = options.get("mapping", "sonarqube-9")
+    if not isinstance(name, str) or name not in mappings:
+        raise ConfigError("report_adapter_options.mapping",
+                          f"unknown mapping {name!r}; known: {', '.join(sorted(mappings))}")
+    return mappings[name]
+
+
+def _analyzer_json_adapter(text: str, options: Mapping) -> Iterable[Violation]:
+    m = analyzer_json_mapping(options)
     fallback = bool(options.get("end_line_fallback", False))
     try:
         doc = json.loads(text)

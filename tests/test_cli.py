@@ -81,6 +81,21 @@ class TestRun:
         )
         assert not (tmp_path / "workspace" / "state.json").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"sampling": {"confidence": 2.0}}, "sampling.confidence: must be one of [0.9, 0.95, 0.99]"),
+        ({"sampling": {"margin": 0.0}}, "sampling.margin: must be in (0, 1)"),
+        ({"report_adapter": "analyzer-json", "report_adapter_options": {"mapping": "nope"}},
+         "report_adapter_options.mapping: unknown mapping 'nope'; known: sonarqube-9"),
+    ])
+    def test_value_a_stage_would_refuse_is_usage_error(self, tmp_path, capsys, edit, message):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        doc = json.loads(config_path.read_text(encoding="utf-8"))
+        doc.update(edit)
+        config_path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "workspace" / "state.json").exists()
+
     def test_malformed_analyzer_report_names_its_file(self, tmp_path, capsys):
         config_path = minicorpus.materialize(tmp_path, seed=17)
         analyzer = tmp_path / "analyzer.py"
@@ -210,6 +225,19 @@ class TestSampleAndPrecision:
         assert code == 0
         out = capsys.readouterr().out
         assert "true positives: 4/5" in out
+
+    def test_unsupported_confidence_is_a_stage_error(self, mini, tmp_path, capsys):
+        ws = mini / "workspace"
+        code = main([
+            "sample",
+            "--new-violations", str(ws / "newviol" / "new_violations.csv"),
+            "--original", str(ws / "repair" / "input"),
+            "--repaired", str(ws / "repair" / "output"),
+            "--seed", "17", "--confidence", "2",
+            "--out", str(tmp_path / "sheet.csv"),
+        ])
+        assert code == 2
+        assert "confidence must be one of [0.9, 0.95, 0.99], got 2.0" in capsys.readouterr().err
 
     def test_missing_column_is_a_clear_error(self, mini, tmp_path, capsys):
         ws = mini / "workspace"

@@ -150,6 +150,25 @@ class TestLoadConfig:
         config = load_config(write_config(tmp_path / "c.json", report_adapter="analyzer-json"))
         assert config.report_adapter == "analyzer-json"
 
+    @pytest.mark.parametrize("key_path, value", [
+        ("sampling.confidence", {"sampling": {"confidence": 2.0}}),
+        ("sampling.confidence", {"sampling": {"confidence": 0.8}}),
+        ("sampling.margin", {"sampling": {"margin": 0.0}}),
+        ("sampling.margin", {"sampling": {"margin": 1}}),
+        ("sampling.proportion", {"sampling": {"proportion": -0.5}}),
+        ("report_adapter_options.mapping",
+         {"report_adapter": "analyzer-json", "report_adapter_options": {"mapping": "nope"}}),
+        ("report_adapter_options.mapping",
+         {"report_adapter": "analyzer-json", "report_adapter_options": {"mapping": ["sonarqube-9"]}}),
+    ])
+    def test_value_a_stage_would_refuse_is_rejected(self, tmp_path, key_path, value):
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path / "c.json", **value))
+        assert err.value.key_path == key_path
+        # the mapping is only looked up for the adapter that reads it
+        config = load_config(write_config(tmp_path / "c.json", report_adapter_options={"mapping": "nope"}))
+        assert config.report_adapter == "csv"
+
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, tmp_path, jobs):
         (tmp_path / "corpus").mkdir()
@@ -181,9 +200,11 @@ class TestLoadConfig:
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, capsys, key_path, edit):
         (tmp_path / "corpus").mkdir()
-        path = write_config(tmp_path / "c.json", sampling={"confidence": 0.9, "margin": 1}, seed=3, jobs=2)
-        load_config(path)  # an int is a number too
+        path = write_config(tmp_path / "c.json", sampling={"confidence": 0.9, "margin": 0.1}, seed=3, jobs=2)
         doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["adapters"]["analyzer"]["timeout"] = 60
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        load_config(path)  # an int is a number too
         edit(doc)
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ConfigError) as err:
@@ -213,8 +234,10 @@ class TestRunToolAdapter:
             + "shutil.copytree(sys.argv[1], sys.argv[2], dirs_exist_ok=True)\" {input} {output}",
             expected_artifacts=("a.txt",),
         )
-        manifest = run_tool_adapter(adapter, src, tmp_path / "out")
-        assert manifest == ["a.txt", "b.txt"]
+        run_tool_adapter(adapter, src, tmp_path / "out")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir() if not p.name.startswith("adapter_")) == [
+            "a.txt", "b.txt"]
+        assert (tmp_path / "out" / "b.txt").read_text(encoding="utf-8") == "beta"
 
     def test_timeout_enforced(self, tmp_path):
         (tmp_path / "in").mkdir()
@@ -763,8 +786,8 @@ class TestNewViolationsParsedOnce:
         handed = []
         parsed = PipelineRun._parsed
 
-        def spy(self, handoff):
-            value = parsed(self, handoff)
+        def spy(self, handoff, files=None):
+            value = parsed(self, handoff, files)
             if handoff == pipeline._NEW:
                 handed.append(value)
             return value
@@ -930,7 +953,8 @@ class TestSubStepReuse:
         assert set(run_pipeline(cfg, force=True, stages=DOWNSTREAM_STAGES).values()) == {"ran"}
         assert _workspace_bytes(cfg, logs=True) == incremental
 
-    @pytest.mark.parametrize("change", ["edited_baseline", "runner_timeout", "record_without_steps", "failed_record"])
+    @pytest.mark.parametrize("change", ["edited_baseline", "edited_regressions", "runner_timeout",
+                                        "record_without_steps", "failed_record"])
     def test_changed_sub_step_reruns(self, reuse_root, tmp_path, monkeypatch, edited_reference, change):
         cfg = _copy_run(reuse_root, tmp_path)
         if change == "edited_baseline":
@@ -938,6 +962,10 @@ class TestSubStepReuse:
             # output digest does: every baseline test now fails
             results = cfg.workspace_dir / "semantic" / "baseline_raw" / "results.csv"
             results.write_text(results.read_text(encoding="utf-8").replace(",pass,", ",fail,"), encoding="utf-8")
+        elif change == "edited_regressions":
+            # a hand edit to a file of the old build that no sub-step covers
+            with (cfg.workspace_dir / "semantic" / "regressions.csv").open("a", encoding="utf-8") as fh:
+                fh.write("edited,by,hand\n")
         elif change == "runner_timeout":
             cfg = _edit_config(cfg.workspace_dir.parent / "config.json",
                                lambda doc: doc["adapters"]["test_runner"].update(timeout=1 + doc["adapters"]["test_runner"]["timeout"]))
@@ -1290,6 +1318,20 @@ class TestFailureIsolation:
         state = json.loads((cfg.workspace_dir / "state.json").read_text())
         assert state["stages"]["repair"]["status"] == "failed"
         assert state["stages"]["analyze_pre"]["status"] == "ok"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_call_lets_the_rest_of_its_batch_run(self, tmp_path, jobs):
+        # semantic's one batch: the baseline and repaired test runs, then the compile
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        run_pipeline(load_config(config_path), stages=["prepare", "analyze_pre", "repair"])
+        broken = _edit_config(config_path, lambda doc: doc["adapters"]["test_runner"].update(
+            command=f"{PY} -c \"import sys;sys.exit(3)\" {{input}}"))
+        with pytest.raises(NonZeroExitError) as err:
+            run_pipeline(broken, stages=["semantic"], force=True, jobs=jobs)
+        assert err.value.name == "test_runner"
+        assert (broken.workspace_dir / "semantic" / "compile_raw" / "compile_results.json").is_file()
+        state = json.loads((broken.workspace_dir / "state.json").read_text(encoding="utf-8"))
+        assert state["stages"]["semantic"]["status"] == "failed"
 
     def test_missing_upstream_output_named(self, tmp_path):
         cfg = load_config(minicorpus.materialize(tmp_path, seed=17))

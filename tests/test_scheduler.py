@@ -48,16 +48,6 @@ class FakeRunner:
         except BaseException as exc:
             return None, exc, 0.0
 
-    def run(self, call) -> tuple:
-        self.log.append(("begin", call.keywords["cid"]))
-        if self._step():  # the interrupt lands in the call, and comes back as its error
-            outcome = (None, KeyboardInterrupt(), 0.0)
-            self.log.append(("interrupt",))
-        else:
-            outcome = self._outcome(call)
-        self.log.append(("end", call.keywords["cid"]))
-        return outcome
-
     def put(self, tag, call) -> None:
         assert not self.closed
         self.todo.append((tag, call))
@@ -107,14 +97,13 @@ def _task_body(name: str, batches: list[list[bool]], fails: bool, log: list, gen
             for b, batch in enumerate(batches):
                 calls = [partial(_call, cid=f"{name}.{b}.{i}", fails=bad) for i, bad in enumerate(batch)]
                 outcomes = yield calls
-                assert 1 <= len(outcomes) <= len(calls)
+                assert len(outcomes) == len(calls)  # every call of a batch runs
                 for call, (result, error, _) in zip(calls, outcomes):
                     if error is not None:
                         if not isinstance(error, KeyboardInterrupt):
                             log.append(("raise", name, error))
                         raise error
                     assert result == call.keywords["cid"]
-                assert len(outcomes) == len(calls)
             if fails:
                 error = TaskError(name)
                 log.append(("raise", name, error))
