@@ -23,7 +23,7 @@ from .errors import (
     StageFailureError,
 )
 from .pipeline import SamplingParams, emit_reports, load_config, load_sources, run_pipeline
-from .violations import NormalizationPolicy, StateLabel, get_profile, json_text, read_report
+from .violations import NormalizationPolicy, StateLabel, decode_input, get_profile, json_text, parse_file, read_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,7 +67,7 @@ def _cmd_fixrate(args: argparse.Namespace) -> int:
     pre = read_report(Path(args.pre), StateLabel.PRE_REPAIR)
     post = read_report(Path(args.post), StateLabel.POST_REPAIR)
     if args.violating_files:
-        files = Path(args.violating_files).read_text(encoding="utf-8").splitlines()
+        files = parse_file(Path(args.violating_files), decode_input).splitlines()
         pre = fixrate_mod.restrict_to_files(pre, files)
     outcome = fixrate_mod.match_violations(pre, post)
     summary = fixrate_mod.summarize_fix_rate(fixrate_mod.compute_fix_rates(outcome, profile))
@@ -107,7 +107,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_precision(args: argparse.Namespace) -> int:
     from . import sampling as sampling_mod
 
-    records = sampling_mod.ingest_labels(Path(args.labels).read_text(encoding="utf-8"))
+    records = parse_file(Path(args.labels), sampling_mod.ingest_labels)
     tp, fp = sampling_mod.label_counts(records)
     n = tp + fp
     if n == 0:
@@ -132,7 +132,7 @@ def _cmd_semantic(args: argparse.Namespace) -> int:
             _, diagnostics = semantic_mod.read_compile_results(results_file)
         else:
             for diag_file in sorted(log_dir.glob("*.log")):
-                diagnostics[diag_file.stem] = diag_file.read_text(encoding="utf-8")
+                diagnostics[diag_file.stem] = parse_file(diag_file, decode_input)
     regressions, summary = semantic_mod.compare_runs(Path(args.baseline), Path(args.repaired), diagnostics)
     semantic_mod.write_semantic(Path(args.out), regressions, summary)
     print(

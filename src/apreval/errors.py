@@ -35,14 +35,12 @@ class MalformedInputError(HarnessError):
         super().__init__(f"{message}{where}")
 
 
-class MissingRequiredFieldError(HarnessError):
+class MissingRequiredFieldError(MalformedInputError):
     """A raw issue lacks a field the normalized record requires."""
 
     def __init__(self, field: str, line: int | None = None):
         self.field = field
-        self.line = line
-        where = f" (line {line})" if line is not None else ""
-        super().__init__(f"missing required field {field!r}{where}")
+        super().__init__(f"missing required field {field!r}", line)
 
 
 # --- matching / detection ---------------------------------------------------

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
-from typing import IO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DegenerateSampleError, MalformedInputError, SampleTooSmallError
 from .stats import (
@@ -65,7 +65,7 @@ class MetricPair:
     post: FileMetrics
 
 
-def read_class_metrics_csv(raw: bytes | str | IO) -> list[ClassMetricsRow]:
+def read_class_metrics_csv(raw: bytes | str) -> list[ClassMetricsRow]:
     """Parse an extractor CSV with header ``file,class,noc,...,loc``."""
     rows: list[ClassMetricsRow] = []
     for line, row in read_csv_table(decode_input(raw), METRICS_CSV_HEADER, fold_case=True):

@@ -38,6 +38,7 @@ from .violations import (
     ViolationType,
     csv_writer,
     decode_input,
+    parse_file,
     read_csv_table,
     table_text,
 )
@@ -85,9 +86,9 @@ class SourceTrees(Mapping):
         if pair is None:
             if rel not in self.files:
                 raise KeyError(rel)
-            original = Path(self.original(rel)).read_text(encoding="utf-8")
+            original = parse_file(Path(self.original(rel)), decode_input)
             repaired = self.repaired(rel)
-            text = Path(repaired).read_text(encoding="utf-8") if os.path.isfile(repaired) else ""
+            text = parse_file(Path(repaired), decode_input) if os.path.isfile(repaired) else ""
             pair = self._pairs[rel] = SourcePair.from_texts(rel, original, text)
         return pair
 

@@ -23,7 +23,6 @@ stage that reads them is done.
 
 from __future__ import annotations
 
-import _thread
 import hashlib
 import inspect
 import json
@@ -84,7 +83,8 @@ class ToolAdapter:
     """External tool described by a command template.
 
     Templates may use {input}, {output}, {workdir}, {python} and, for
-    repairers running one pass per rule, {rule}.
+    repairers running one pass per rule, {rule}. A template is split into
+    arguments as a POSIX shell would before they are filled in.
     """
 
     name: str
@@ -97,6 +97,10 @@ class ToolAdapter:
             raise ConfigError(f"adapters.{self.name}.command", "template must contain {input}")
         if self.timeout <= 0:
             raise ConfigError(f"adapters.{self.name}.timeout", "timeout must be > 0")
+        try:
+            shlex.split(self.command_template)
+        except ValueError as exc:  # such as an unclosed quote
+            raise ConfigError(f"adapters.{self.name}.command", f"cannot be split into arguments: {exc}") from None
         for _, fname, _, _ in string.Formatter().parse(self.command_template):
             if fname is not None and fname not in _ALLOWED_PLACEHOLDERS:
                 raise ConfigError(
@@ -154,7 +158,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(str(path), "config file does not exist")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "config root must be an object")
@@ -253,10 +257,6 @@ def _adapter_env() -> dict[str, str]:
 #: process-wide, because an interrupt stops every run in the process
 _running_adapters: set[subprocess.Popen] = set()
 
-#: adapters started so far in this process, from any thread
-_adapter_spawns = 0
-_adapter_spawns_lock = _thread.allocate_lock()
-
 
 def _kill_process_group(proc: subprocess.Popen) -> None:
     try:
@@ -275,7 +275,6 @@ def run_tool_adapter(
 
     stdout/stderr are captured to log files beside the artifacts.
     """
-    global _adapter_spawns
     import subprocess
 
     if not input_dir.is_dir():
@@ -289,13 +288,12 @@ def run_tool_adapter(
     }
     if rule is not None:
         subst["rule"] = rule
-    command = adapter.command_template.format(**subst)
-    with _adapter_spawns_lock:
-        _adapter_spawns += 1
+    # split before substitution, so that a path holding a space or a quote stays one argument
+    command = [arg.format(**subst) for arg in shlex.split(adapter.command_template)]
     # the adapter leads its own session, so on timeout (or interrupt) its
     # whole process group goes down with it and no child outlives the call
     with subprocess.Popen(
-        shlex.split(command),
+        command,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         cwd=output_dir,
@@ -698,11 +696,19 @@ class PipelineRun:
             return
         except ValueError:  # truncated or garbled: JSON or UTF-8 decoding failed
             state = None
-        if isinstance(state, dict) and isinstance(state.get("stages"), dict):
-            self.state = state
-        else:
+        stages = state.get("stages") if isinstance(state, dict) else None
+        if not isinstance(stages, dict):
             # without a readable record no stage can be trusted as cached
             print(f"warning: ignoring unreadable {self.state_path}; every stage reruns", file=sys.stderr)
+            return
+        # a record of another shape than the rebuilder reads is dropped, and its stage reruns
+        for name, record in list(stages.items()):
+            steps = record.get("steps", {}) if isinstance(record, dict) else None
+            if not (isinstance(steps, dict) and all(isinstance(step, dict) for step in steps.values())
+                    and isinstance(record.get("files", ""), str)):
+                print(f"warning: ignoring unreadable {name!r} record in {self.state_path}; it reruns", file=sys.stderr)
+                del stages[name]
+        self.state = state
 
     def _save_state(self) -> None:
         # write beside state.json and swap it in, so a crash or a failed

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedInputError
 from .violations import (
@@ -139,7 +139,7 @@ def _parse_results_csv(text: str) -> Iterable[TestOutcome]:
             raise MalformedInputError(str(exc), line) from None
 
 
-def ingest_test_results(raw: bytes | str | IO) -> list[TestOutcome]:
+def ingest_test_results(raw: bytes | str) -> list[TestOutcome]:
     """Normalize a runner's result file into TestOutcome records.
 
     Output is sorted by test id; a duplicated test id is malformed input
@@ -262,12 +262,16 @@ def compare_runs(
 
 def read_compile_results(results_json: Path) -> tuple[list[str], dict[str, str]]:
     """The files a compiler's ``compile_results.json`` accepts, sorted, and its diagnostics of the rest."""
+    return parse_file(results_json, _parse_compile_results)
+
+
+def _parse_compile_results(data: bytes) -> tuple[list[str], dict[str, str]]:
     try:
-        results = json.loads(results_json.read_text(encoding="utf-8"))
-    except ValueError as exc:  # invalid JSON or UTF-8
-        raise MalformedInputError(f"{results_json}: {exc}") from None
+        results = json.loads(decode_input(data))
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"invalid JSON: {exc.msg}", exc.lineno) from None
     if not isinstance(results, list):
-        raise MalformedInputError(f"{results_json}: expected a list of records")
+        raise MalformedInputError("expected a list of records")
     compilable: list[str] = []
     rejected: dict[str, str] = {}
     for i, r in enumerate(results):
@@ -275,9 +279,7 @@ def read_compile_results(results_json: Path) -> tuple[list[str], dict[str, str]]
             isinstance(r, dict) and isinstance(r.get("file"), str) and "ok" in r
             and (r["ok"] or isinstance(r.get("diagnostic"), str))
         ):
-            raise MalformedInputError(
-                f"{results_json}: record {i} needs a string file, ok and, when not ok, a string diagnostic"
-            )
+            raise MalformedInputError(f"record {i} needs a string file, ok and, when not ok, a string diagnostic")
         if r["ok"]:
             compilable.append(r["file"])
         else:

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .errors import (
     ConfigError,
@@ -233,26 +233,22 @@ def _parse_line_no(raw: str, name: str, line: int) -> int:
         raise MalformedInputError(f"{name} must be an integer, got {raw!r}", line) from None
 
 
-def decode_input(raw: bytes | str | IO) -> str:
-    """The text of a report or result file given as bytes, text or an open file."""
+def decode_input(raw: bytes | str) -> str:
+    """The text of an input file given as bytes (UTF-8) or as text."""
     if isinstance(raw, bytes):
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise MalformedInputError(f"stream is not valid UTF-8: {exc}") from None
-    if isinstance(raw, str):
-        return raw
-    data = raw.read()
-    if isinstance(data, bytes):
-        return decode_input(data)
-    return data
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise MalformedInputError(f"stream is not valid UTF-8: {exc}", line) from None
+    return raw
 
 
 _T = TypeVar("_T")
 
 
 def parse_file(path: Path, parse: Callable[[bytes], _T]) -> _T:
-    """``parse`` applied to the bytes of ``path``; a ``MalformedInputError`` names the file."""
+    """``parse`` applied to the bytes of ``path``; any ``MalformedInputError`` names the file."""
     try:
         return parse(path.read_bytes())
     except MalformedInputError as exc:
@@ -401,7 +397,7 @@ ADAPTERS = {
 
 
 def parse_report(
-    raw: bytes | str | IO,
+    raw: bytes | str,
     adapter: str = "csv",
     state: StateLabel = StateLabel.PRE_REPAIR,
     options: Mapping | None = None,
@@ -435,28 +431,23 @@ def finding_digests(path: Path, files: Collection[str] | None = None) -> dict[st
     the findings part of the per-file keys that new-violation verdicts are
     reused by.
 
-    The file is read one row at a time. No violation is built and no field
-    checked: a malformed row changes its file's digest, so reading that
-    file's findings raises.
+    The header and the row widths are checked as ``read_report`` checks
+    them, but no violation is built: a bad value changes its file's digest,
+    so reading that file's findings raises.
     """
-    digests: dict[str, bytes] = {}
-    with path.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise MalformedInputError(f"{path}: empty stream: expected a header row", 1)
-            header = json.dumps(header).encode()
-            # canonical reports hold each file's rows together: one group per
-            # file, and a file's later groups are chained onto its digest
-            for file_id, group in groupby(filter(None, reader), itemgetter(0)):
-                file_id = normalize_path(file_id)
-                if files is None or file_id in files:
-                    rows = json.dumps(list(group)).encode()
-                    digests[file_id] = hashlib.sha256(digests.get(file_id, header) + rows).digest()
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise MalformedInputError(f"{path}: {exc}", reader.line_num) from None
-    return digests
+    def digests(data: bytes) -> dict[str, bytes]:
+        found: dict[str, bytes] = {}
+        header = json.dumps(list(CSV_HEADER)).encode()  # each file's chain starts here
+        # canonical reports hold each file's rows together: one group per
+        # file, and a file's later groups are chained onto its digest
+        for file_id, group in groupby(map(itemgetter(1), _csv_rows(decode_input(data))), itemgetter(0)):
+            file_id = normalize_path(file_id)
+            if files is None or file_id in files:
+                rows = json.dumps(list(group)).encode()
+                found[file_id] = hashlib.sha256(found.get(file_id, header) + rows).digest()
+        return found
+
+    return parse_file(path, digests)
 
 
 def json_text(obj) -> str:

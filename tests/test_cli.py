@@ -155,6 +155,29 @@ class TestRun:
         assert str(state) in captured.err
         assert (ws / "report" / "summary.json").read_bytes() == summary
 
+    @pytest.mark.parametrize("stage, corrupt", [
+        ("fixrate", lambda stages: stages.update(fixrate="garbage")),
+        ("semantic", lambda stages: stages["semantic"]["steps"].update(baseline_raw="garbage")),
+        ("newviol", lambda stages: stages["newviol"].update(files=7)),
+    ], ids=["record-not-an-object", "step-not-an-object", "files-not-a-string"])
+    def test_corrupt_record_reruns_its_stage(self, tmp_path, capsys, stage, corrupt):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        assert main(["run", "--config", str(config_path)]) == 0
+        ws = tmp_path / "workspace"
+        summary = (ws / "report" / "summary.json").read_bytes()
+        state = ws / "state.json"
+        doc = json.loads(state.read_text(encoding="utf-8"))
+        corrupt(doc["stages"])
+        state.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path)]) == 0
+        captured = capsys.readouterr()
+        statuses = dict(line.split()[:2] for line in captured.out.splitlines() if not line.startswith("workspace:"))
+        assert statuses[stage] == "ran"
+        assert statuses["prepare"] == statuses["analyze_pre"] == "cached"
+        assert f"{stage!r} record in {state}" in captured.err
+        assert (ws / "report" / "summary.json").read_bytes() == summary
+
 
 class TestFixrateCommand:
     def test_golden_fixture_through_cli(self, tmp_path, capsys):
@@ -416,6 +439,63 @@ class TestMalformedReport:
         assert main([command, *args, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {bad}: expected 7 fields, got 2 (line 2)\n"
 
+    @pytest.mark.parametrize("flag", ["--pre", "--post"])
+    def test_blank_required_field_names_the_file(self, mini, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(CSV_HEADER) + "\nA.java,,CodeSmell,Low,1,1,\n", encoding="utf-8")
+        args = [str(a) for a in _axis_args(mini / "workspace")["fixrate"]]
+        args[args.index(flag) + 1] = str(bad)
+        assert main(["fixrate", *args, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: missing required field 'rule' (line 2)\n"
+
+
+class TestInputNotUtf8:
+    @pytest.mark.parametrize("command, flag, name", [
+        ("fixrate", "--pre", None),
+        ("fixrate", "--violating-files", None),
+        ("sample", "--new-violations", None),
+        ("semantic", "--baseline", None),
+        ("metrics", "--post", None),
+        ("semantic", "--compile-log", "compile_results.json"),
+        ("semantic", "--compile-log", "Broken.log"),
+        ("precision", "--labels", None),
+        ("newviol", "--original", "EventBus.java"),  # a file with post findings, so it is read
+        ("run", "--config", None),
+    ])
+    def test_is_named_with_its_line(self, mini, tmp_path, capsys, command, flag, name):
+        # the file, or the file ``name`` in the directory, that the flag
+        # names gets a byte that is not UTF-8 on its second line
+        ws = mini / "workspace"
+        labels = tmp_path / "labels.csv"
+        labels.write_text(",".join(SHEET_HEADER) + "\n", encoding="utf-8")
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "Broken.log").write_text("error: cannot find symbol\n", encoding="utf-8")
+        args = {
+            **_axis_args(ws),
+            "sample": ["--new-violations", ws / "newviol" / "new_violations.csv", "--original", ws / "repair" / "input",
+                       "--repaired", ws / "repair" / "output", "--seed", "17"],
+            "precision": ["--labels", labels],
+            "run": ["--config", mini / "config.json"],
+        }[command]
+        args = [str(a) for a in args]
+        if name == "Broken.log":
+            args[args.index(flag) + 1] = str(logs)
+        i = args.index(flag) + 1
+        (tmp_path / "copy").mkdir()
+        copy = tmp_path / "copy" / Path(args[i]).name
+        (shutil.copytree if name else shutil.copyfile)(args[i], copy)
+        args[i] = str(copy)
+        bad = copy / name if name else copy
+        head, _, rest = bad.read_bytes().partition(b"\n")
+        bad.write_bytes(head + b"\n\xff" + rest)
+        out = [] if command in ("precision", "run") else ["--out", str(tmp_path / "out")]
+        assert main([command, *args, *out]) == (1 if command == "run" else 2)
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err
+        assert "can't decode byte 0xff" in err
+        assert command == "run" or err.endswith("(line 2)\n")
+
 
 class TestCompilerWithoutResults:
     @pytest.mark.parametrize("stage, tree", [("prepare", "corpus"), ("semantic", "output")])
@@ -464,14 +544,14 @@ class TestStageParity:
         ws = mini / "workspace"
         trees = [ws / "repair" / "input", ws / "repair" / "output"]
         reads = []
-        read_text = Path.read_text
+        read_bytes = Path.read_bytes
 
         def spy(self, *args, **kwargs):
             if any(self.is_relative_to(tree) for tree in trees):
                 reads.append(self)
-            return read_text(self, *args, **kwargs)
+            return read_bytes(self, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", spy)
+        monkeypatch.setattr(Path, "read_bytes", spy)
         args = [str(a) for a in _axis_args(ws)["newviol"]]
         assert main(["newviol", *args, "--out", str(tmp_path / "newviol")]) == 0
         with (ws / "analyze_post" / "post_violations.csv").open(encoding="utf-8", newline="") as fh:

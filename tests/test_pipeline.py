@@ -221,6 +221,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             ToolAdapter(name="analyzer", command_template="tool {input} {outut}")
 
+    def test_template_that_cannot_be_split_rejected(self, tmp_path, capsys):
+        # refused at load, before any stage runs
+        path = write_config(tmp_path / "c.json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["adapters"]["metric_extractor"]["command"] = "{python} -m apreval.stubs metrics '{input} {output}"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.key_path == "adapters.metric_extractor.command"
+        assert main(["run", "--config", str(path)]) == 1
+        assert "cannot be split into arguments: No closing quotation" in capsys.readouterr().err
+
 
 class TestRunToolAdapter:
     def test_copy_stub_produces_manifest(self, tmp_path):
@@ -361,6 +373,13 @@ class TestMiniCorpusRun:
         root, cfg, _ = mini_run
         summary = run_pipeline(cfg)
         assert all(status == "cached" for status in summary.values())
+
+    def test_paths_with_a_space_and_a_quote(self, tmp_path):
+        # each substituted path stays one argument of the adapter call
+        cfg = load_config(minicorpus.materialize(tmp_path / "it's a dir", seed=17))
+        run_pipeline(cfg)
+        summary = cfg.workspace_dir / "report" / "summary.json"
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == MINI_SUMMARY_SHA256
 
     def test_fresh_workspace_is_byte_identical(self, mini_run, tmp_path):
         root, cfg, _ = mini_run
@@ -632,14 +651,14 @@ class TestDigestPaths:
         repair = cfg.workspace_dir / "repair"
         trees = {repair / "input", repair / "output"}
         read: Counter[Path] = Counter()
-        read_text = Path.read_text
+        read_bytes = Path.read_bytes
 
         def counting(self, *args, **kwargs):
             if trees.intersection(self.parents):
                 read[self] += 1
-            return read_text(self, *args, **kwargs)
+            return read_bytes(self, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", counting)
+        monkeypatch.setattr(Path, "read_bytes", counting)
         run = PipelineRun(cfg)
         summary = run.run()
         assert summary["newviol"] == summary["sample"] == "ran"
@@ -905,16 +924,17 @@ def _copy_run(reuse_root: Path, tmp_path: Path) -> PipelineConfig:
 
 
 class TestSubStepReuse:
-    def test_edit_spawns_only_what_changed(self, tmp_path):
+    def test_edit_spawns_only_what_changed(self, tmp_path, monkeypatch):
         # 30 per-rule repair passes, as in the benchmark's mini_per_rule
         config_path = minicorpus.materialize(tmp_path, seed=17)
         cfg = _edit_config(config_path, lambda doc: doc["adapters"]["repairer"].update(
             command="{python} -m apreval.stubs repairer {input} {output} --rule {rule}"))
+        outputs = _spy_adapter_outputs(monkeypatch)
 
         def spawns(**kwargs) -> int:
-            before = pipeline._adapter_spawns
+            before = len(outputs)
             run_pipeline(cfg, **kwargs)
-            return pipeline._adapter_spawns - before
+            return len(outputs) - before
 
         assert spawns() == 38
         for n in range(2):
@@ -1683,17 +1703,16 @@ class TestStageOverlap:
             run_pipeline(cfg, jobs=jobs)
         assert _workspace_bytes(parallel) == _workspace_bytes(serial)
 
-    def test_more_workers_than_cores_lose_no_update(self, reuse_root, tmp_path):
+    def test_more_workers_than_cores_lose_no_update(self, reuse_root, tmp_path, monkeypatch):
         # the six calls after repair all run at once, switching threads often
         cfg = load_config(minicorpus.materialize(tmp_path / "parallel", seed=17))
+        outputs = _spy_adapter_outputs(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            before = pipeline._adapter_spawns
             run_pipeline(cfg, jobs=8)
-            spawns = pipeline._adapter_spawns - before
         finally:
             sys.setswitchinterval(interval)
-        assert spawns == 9
+        assert len(outputs) == 9
         assert not pipeline._running_adapters
         assert _workspace_bytes(cfg) == _workspace_bytes(_copy_run(reuse_root, tmp_path / "serial"))
