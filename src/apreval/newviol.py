@@ -67,12 +67,11 @@ class SourcePair:
 
 class SourceTrees(Mapping):
     """The SourcePair of each of ``files`` in an original tree, read from it
-    and from the repaired tree when first looked up."""
+    and from the repaired tree at each lookup and not kept."""
 
     def __init__(self, original_dir: Path, repaired_dir: Path, files: Iterable[str]):
         self.original_dir, self.repaired_dir = original_dir, repaired_dir
         self.files = dict.fromkeys(files)
-        self._pairs: dict[str, SourcePair] = {}
 
     def original(self, rel: str) -> str | None:
         """The path of ``rel`` in the original tree, if it is one of its files."""
@@ -82,15 +81,12 @@ class SourceTrees(Mapping):
         return os.path.join(self.repaired_dir, rel)
 
     def __getitem__(self, rel: str) -> SourcePair:
-        pair = self._pairs.get(rel)
-        if pair is None:
-            if rel not in self.files:
-                raise KeyError(rel)
-            original = parse_file(Path(self.original(rel)), decode_input)
-            repaired = self.repaired(rel)
-            text = parse_file(Path(repaired), decode_input) if os.path.isfile(repaired) else ""
-            pair = self._pairs[rel] = SourcePair.from_texts(rel, original, text)
-        return pair
+        if rel not in self.files:
+            raise KeyError(rel)
+        original = parse_file(Path(self.original(rel)), decode_input)
+        repaired = self.repaired(rel)
+        text = parse_file(Path(repaired), decode_input) if os.path.isfile(repaired) else ""
+        return SourcePair.from_texts(rel, original, text)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.files)

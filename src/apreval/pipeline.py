@@ -63,6 +63,7 @@ from .violations import (
     get_profile,
     json_text,
     parse_file,
+    parse_json,
     parse_report,
     read_report,
     serialize_report,
@@ -629,7 +630,6 @@ def _load_new(path: Path) -> tuple[int, list[Violation]]:
 
 _PRE_REPORT = Handoff((_PRE_CSV,), partial(read_report, state=StateLabel.PRE_REPAIR))
 _POST_REPORT = Handoff((_POST_CSV,), partial(read_report, state=StateLabel.POST_REPAIR))
-_PAIRS = Handoff(_TREES, load_sources)  # the SourcePairs of the repair stage's input and output
 _NEW = Handoff((_NEW_CSV,), _load_new)  # its number of rows and NEW violations
 
 
@@ -1035,7 +1035,7 @@ def _newviol(run: PipelineRun, stage_dir: Path) -> None:
 
     from . import newviol as newviol_mod
 
-    trees = run._parsed(_PAIRS)
+    trees = load_sources(*run._at(*_TREES))
     post_rows = finding_digests(run.workspace / _POST_CSV)
     violating = set(_read_lines(run.workspace / _VIOLATING))
     pre_rows = finding_digests(run.workspace / _PRE_CSV, violating & post_rows.keys())
@@ -1064,10 +1064,7 @@ def _newviol(run: PipelineRun, stage_dir: Path) -> None:
     verdicts = []
     if changed:
         pre, post = run._parsed(_PRE_REPORT, changed & violating), run._parsed(_POST_REPORT, changed)
-        # the changed files' sources, read in one go before any is judged:
-        # reads between the judging left freed memory in pieces, and peak RSS rose
-        sources = {file_id: trees[file_id] for file_id in sorted(changed) if file_id in trees.files}
-        verdicts = newviol_mod.detect_new_violations(pre, post, sources, run.config.normalization)
+        verdicts = newviol_mod.detect_new_violations(pre, post, trees, run.config.normalization)
     rows = newviol_mod.verdict_rows(verdicts)
     if kept:
         # both in canonical order, which groups the rows by file
@@ -1085,7 +1082,7 @@ def _sample(run: PipelineRun, stage_dir: Path) -> None:
     sample = sampling_mod.draw_sample(new, run.config.sampling, run.config.seed)
     # fragments come from the repaired code, so index sources that way
     sampling_mod.write_sample(
-        stage_dir / "sheet.csv", sample, len(new), run._parsed(_PAIRS),
+        stage_dir / "sheet.csv", sample, len(new), load_sources(*run._at(*_TREES)),
         stage_dir / "allocation.json",
     )
 
@@ -1140,10 +1137,10 @@ STAGES = (
     Stage("fixrate", _under(*_MATCHED), lambda run: run.profile.name, _fixrate,
           reads=(_PRE_REPORT, _POST_REPORT)),
     Stage("newviol", _under(*_MATCHED, *_TREES), _newviol_fingerprint, _newviol,
-          reads=(_PRE_REPORT, _POST_REPORT, _PAIRS)),
+          reads=(_PRE_REPORT, _POST_REPORT)),
     Stage("sample", _under(_NEW_CSV, *_TREES),
           lambda run: json.dumps({**asdict(run.config.sampling), "seed": run.config.seed}, sort_keys=True),
-          _sample, reads=(_NEW, _PAIRS)),
+          _sample, reads=(_NEW,)),
     Stage("semantic", _under(*_TREES), _fingerprint("test_runner", "compiler"), _semantic, "test_runner"),
     Stage("metrics", _under(*_TREES), _fingerprint("metric_extractor"), _metrics, "metric_extractor"),
     # the axes after fix rate are optional, so only those present are read
@@ -1196,7 +1193,7 @@ def emit_reports(
     fixrate_json = workspace / _FIXRATE_JSON
     if not fixrate_json.is_file():
         raise MissingStageOutputError("fixrate", str(fixrate_json))
-    summary: dict = {"fixrate": json.loads(fixrate_json.read_text(encoding="utf-8"))}
+    summary: dict = {"fixrate": parse_file(fixrate_json, parse_json)}
 
     new_csv = workspace / _NEW_CSV
     if new_csv.is_file():
@@ -1209,9 +1206,7 @@ def emit_reports(
     for stage, name in (("sample", "allocation.json"), ("semantic", "semantic.json"),
                         ("metrics", "metrics.json")):
         path = workspace / stage / name
-        summary[stage] = (
-            json.loads(path.read_text(encoding="utf-8")) if path.is_file() else {"status": "skipped"}
-        )
+        summary[stage] = parse_file(path, parse_json) if path.is_file() else {"status": "skipped"}
 
     (report_dir / "summary.json").write_text(json_text(summary), encoding="utf-8")
     for stage, names in _REPORT_CSVS.items():

@@ -15,6 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -170,25 +172,25 @@ def export_labeling_sheet(
     evaluators can judge without opening files; verdict columns start
     blank. Output is deterministic for a given sample.
     """
+    items = [v for rule in sorted(sample.strata) for v in sorted(sample.strata[rule], key=lambda v: v.key)]
+    # each sampled file is looked up once, for all of its spans
+    fragments: dict[tuple[str, tuple[int, int]], str] = {}
+    for file_id, spans in groupby(sorted({(v.file_id, v.span) for v in items}), key=itemgetter(0)):
+        pair = sources.get(file_id)
+        if pair is None:
+            raise MissingSourceError(file_id)
+        for _, span in spans:
+            fragments[file_id, span] = (
+                "<file deleted>" if pair.repaired_deleted else "\n".join(extract_fragment(pair, span).lines)
+            )
     buf = io.StringIO()
     writer = csv_writer(buf)
     writer.writerow(SHEET_HEADER)
-    item_no = 0
-    for rule in sorted(sample.strata):
-        for v in sorted(sample.strata[rule], key=lambda v: v.key):
-            item_no += 1
-            pair = sources.get(v.file_id)
-            if pair is None:
-                raise MissingSourceError(v.file_id)
-            if pair.repaired_deleted:
-                fragment_text = "<file deleted>"
-            else:
-                fragment = extract_fragment(pair, v.span)
-                fragment_text = "\n".join(fragment.lines)
-            writer.writerow(
-                [f"item{item_no:04d}", v.file_id, v.rule, v.start_line, v.end_line,
-                 fragment_text, "", "", ""]
-            )
+    for item_no, v in enumerate(items, 1):
+        writer.writerow(
+            [f"item{item_no:04d}", v.file_id, v.rule, v.start_line, v.end_line,
+             fragments[v.file_id, v.span], "", "", ""]
+        )
     return buf.getvalue()
 
 

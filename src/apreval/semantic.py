@@ -9,7 +9,6 @@ shipped as editable data files, keeping the module runner-agnostic.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import MalformedInputError
 from .violations import (
-    csv_writer, decode_input, json_text, load_data_json, parse_file, read_csv_table, table_text,
+    csv_writer, decode_input, json_text, load_data_json, parse_file, parse_json, read_csv_table, table_text,
 )
 
 RESULTS_CSV_HEADER = ("test_id", "target_file", "status", "failure_kind")
@@ -266,10 +265,7 @@ def read_compile_results(results_json: Path) -> tuple[list[str], dict[str, str]]
 
 
 def _parse_compile_results(data: bytes) -> tuple[list[str], dict[str, str]]:
-    try:
-        results = json.loads(decode_input(data))
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    results = parse_json(data)
     if not isinstance(results, list):
         raise MalformedInputError("expected a list of records")
     compilable: list[str] = []

@@ -21,7 +21,7 @@ from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 from .errors import (
     ConfigError,
@@ -255,6 +255,14 @@ def parse_file(path: Path, parse: Callable[[bytes], _T]) -> _T:
         raise MalformedInputError(f"{path}: {exc.message}", exc.line) from None
 
 
+def parse_json(raw: bytes | str) -> Any:
+    """The JSON document ``raw`` holds; one that is not JSON raises ``MalformedInputError`` with the line at fault."""
+    try:
+        return json.loads(decode_input(raw))
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+
+
 def _file_id(raw: str, field: str, line: int | None = None) -> str:
     """A finding's file in canonical form; blank once canonical means missing."""
     path = normalize_path(raw)
@@ -331,10 +339,7 @@ def analyzer_json_mapping(options: Mapping) -> dict:
 def _analyzer_json_adapter(text: str, options: Mapping) -> Iterable[Violation]:
     m = analyzer_json_mapping(options)
     fallback = bool(options.get("end_line_fallback", False))
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    doc = parse_json(text)
     issues = doc.get(m["issues_key"])
     if issues is None:
         raise MissingRequiredFieldError(m["issues_key"])

@@ -155,6 +155,17 @@ class TestRun:
         assert str(state) in captured.err
         assert (ws / "report" / "summary.json").read_bytes() == summary
 
+    def test_truncated_stage_json_fails_the_report_naming_it(self, tmp_path, capsys):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        assert main(["run", "--config", str(config_path)]) == 0
+        metrics_json = tmp_path / "workspace" / "metrics" / "metrics.json"
+        metrics_json.write_text('{\n  "metrics": ', encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"stage failure: stage 'report' failed: {metrics_json}: invalid JSON: Expecting value (line 2)\n"
+        )
+
     @pytest.mark.parametrize("stage, corrupt", [
         ("fixrate", lambda stages: stages.update(fixrate="garbage")),
         ("semantic", lambda stages: stages["semantic"]["steps"].update(baseline_raw="garbage")),
@@ -593,6 +604,13 @@ class TestReportCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["fixrate"]["overall"]["pre_total"] == 22
         assert (ws / "report" / "summary.json").is_file()
+
+    def test_truncated_fixrate_json_names_its_file_and_line(self, tmp_path, capsys):
+        fixrate_json = tmp_path / "fixrate" / "fixrate.json"
+        fixrate_json.parent.mkdir()
+        fixrate_json.write_text('{\n  "overall": ', encoding="utf-8")
+        assert main(["report", "--workspace", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {fixrate_json}: invalid JSON: Expecting value (line 2)\n"
 
     def test_empty_workspace_fails_cleanly(self, tmp_path, capsys):
         code = main(["report", "--workspace", str(tmp_path)])

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -644,9 +645,9 @@ class TestDigestPaths:
         assert set(hashed.values()) == {1}
 
     def test_cold_run_reads_each_source_once(self, tmp_path, monkeypatch):
-        # newviol and sample share one load of each source pair they need:
-        # those of the files with post-repair findings, which the sample is
-        # drawn from; no other source file is read
+        # newviol reads the source pair of each file with post-repair
+        # findings once, and sample reads those of the files it drew once
+        # more; no other source file is read
         cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
         repair = cfg.workspace_dir / "repair"
         trees = {repair / "input", repair / "output"}
@@ -662,21 +663,41 @@ class TestDigestPaths:
         run = PipelineRun(cfg)
         summary = run.run()
         assert summary["newviol"] == summary["sample"] == "ran"
-        assert run._handoffs == {}  # the sources too
+        assert run._handoffs == {}
         post = violations.read_report(cfg.workspace_dir / "analyze_post" / "post_violations.csv",
                                       StateLabel.POST_REPAIR)
         needed = {v.file_id for v in post.entries}
         sheet = (cfg.workspace_dir / "sample" / "sheet.csv").read_bytes().decode("utf-8")
         sampled = {row[1] for _, row in violations.read_csv_table(sheet, sampling_mod.SHEET_HEADER)}
         assert sampled and sampled <= needed
-        expected = set()
+        expected: Counter[Path] = Counter()
         for rel in needed:
-            expected.add(repair / "input" / rel)
+            expected[repair / "input" / rel] = 1 + (rel in sampled)
             if (repair / "output" / rel).is_file():
-                expected.add(repair / "output" / rel)
-        assert set(read) == expected
+                expected[repair / "output" / rel] = 1 + (rel in sampled)
+        assert read == expected
         assert len(expected) < len(_rglob_files(repair))
-        assert set(read.values()) == {1}
+
+    def test_cold_run_keeps_at_most_two_source_pairs_alive(self, tmp_path, monkeypatch):
+        # newviol and sample each build one file's pair at a time and keep
+        # none: while the next is built, only the one just judged may be alive
+        cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
+        alive: weakref.WeakSet = weakref.WeakSet()
+        built: list[tuple[str, int]] = []  # each pair's file, and how many others were alive then
+        from_texts = newviol_mod.SourcePair.from_texts.__func__
+
+        def tracking(cls, rel, *texts):
+            pair = from_texts(cls, rel, *texts)
+            built.append((rel, len(alive)))
+            alive.add(pair)
+            return pair
+
+        monkeypatch.setattr(newviol_mod.SourcePair, "from_texts", classmethod(tracking))
+        summary = run_pipeline(cfg)
+        assert summary["newviol"] == summary["sample"] == "ran"
+        assert max(others for _, others in built) <= 1
+        files = [rel for rel, _ in built]
+        assert len(files) > len(set(files)) > 2  # sample builds again the pairs of the files it drew
 
 
 def _count_parses(monkeypatch) -> list[int]:
@@ -845,7 +866,6 @@ class TestNewViolationsParsedOnce:
 HANDOFF_READERS = {
     "pre report": (pipeline._PRE_REPORT, {"repair", "fixrate", "newviol"}, {"repair", "fixrate", "newviol"}),
     "post report": (pipeline._POST_REPORT, {"repair", "fixrate", "newviol"}, {"fixrate", "newviol"}),
-    "sources": (pipeline._PAIRS, {"newviol", "sample"}, {"sample"}),
     "NEW rows": (pipeline._NEW, {"sample", "report"}, {"sample", "report"}),
 }
 
@@ -1090,9 +1110,9 @@ class TestEditCutoffs:
                             classmethod(lambda cls, rel, *texts: pairs.append(rel) or from_texts(cls, rel, *texts)))
         judged = _spy_judged(monkeypatch)
         loaded_by_newviol: list[list[str]] = []
-        detect = newviol_mod.detect_new_violations
-        monkeypatch.setattr(newviol_mod, "detect_new_violations",
-                            lambda *args: loaded_by_newviol.append(list(pairs)) or detect(*args))
+        write_newviol = newviol_mod.write_newviol
+        monkeypatch.setattr(newviol_mod, "write_newviol",
+                            lambda *args: loaded_by_newviol.append(list(pairs)) or write_newviol(*args))
         summary = run_pipeline(cfg)
         assert summary["analyze_post"] == summary["newviol"] == summary["sample"] == "ran"
         assert parses == []  # analyze_post moved its old CSV in; fixrate is cached
