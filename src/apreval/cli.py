@@ -98,7 +98,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     new = load_new(Path(args.new_violations))[1]
     params = SamplingParams(confidence=args.confidence, margin=args.margin)
     sample = sampling_mod.draw_sample(new, params, args.seed)
-    sources = load_sources(Path(args.original), Path(args.repaired))
+    sources = load_sources(Path(args.original), Path(args.repaired), originals=False)
     sampling_mod.write_sample(Path(args.out), sample, len(new), sources)
     print(f"sampled {sample.size} of {len(new)} new violations across {len(sample.allocation)} rules")
     return EXIT_OK

@@ -40,6 +40,7 @@ from .violations import (
     decode_input,
     parse_file,
     read_csv_table,
+    share_text_fields,
     table_text,
 )
 
@@ -67,11 +68,17 @@ class SourcePair:
 
 class SourceTrees(Mapping):
     """The SourcePair of each of ``files`` in an original tree, read from it
-    and from the repaired tree at each lookup and not kept."""
+    and from the repaired tree at each lookup and not kept.
 
-    def __init__(self, original_dir: Path, repaired_dir: Path, files: Iterable[str]):
+    With ``originals=False`` no original file is read and each pair's
+    original lines are empty: enough for a labelling sheet, which shows
+    repaired code alone.
+    """
+
+    def __init__(self, original_dir: Path, repaired_dir: Path, files: Iterable[str], originals: bool = True):
         self.original_dir, self.repaired_dir = original_dir, repaired_dir
         self.files = dict.fromkeys(files)
+        self.originals = originals
 
     def original(self, rel: str) -> str | None:
         """The path of ``rel`` in the original tree, if it is one of its files."""
@@ -83,7 +90,7 @@ class SourceTrees(Mapping):
     def __getitem__(self, rel: str) -> SourcePair:
         if rel not in self.files:
             raise KeyError(rel)
-        original = parse_file(Path(self.original(rel)), decode_input)
+        original = parse_file(Path(self.original(rel)), decode_input) if self.originals else ""
         repaired = self.repaired(rel)
         text = parse_file(Path(repaired), decode_input) if os.path.isfile(repaired) else ""
         return SourcePair.from_texts(rel, original, text)
@@ -107,7 +114,7 @@ class SourceTrees(Mapping):
         return sorted(filter(empty, self.files))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fragment:
     """The code lines a violation's span covers in the repaired file."""
 
@@ -127,7 +134,7 @@ class VerdictKind(Enum):
     NEW = "new"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NewViolationVerdict:
     violation: Violation
     verdict: VerdictKind
@@ -343,13 +350,15 @@ def read_verdict_rows(
         text = decode_input(path.read_bytes())
         if not text:
             raise MalformedInputError("empty file: expected a header row", 1)
-        for line, row in read_csv_table(text, NEW_VIOLATIONS_HEADER):
-            if files is None or row[0] in files:
-                file_id, rule, vtype, severity, start_line, end_line, message, verdict, _ = row
-                yield row, Violation(
-                    file_id=file_id, rule=rule, vtype=ViolationType(vtype), severity=Severity(severity),
-                    start_line=int(start_line), end_line=int(end_line), message=message,
-                ) if verdict == VerdictKind.NEW.value else None
+        rows = read_csv_table(text, NEW_VIOLATIONS_HEADER)
+        if files is not None:
+            rows = ((line, row) for line, row in rows if row[0] in files)
+        for line, row in share_text_fields(rows):
+            file_id, rule, vtype, severity, start_line, end_line, message, verdict, _ = row
+            yield row, Violation(
+                file_id=file_id, rule=rule, vtype=ViolationType(vtype), severity=Severity(severity),
+                start_line=int(start_line), end_line=int(end_line), message=message,
+            ) if verdict == VerdictKind.NEW.value else None
     except MalformedInputError as exc:
         raise MalformedInputError(f"{path}: {exc.message}", exc.line) from None
     except ValueError as exc:  # a bad value in a NEW row

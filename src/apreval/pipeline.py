@@ -452,11 +452,12 @@ class _WorkspaceLock:
         return False
 
 
-def load_sources(original_dir: Path, repaired_dir: Path) -> SourceTrees:
-    """SourcePairs for every file present in the original tree, each read when first looked up."""
+def load_sources(original_dir: Path, repaired_dir: Path, originals: bool = True) -> SourceTrees:
+    """SourcePairs for every file present in the original tree, each read at
+    lookup; with ``originals=False``, pairs of the repaired lines alone."""
     from .newviol import SourceTrees
 
-    return SourceTrees(original_dir, repaired_dir, [rel for rel, _ in _walk_files(str(original_dir))])
+    return SourceTrees(original_dir, repaired_dir, [rel for rel, _ in _walk_files(str(original_dir))], originals)
 
 
 # --- the scheduler ------------------------------------------------------------
@@ -616,9 +617,9 @@ _FIXRATE_JSON = "fixrate/fixrate.json"
 
 
 class Handoff(NamedTuple):
-    """A value that stages hand on to later ones: ``load`` of the workspace ``paths``."""
+    """A value that stages hand on to later ones: ``load`` of the workspace file ``path``."""
 
-    paths: tuple[str, ...]
+    path: str
     load: Callable[..., object]
 
 
@@ -628,9 +629,9 @@ def _load_new(path: Path) -> tuple[int, list[Violation]]:
     return load_new(path)
 
 
-_PRE_REPORT = Handoff((_PRE_CSV,), partial(read_report, state=StateLabel.PRE_REPAIR))
-_POST_REPORT = Handoff((_POST_CSV,), partial(read_report, state=StateLabel.POST_REPAIR))
-_NEW = Handoff((_NEW_CSV,), _load_new)  # its number of rows and NEW violations
+_PRE_REPORT = Handoff(_PRE_CSV, partial(read_report, state=StateLabel.PRE_REPAIR))
+_POST_REPORT = Handoff(_POST_CSV, partial(read_report, state=StateLabel.POST_REPAIR))
+_NEW = Handoff(_NEW_CSV, _load_new)  # its number of rows and NEW violations
 
 
 class Stage(NamedTuple):
@@ -675,7 +676,7 @@ class PipelineRun:
         # that each file is read at most once; emptied whenever adapter calls
         # end, and a stage directory forgotten when its body starts
         self._memo: _DigestMemo = {}
-        # hand-off -> (digest of its paths, value)
+        # hand-off -> (digest of its file, value)
         self._handoffs: dict[Handoff, tuple[str, object]] = {}
         # the stages of this run not yet done, by name
         self._pending: dict[str, Stage] = {}
@@ -859,25 +860,25 @@ class PipelineRun:
         return [partial(run_tool_adapter, adapter, input_dir, stage_dir / sub)]
 
     def _hand_off(self, handoff: Handoff, value: object) -> None:
-        """Hand on ``value``, which is what ``handoff`` loads from the files just written."""
-        self._handoffs[handoff] = (_digest_paths(self._at(*handoff.paths), "", self._memo), value)
+        """Hand on ``value``, which is what ``handoff`` loads from the file just written."""
+        self._handoffs[handoff] = (_digest_paths(self._at(handoff.path), "", self._memo), value)
 
     def _parsed(self, handoff: Handoff, files: Collection[str] | None = None) -> Any:
-        """``handoff``'s value as handed on, if its paths still have the digest
-        they had then, or else loaded from them, once per run.
+        """``handoff``'s value as handed on, if its file still has the digest
+        it had then, or else loaded from it, once per run.
 
         With ``files``, a report hand-off's findings in those files alone: a
         stale value is then not loaded whole, but from its CSV's rows of those
         files, and not kept. The digest comes from the memo, which the reading
         stage's input digest has just filled.
         """
-        paths = self._at(*handoff.paths)
-        digest = _digest_paths(paths, "", self._memo)
+        path = self.workspace / handoff.path
+        digest = _digest_paths([path], "", self._memo)
         entry = self._handoffs.get(handoff)
         if entry is None or entry[0] != digest:
             if files is not None:
-                return handoff.load(*paths, files=files)
-            entry = self._handoffs[handoff] = (digest, handoff.load(*paths))
+                return handoff.load(path, files=files)
+            entry = self._handoffs[handoff] = (digest, handoff.load(path))
         if files is None:
             return entry[1]
         from .fixrate import restrict_to_files
@@ -981,7 +982,7 @@ def _analyze(tree: str, state: StateLabel, handoff: Handoff, run: PipelineRun, s
         if not written:
             raise MissingArtifactError(analyzer.name, "<analysis report>")
         report_file = raw / min(written)
-    csv_path = run.workspace / handoff.paths[0]
+    csv_path = run.workspace / handoff.path
     # the same raw report, read the same way, gives the same CSV: move the old one in
     if run._reused(stage_dir, csv_path.name, _digest_paths([report_file], _analyzer_fingerprint(run), run._memo)):
         return
@@ -1080,9 +1081,9 @@ def _sample(run: PipelineRun, stage_dir: Path) -> None:
 
     new = run._parsed(_NEW)[1]
     sample = sampling_mod.draw_sample(new, run.config.sampling, run.config.seed)
-    # fragments come from the repaired code, so index sources that way
+    # the sheet shows repaired code alone, so no original file is read
     sampling_mod.write_sample(
-        stage_dir / "sheet.csv", sample, len(new), load_sources(*run._at(*_TREES)),
+        stage_dir / "sheet.csv", sample, len(new), load_sources(*run._at(*_TREES), originals=False),
         stage_dir / "allocation.json",
     )
 

@@ -33,7 +33,7 @@ class TestStatus(Enum):
     SKIP = "skip"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestOutcome:
     """One test case's result in one corpus state."""
 
@@ -156,7 +156,7 @@ def filter_baseline(original_run: Sequence[TestOutcome]) -> set[str]:
     return {o.test_id for o in original_run if o.status is TestStatus.PASS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Regression:
     test_id: str
     status: TestStatus

@@ -15,9 +15,8 @@ import hashlib
 import io
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
@@ -83,9 +82,13 @@ class ViolationKey(NamedTuple):
     end_line: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
-    """One static-analysis finding at a file + line span."""
+    """One static-analysis finding at a file + line span.
+
+    Reports hold these by the ten thousand, so the class has slots and no
+    per-instance ``__dict__``.
+    """
 
     file_id: str
     rule: str
@@ -94,6 +97,8 @@ class Violation:
     start_line: int
     end_line: int
     message: str = ""
+    #: the matching identity, built once by __post_init__ rather than at each lookup
+    key: ViolationKey = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.file_id:
@@ -105,10 +110,7 @@ class Violation:
             raise ValueError(
                 f"end_line {self.end_line} precedes start_line {self.start_line}"
             )
-
-    @cached_property
-    def key(self) -> ViolationKey:
-        return ViolationKey(self.file_id, self.rule, self.start_line, self.end_line)
+        object.__setattr__(self, "key", ViolationKey(self.file_id, self.rule, self.start_line, self.end_line))
 
     @property
     def span(self) -> tuple[int, int]:
@@ -293,6 +295,16 @@ def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     return read_csv_table(text, CSV_HEADER)
 
 
+def share_text_fields(rows: Iterable[tuple[int, list[str]]]) -> Iterator[tuple[int, list[str]]]:
+    """``rows`` with their file, rule and message fields (columns 1, 2 and 7,
+    as in ``CSV_HEADER``) each replaced by the first equal string among them,
+    so that the violations built from them share one string per value."""
+    share = {}.setdefault
+    for line, row in rows:
+        row[0], row[1], row[6] = share(row[0], row[0]), share(row[1], row[1]), share(row[6], row[6])
+        yield line, row
+
+
 def _csv_violation(line: int, row: list[str]) -> Violation:
     for name, value in zip(CSV_HEADER[:-1], row):  # every field but the message
         if not value.strip():
@@ -313,7 +325,7 @@ def _csv_violation(line: int, row: list[str]) -> Violation:
 
 
 def _csv_adapter(text: str, options: Mapping) -> Iterable[Violation]:
-    for line, row in _csv_rows(text):
+    for line, row in share_text_fields(_csv_rows(text)):
         yield _csv_violation(line, row)
 
 
@@ -344,6 +356,7 @@ def _analyzer_json_adapter(text: str, options: Mapping) -> Iterable[Violation]:
     if issues is None:
         raise MissingRequiredFieldError(m["issues_key"])
     f = m["fields"]
+    share = {}.setdefault  # one string per distinct file, rule and message
     for i, issue in enumerate(issues):
         def get(path: str, *, required: bool = True):
             node = issue
@@ -381,6 +394,7 @@ def _analyzer_json_adapter(text: str, options: Mapping) -> Iterable[Violation]:
         message = str(get(f["message"], required=False) or "")
         for what, value in (("file", component), ("message", message)):
             _check_csv_field(value, f"issue {i}: {what}")
+        component, rule, message = share(component, component), share(rule, rule), share(message, message)
         try:
             yield Violation(
                 file_id=_file_id(component, f"{f['file']} (issue {i})"),
@@ -423,8 +437,8 @@ def read_report(path: Path, state: StateLabel, files: Collection[str] | None = N
         return parse_file(path, lambda data: parse_report(data, "csv", state))
 
     def pick(data: bytes) -> ViolationReport:
-        rows = _csv_rows(decode_input(data))
-        entries = tuple(_csv_violation(line, row) for line, row in rows if normalize_path(row[0]) in files)
+        rows = ((line, row) for line, row in _csv_rows(decode_input(data)) if normalize_path(row[0]) in files)
+        entries = tuple(_csv_violation(line, row) for line, row in share_text_fields(rows))
         return normalize_report(ViolationReport(state=state, entries=entries))
 
     return parse_file(path, pick)
@@ -491,6 +505,28 @@ def csv_writer(fh):
     return csv.writer(_LFRows(fh.write), lineterminator="\r\n")
 
 
+#: the line breaks of ``str.splitlines`` that a ``newline=""`` text stream
+#: does not split at, so that the csv module reads them as field characters
+_NOT_CSV_BREAKS = frozenset("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _csv_lines(text: str) -> Iterator[str]:
+    """The lines of ``text`` as ``io.StringIO(text, newline="")`` gives them,
+    broken at CR, LF and CRLF alone, without copying the text into a buffer."""
+    held: list[str] = []  # the pieces of a line broken at one of _NOT_CSV_BREAKS
+    for piece in text.splitlines(keepends=True):
+        if piece[-1] in _NOT_CSV_BREAKS:
+            held.append(piece)
+        elif held:
+            held.append(piece)
+            yield "".join(held)
+            held.clear()
+        else:
+            yield piece
+    if held:
+        yield "".join(held)
+
+
 def read_csv_table(
     text: str, header: tuple[str, ...], *, fold_case: bool = False
 ) -> Iterator[tuple[int, list[str]]]:
@@ -500,7 +536,7 @@ def read_csv_table(
     an empty text has no rows. A wrong header, a row of another width or a
     ``csv.Error`` raises ``MalformedInputError``.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(_csv_lines(text))
     width = len(header)
     line = 1
     try:

@@ -646,8 +646,8 @@ class TestDigestPaths:
 
     def test_cold_run_reads_each_source_once(self, tmp_path, monkeypatch):
         # newviol reads the source pair of each file with post-repair
-        # findings once, and sample reads those of the files it drew once
-        # more; no other source file is read
+        # findings once, and sample reads the repaired file of each file it
+        # drew once more, and no original; no other source file is read
         cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
         repair = cfg.workspace_dir / "repair"
         trees = {repair / "input", repair / "output"}
@@ -672,7 +672,7 @@ class TestDigestPaths:
         assert sampled and sampled <= needed
         expected: Counter[Path] = Counter()
         for rel in needed:
-            expected[repair / "input" / rel] = 1 + (rel in sampled)
+            expected[repair / "input" / rel] = 1
             if (repair / "output" / rel).is_file():
                 expected[repair / "output" / rel] = 1 + (rel in sampled)
         assert read == expected

@@ -14,14 +14,16 @@ from apreval.errors import (
     UnknownAdapterError,
 )
 from apreval.metrics import METRICS_CSV_HEADER, read_class_metrics_csv
+from apreval.newviol import Fragment, NewViolationVerdict, VerdictKind, load_new, verdict_rows, write_newviol
 from apreval.sampling import SHEET_HEADER, ingest_labels
-from apreval.semantic import RESULTS_CSV_HEADER, ingest_test_results
+from apreval.semantic import RESULTS_CSV_HEADER, Regression, TestOutcome, TestStatus, ingest_test_results
 from apreval.violations import (
     CSV_HEADER,
     SORALD_30,
     RuleProfile,
     Severity,
     StateLabel,
+    Violation,
     ViolationType,
     check_rule_id,
     csv_writer,
@@ -29,6 +31,7 @@ from apreval.violations import (
     normalize_report,
     parse_report,
     read_csv_table,
+    read_report,
     serialize_report,
 )
 
@@ -96,6 +99,141 @@ class TestReadCsvTable:
         with pytest.raises(MalformedInputError) as err:
             list(read_csv_table("a,b\n1,2\n1,2,3\n", ("a", "b")))
         assert err.value.line == 3
+
+
+def _stringio_read_csv_table(text, header):
+    """``read_csv_table`` as it was when it read ``text`` through a
+    ``newline=""`` StringIO: the oracle for the line splitting."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    width = len(header)
+    line = 1
+    try:
+        first = next(reader, None)
+        if first is None:
+            return
+        names = tuple(h.strip() for h in first)
+        if names != header:
+            missing = [name for name in header if name not in names]
+            problem = f"missing column {missing[0]!r}" if missing else f"unexpected header {first!r}"
+            raise MalformedInputError(f"{problem}; expected {','.join(header)}", 1)
+        line = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != width:
+                    raise MalformedInputError(f"expected {width} fields, got {len(row)}", line)
+                yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise MalformedInputError(str(exc), line) from None
+
+
+def _outcome(rows):
+    """Each ``(line, row)`` read, then the text and line of the error that ended the read, if any."""
+    seen = []
+    try:
+        seen.extend(rows)
+    except MalformedInputError as exc:
+        seen.append((exc.message, exc.line))
+    return seen
+
+
+#: the line breaks of str.splitlines that the csv module reads as field characters
+EXTRA_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+#: pieces of a CSV text: separators, quotes and line breaks, and each extra break quoted and bare
+CSV_PIECES = ("a", ",", '"', "\r", "\n", "\r\n", *EXTRA_BREAKS, *(f'"a{b}a"' for b in EXTRA_BREAKS))
+
+
+class TestCsvLineSplitting:
+    """``read_csv_table`` splits the text itself; it must read as a ``newline=""`` StringIO did."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        header=st.sampled_from([("a",), ("a", "a")]),
+        text=st.lists(st.sampled_from(CSV_PIECES), max_size=24).map("".join),
+    )
+    def test_same_rows_lines_and_errors_as_a_stringio_reader(self, header, text):
+        assert _outcome(read_csv_table(text, header)) == _outcome(_stringio_read_csv_table(text, header))
+
+    @pytest.mark.parametrize("brk", EXTRA_BREAKS)
+    def test_extra_breaks_stay_inside_their_field(self, brk):
+        text = f"a,a\n1{brk}2,x\n\"3{brk}\",y{brk}\n"
+        assert list(read_csv_table(text, ("a", "a"))) == [(2, [f"1{brk}2", "x"]), (3, [f"3{brk}", f"y{brk}"])]
+
+    def test_no_stringio_copy_of_the_text(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("read_csv_table copied its text into a StringIO")
+
+        monkeypatch.setattr(io, "StringIO", refused)
+        text = 'file,rule,type,severity,start_line,end_line,message\nA.java,S1118,Bug,Low,1,1,"a\nb"\n'
+        assert list(read_csv_table(text, CSV_HEADER)) == [(2, ["A.java", "S1118", "Bug", "Low", "1", "1", "a\nb"])]
+        assert len(parse_report(text)) == 1
+
+
+def _distinct_objects(report, attr):
+    """The number of distinct values of ``attr`` among the report's violations, and of str objects holding them."""
+    values = [getattr(v, attr) for v in report.entries]
+    return len(set(values)), len(set(map(id, values)))
+
+
+#: violations with few distinct files, rules and messages, each used many times
+REPEATED = [
+    mkviol(f"pkg/F{i % 3}.java", ("S1118", "S1068")[i % 2], i + 1, message=("first message", "second one")[i % 2 == 0])
+    for i in range(24)
+]
+
+
+class TestSharedStrings:
+    """The violations read from one report share one str object per distinct file, rule and message."""
+
+    @staticmethod
+    def _assert_shared(report):
+        assert len(report) > 6
+        for attr in ("file_id", "rule", "message"):
+            distinct, objects = _distinct_objects(report, attr)
+            assert objects == distinct, attr
+
+    def test_csv_report(self):
+        self._assert_shared(parse_report(serialize_report(mkreport(REPEATED))))
+
+    def test_csv_report_of_some_files(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_text(serialize_report(mkreport(REPEATED)), encoding="utf-8")
+        report = read_report(path, StateLabel.POST_REPAIR, files={"pkg/F0.java", "pkg/F1.java"})
+        assert {v.file_id for v in report} == {"pkg/F0.java", "pkg/F1.java"}
+        self._assert_shared(report)
+
+    def test_analyzer_json_report(self):
+        raw = _sonar_export([
+            _sonar_issue(f"proj:pkg/F{i % 3}.java", f"java:{v.rule}", v.start_line, v.end_line, message=v.message)
+            for i, v in enumerate(REPEATED)
+        ])
+        self._assert_shared(parse_report(raw, "analyzer-json"))
+
+    def test_new_violations_csv(self, tmp_path):
+        write_newviol(tmp_path, verdict_rows(NewViolationVerdict(v, VerdictKind.NEW) for v in REPEATED), [])
+        self._assert_shared(mkreport(load_new(tmp_path / "new_violations.csv")[1]))
+
+
+class TestCompactRecords:
+    @pytest.mark.parametrize("record", [
+        mkviol(),
+        NewViolationVerdict(mkviol(), VerdictKind.NEW),
+        Fragment("A.java", ("int x;",), (1, 1)),
+        TestOutcome("T.t1", "A.java", TestStatus.PASS),
+        Regression("T.t1", TestStatus.FAIL, "assertion"),
+    ], ids=lambda record: type(record).__name__)
+    def test_no_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
+
+    def test_key_is_a_stored_field_outside_init_equality_and_hash(self):
+        (key,) = [f for f in dataclasses.fields(Violation) if f.name == "key"]
+        assert not key.init and not key.compare and not key.repr
+        with pytest.raises(TypeError):
+            Violation("A.java", "S1118", ViolationType.BUG, Severity.LOW, 1, 1, key=("B.java", "S1068", 2, 2))
+        a, b = mkviol("A.java", start=3), mkviol("A.java", start=3)
+        object.__setattr__(b, "key", ("B.java", "S1068", 2, 2))
+        assert a == b and hash(a) == hash(b)
+        assert "key" not in repr(a)
 
 
 class TestViolationModel:
