@@ -8,8 +8,9 @@ name, upstream names, a tool flag and a generator that yields batches of
 calls): it starts each task once its upstream tasks have ended, and runs
 their calls on a :class:`CallRunner`. The rebuilder,
 ``PipelineRun._run_stage``, is the task of one stage: it skips the stage,
-takes it as cached when its input digest is unchanged, or rebuilds
-``workspace/<stage>/``, and records which in ``state.json``.
+takes it as cached when its input digest is unchanged and the files it
+copied still match, or rebuilds ``workspace/<stage>/``, and records which
+in ``state.json``.
 
 External tools are described by command templates and run as
 subprocesses with timeout enforcement, artifact checks, and log capture;
@@ -77,6 +78,9 @@ if TYPE_CHECKING:
 ROLES = ("analyzer", "repairer", "test_runner", "metric_extractor", "compiler")
 
 _ALLOWED_PLACEHOLDERS = {"input", "output", "workdir", "python", "rule"}
+
+#: the logs :func:`run_tool_adapter` writes at the top of its output directory
+_ADAPTER_LOGS = ("adapter_stdout.log", "adapter_stderr.log")
 
 
 @dataclass(frozen=True)
@@ -385,6 +389,13 @@ def _file_sha256(path: str) -> bytes:
     return h.digest()
 
 
+def _listing(top: str, memo: _DigestMemo) -> tuple[tuple[str, str], ...]:
+    listing = memo.get(top)
+    if listing is None:
+        listing = memo[top] = tuple(_walk_files(top))
+    return listing
+
+
 def _memo_sha256(path: str, memo: _DigestMemo) -> bytes:
     sha = memo.get(path)
     if sha is None:
@@ -400,10 +411,7 @@ def _digest_paths(paths: Sequence[Path], extra: str, memo: _DigestMemo) -> str:
             _hash_bytes(h, path.name.encode())
             h.update(_memo_sha256(key, memo))
         elif path.is_dir():
-            listing = memo.get(key)
-            if listing is None:
-                listing = memo[key] = tuple(_walk_files(key))
-            for rel, file in listing:
+            for rel, file in _listing(key, memo):
                 _hash_bytes(h, rel.encode())
                 h.update(_memo_sha256(file, memo))
         else:
@@ -644,6 +652,8 @@ class Stage(NamedTuple):
     their results. A stage whose adapter ``role`` is unbound is skipped.
     ``reads`` names the hand-offs the body takes with ``run._parsed``; the
     run keeps each hand-off until the last stage that reads it is done.
+    ``copies(run)`` gives the (source tree, list file, tree) of the files
+    the body copies or links, which a cache hit checks.
     """
 
     name: str
@@ -653,6 +663,7 @@ class Stage(NamedTuple):
     role: str | None = None
     optional: tuple[str, ...] = ()
     reads: tuple[Handoff, ...] = ()
+    copies: Callable[[PipelineRun], tuple[Path, Path, Path]] | None = None
 
     def inputs(self, run: PipelineRun) -> list[Path]:
         return self.needs(run) + [path for path in run._at(*self.optional) if path.exists()]
@@ -766,6 +777,7 @@ class PipelineRun:
                 and previous.get("status") == "ok"
                 and previous.get("input_digest") == digest
                 and stage_dir.is_dir()
+                and (stage.copies is None or self._holds_copies(*stage.copies(self)))
             ):
                 self.summary[name] = "cached"
                 return
@@ -813,6 +825,19 @@ class PipelineRun:
             read = {handoff for left in self._pending.values() for handoff in left.reads}
             for handoff in [handoff for handoff in self._handoffs if handoff not in read]:
                 del self._handoffs[handoff]
+
+    def _holds_copies(self, src: Path, listed: Path, tree: Path) -> bool:
+        """Whether ``tree`` holds exactly the files ``listed`` names, each with
+        the hash of its twin under ``src``; both trees are stage inputs, so
+        the memo keeps these hashes for the input digests."""
+        memo, prefix = self._memo, os.path.join(os.path.abspath(src), "")  # as _walk_files joins
+        try:
+            files = _listing(os.path.abspath(tree), memo)
+            if sorted(rel for rel, _ in files) != sorted(_read_lines(listed)):
+                return False
+            return all(_memo_sha256(file, memo) == _memo_sha256(prefix + rel, memo) for rel, file in files)
+        except (OSError, ValueError):  # a file gone, or a list not UTF-8
+            return False
 
     def _forget(self, path: Path) -> None:
         """Drop the memo entries at, under or above ``path``."""
@@ -929,12 +954,19 @@ def _corpus(run: PipelineRun) -> list[Path]:
     return [corpus]
 
 
-def _copy_files(src: Path, rels: Iterable[str], dest: Path) -> None:
-    """Copy each relative path ``rels`` names from under ``src`` into the new directory ``dest``."""
+def _copy_files(src: Path, rels: Iterable[str], dest: Path, link: bool = False) -> None:
+    """Copy each relative path ``rels`` names from under ``src`` into the new
+    directory ``dest``; with ``link``, hard-link it where the filesystem allows."""
     dest.mkdir()
     for rel in rels:
         target = dest / rel
         target.parent.mkdir(parents=True, exist_ok=True)
+        if link:
+            try:
+                os.link(src / rel, target)
+                continue
+            except OSError:  # EPERM, EXDEV, EMLINK: copied instead
+                pass
         shutil.copyfile(src / rel, target)
 
 
@@ -978,7 +1010,7 @@ def _analyze(tree: str, state: StateLabel, handoff: Handoff, run: PipelineRun, s
         report_file = raw / analyzer.expected_artifacts[0]
     else:  # the first file the tool wrote, by relative path
         written = [path.relative_to(raw).as_posix() for path in raw.rglob("*")
-                   if path.is_file() and path.name not in ("adapter_stdout.log", "adapter_stderr.log")]
+                   if path.is_file() and path.name not in _ADAPTER_LOGS]
         if not written:
             raise MissingArtifactError(analyzer.name, "<analysis report>")
         report_file = raw / min(written)
@@ -999,7 +1031,8 @@ def _repair(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
     violating = prepare_corpus_violating(_read_lines(compilable_txt), run._parsed(_PRE_REPORT), run.profile)
     _write_lines(run.workspace / _VIOLATING, violating)
     input_dir, output_dir = run._at(*_TREES)
-    _copy_files(sources, violating, input_dir)
+    # hard links: a tool's write in place shows in prepare/sources too, and both cache checks see it
+    _copy_files(sources, violating, input_dir, link=True)
     if "{rule}" in repairer.command_template:
         # one sequential pass per profile rule, in application order
         current = input_dir
@@ -1007,7 +1040,8 @@ def _repair(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
             pass_dir = stage_dir / f"pass_{i:02d}_{rule}"
             yield [partial(run_tool_adapter, repairer, current, pass_dir, rule=rule)]
             current = pass_dir
-        shutil.copytree(current, output_dir, ignore=shutil.ignore_patterns("adapter_*.log"))
+        # a copy, so that an edit of repair/output leaves the last pass as it was
+        _copy_files(current, [rel for rel, _ in _walk_files(str(current)) if rel not in _ADAPTER_LOGS], output_dir)
     else:
         yield [partial(run_tool_adapter, repairer, input_dir, output_dir)]
 
@@ -1127,12 +1161,13 @@ def _metrics(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
 
 #: every stage, in run order
 STAGES = (
-    Stage("prepare", _corpus, _fingerprint("compiler"), _prepare),
+    Stage("prepare", _corpus, _fingerprint("compiler"), _prepare,
+          copies=lambda run: (run.config.corpus_dir, *run._at(_COMPILABLE, _SOURCES))),
     Stage("analyze_pre", _under(_SOURCES), _analyzer_fingerprint,
           partial(_analyze, _SOURCES, StateLabel.PRE_REPAIR, _PRE_REPORT), "analyzer"),
     Stage("repair", _under(_SOURCES, _PRE_CSV, _COMPILABLE),
           lambda run: _fingerprint("repairer")(run) + "|" + run.profile.name, _repair, "repairer",
-          reads=(_PRE_REPORT,)),
+          reads=(_PRE_REPORT,), copies=lambda run: tuple(run._at(_SOURCES, _VIOLATING, _TREES[0]))),
     Stage("analyze_post", _under(_REPAIR_OUT), _analyzer_fingerprint,
           partial(_analyze, _REPAIR_OUT, StateLabel.POST_REPAIR, _POST_REPORT), "analyzer"),
     Stage("fixrate", _under(*_MATCHED), lambda run: run.profile.name, _fixrate,

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -1217,6 +1218,83 @@ class TestEditCutoffs:
         assert {name: (cfg.workspace_dir / name).read_bytes() for name in JUDGED_OUTPUTS} == incremental
 
 
+#: a single-pass repairer that runs the stub, then on its first call only
+#: (the flag file ``argv[3]``, outside the workspace) appends to a file of
+#: its input, against the adapter contract
+_IN_PLACE_REPAIRER = """\
+import subprocess, sys
+from pathlib import Path
+input_dir, output_dir, flag = sys.argv[1:]
+subprocess.run([sys.executable, "-m", "apreval.stubs", "repairer", input_dir, output_dir], check=True)
+if not Path(flag).exists():
+    Path(flag).write_text("written")
+    with Path(input_dir, "AccountStore.java").open("a", encoding="utf-8") as fh:
+        fh.write("// written in place\\n")
+"""
+
+
+def _append(path: Path) -> None:
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("// appended in place\n")
+
+
+class TestLinkedStageTrees:
+    """``repair/input`` hard-links ``prepare/sources``; the corpus is always copied."""
+
+    def test_input_links_sources_and_nothing_links_the_corpus(self, reuse_root):
+        ws, corpus = reuse_root / "workspace", load_config(reuse_root / "config.json").corpus_dir
+        inputs = _rglob_files(ws / "repair" / "input")
+        assert inputs
+        for path in inputs:
+            assert os.path.samefile(path, ws / "prepare" / "sources" / path.name)
+        corpus_inodes = {(p.stat().st_dev, p.stat().st_ino) for p in _rglob_files(corpus)}
+        for path in _rglob_files(ws / "prepare" / "sources") + inputs:
+            assert (path.stat().st_dev, path.stat().st_ino) not in corpus_inodes, path
+
+    @pytest.mark.parametrize("code", [errno.EPERM, errno.EXDEV])
+    def test_refused_links_fall_back_to_copies(self, reuse_root, tmp_path, monkeypatch, code):
+        def refuse(*args, **kwargs):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "link", refuse)
+        cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
+        assert set(run_pipeline(cfg).values()) == {"ran"}
+        inputs = _rglob_files(cfg.workspace_dir / "repair" / "input")
+        assert inputs and all(path.stat().st_nlink == 1 for path in inputs)
+        assert _workspace_bytes(cfg) == _workspace_bytes(load_config(reuse_root / "config.json"))
+        assert set(run_pipeline(cfg).values()) == {"cached"}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_in_place_edits_heal(self, reuse_root, tmp_path, jobs):
+        cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
+        run_pipeline(cfg, jobs=jobs)
+        ws, clean = cfg.workspace_dir, _workspace_bytes(load_config(reuse_root / "config.json"))
+        edits = [
+            # through either name, a linked file changes in both trees
+            (lambda: _append(ws / "repair" / "input" / "AccountStore.java"), {"prepare", "repair"}),
+            (lambda: _append(ws / "prepare" / "sources" / "Calculator.java"), {"prepare", "repair"}),
+            (lambda: (ws / "repair" / "input" / "EventBus.java").unlink(), {"repair"}),
+        ]
+        for edit, rerun in edits:
+            edit()
+            summary = run_pipeline(cfg, jobs=jobs)
+            assert summary == {s: "ran" if s in rerun else "cached" for s in STAGE_ORDER}
+            assert _workspace_bytes(cfg) == clean
+            assert set(run_pipeline(cfg, jobs=jobs).values()) == {"cached"}
+
+    def test_adapter_write_to_its_input_heals(self, reuse_root, tmp_path):
+        config_path = minicorpus.materialize(tmp_path / "run", seed=17)
+        tool = tmp_path / "repairer.py"
+        tool.write_text(_IN_PLACE_REPAIRER, encoding="utf-8")
+        cfg = _edit_config(config_path, lambda doc: doc["adapters"]["repairer"].update(
+            command=f"{{python}} {tool} {{input}} {{output}} {tmp_path / 'written.flag'}"))
+        run_pipeline(cfg)
+        assert (tmp_path / "written.flag").is_file()
+        run_pipeline(cfg)
+        assert _workspace_bytes(cfg) == _workspace_bytes(load_config(reuse_root / "config.json"))
+        assert set(run_pipeline(cfg).values()) == {"cached"}
+
+
 class TestPerRuleRepair:
     def test_rule_placeholder_runs_sequential_passes(self, tmp_path):
         config_path = minicorpus.materialize(tmp_path, seed=17)
@@ -1240,6 +1318,29 @@ class TestPerRuleRepair:
         for f in sorted((ws / "repair" / "output").glob("*.java")):
             other = single_cfg.workspace_dir / "repair" / "output" / f.name
             assert f.read_text(encoding="utf-8") == other.read_text(encoding="utf-8"), f.name
+
+    def test_output_keeps_files_named_like_adapter_logs(self, tmp_path):
+        # only the two logs run_tool_adapter writes atop the last pass stay behind
+        tool = tmp_path / "carrier.py"
+        tool.write_text(
+            "import shutil, sys\n"
+            "from pathlib import Path\n"
+            "shutil.copytree(sys.argv[1], sys.argv[2], dirs_exist_ok=True)\n"
+            "Path(sys.argv[2], 'logs').mkdir(exist_ok=True)\n"
+            "Path(sys.argv[2], 'logs', 'adapter_notes.log').write_text('notes', encoding='utf-8')\n"
+            "Path(sys.argv[2], 'adapter_x.log').write_text('x', encoding='utf-8')\n",
+            encoding="utf-8",
+        )
+        cfg = _edit_config(minicorpus.materialize(tmp_path / "run", seed=17), lambda doc: doc["adapters"][
+            "repairer"].update(command=f"{{python}} {tool} {{input}} {{output}} --rule {{rule}}"))
+        run_pipeline(cfg, stages=["prepare", "analyze_pre", "repair"])
+        repair = cfg.workspace_dir / "repair"
+        last = {p.relative_to(repair / "pass_29_S2164").as_posix(): p.read_bytes()
+                for p in _rglob_files(repair / "pass_29_S2164")}
+        output = {p.relative_to(repair / "output").as_posix(): p.read_bytes() for p in _rglob_files(repair / "output")}
+        assert {"logs/adapter_notes.log", "adapter_x.log", "adapter_stdout.log"} <= last.keys()
+        assert output == {rel: data for rel, data in last.items()
+                          if rel not in ("adapter_stdout.log", "adapter_stderr.log")}
 
 
 #: a tool that sleeps on ``repair/input`` after writing its pid, and is the
