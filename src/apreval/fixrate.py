@@ -21,8 +21,8 @@ from .violations import (
     Violation,
     ViolationReport,
     json_text,
-    serialize_report,
     table_text,
+    write_report,
 )
 
 
@@ -191,5 +191,5 @@ def write_fixrate(out_dir: Path, outcome: MatchOutcome, summary: FixRateSummary)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "fixrate.csv").write_text(summary.csv_text, encoding="utf-8")
     (out_dir / "fixrate.json").write_text(summary.json_text, encoding="utf-8")
-    fixed = ViolationReport(state=StateLabel.PRE_REPAIR, entries=outcome.fixed)
-    (out_dir / "fixed_violations.csv").write_text(serialize_report(fixed), encoding="utf-8")
+    with open(out_dir / "fixed_violations.csv", "w", encoding="utf-8", newline="") as fh:
+        write_report(fh, outcome.fixed)

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from statistics import median
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TextIO
 
 from .errors import DegenerateSampleError, MalformedInputError, SampleTooSmallError
 from .stats import (
@@ -26,7 +26,7 @@ from .stats import (
     signed_rank_direction,
     wilcoxon_signed_rank,
 )
-from .violations import csv_writer, decode_input, json_text, parse_file, read_csv_table, table_text
+from .violations import csv_writer, json_text, parse_file, read_csv_table, table_text
 
 METRIC_NAMES = ("noc", "npa", "dit", "lcom1", "wmc", "cbo", "rfc", "loc")
 SUM_METRICS = ("noc", "npa", "lcom1", "wmc", "cbo", "rfc", "loc")
@@ -65,10 +65,10 @@ class MetricPair:
     post: FileMetrics
 
 
-def read_class_metrics_csv(raw: bytes | str) -> list[ClassMetricsRow]:
+def read_class_metrics_csv(raw: bytes | str | TextIO) -> list[ClassMetricsRow]:
     """Parse an extractor CSV with header ``file,class,noc,...,loc``."""
     rows: list[ClassMetricsRow] = []
-    for line, row in read_csv_table(decode_input(raw), METRICS_CSV_HEADER, fold_case=True):
+    for line, row in read_csv_table(raw, METRICS_CSV_HEADER, fold_case=True):
         try:
             values = {m: int(v) for m, v in zip(METRIC_NAMES, row[2:])}
             rows.append(ClassMetricsRow(file_id=row[0], class_name=row[1], values=values))

@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import os
 import stat
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence, TextIO
 
-from .errors import MalformedInputError, MissingSourceError, SpanOutOfBoundsError
+from .errors import HarnessError, MalformedInputError, MissingSourceError, SpanOutOfBoundsError
 # NormalizationPolicy is defined beside the report types, so that a config can
 # be loaded without this module; it stays importable from here
 from .violations import (
@@ -40,8 +41,8 @@ from .violations import (
     decode_input,
     parse_file,
     read_csv_table,
-    share_text_fields,
     table_text,
+    violation_row,
 )
 
 
@@ -144,6 +145,8 @@ class NewViolationVerdict:
     def __post_init__(self) -> None:
         if (self.verdict is VerdictKind.NEW) != (self.evidence is None):
             raise ValueError("evidence must be present exactly when the verdict is not NEW")
+        if self.evidence is not None and self.evidence < 1:
+            raise ValueError(f"evidence must be a line number >= 1, got {self.evidence}")
 
 
 def extract_fragment(pair: SourcePair, span: tuple[int, int]) -> Fragment:
@@ -214,36 +217,43 @@ def detect_new_violations(
     sources: Mapping[str, SourcePair],
     normalization: NormalizationPolicy = NormalizationPolicy.EXACT,
 ) -> list[NewViolationVerdict]:
-    """Classify every post-repair violation as new or pre-existing.
+    """Classify every post-repair violation as new or pre-existing; see :func:`judge_files`."""
+    return list(judge_files(pre, post, sources, normalization))
+
+
+def judge_files(
+    pre: ViolationReport,
+    post: ViolationReport,
+    sources: Mapping[str, SourcePair],
+    normalization: NormalizationPolicy = NormalizationPolicy.EXACT,
+) -> Iterator[NewViolationVerdict]:
+    """The verdict of each post-repair violation, one file at a time; ``pre``
+    is in canonical order, as :func:`normalize_report` leaves it.
 
     The fragment check runs first; the key lookup only decides violations
     whose code was altered in place (same span, different text). Verdicts
-    come back in the post report's canonical entry order.
+    come in the post report's entry order.
     """
-    pre_keys = {v.key for v in pre.entries}
-    verdicts: list[NewViolationVerdict] = []
-    # canonical reports group entries by file: one index per file, holding
-    # just the first lines of that file's fragments
-    for file_id, group in groupby(post.entries, key=attrgetter("file_id")):
+    file_of = attrgetter("file_id")
+    for file_id, group in groupby(post.entries, key=file_of):
+        # in a canonical report, this file's entries are one slice
+        lo = bisect_left(pre.entries, file_id, key=file_of)
+        pre_keys = {v.key for v in pre.entries[lo : bisect_right(pre.entries, file_id, lo, key=file_of)]}
         pair = sources.get(file_id)
         if pair is None:
             raise MissingSourceError(file_id)
         entries = list(group)
         fragments = [extract_fragment(pair, v.span) for v in entries]
+        # one index per file, holding just the first lines of its fragments
         index = _LineIndex(pair.original_lines, normalization, (f.lines[0] for f in fragments))
         for v, fragment in zip(entries, fragments):
             found_at = index.find(fragment)
             if found_at is not None:
-                verdicts.append(
-                    NewViolationVerdict(v, VerdictKind.NOT_NEW_FRAGMENT_FOUND, evidence=found_at)
-                )
+                yield NewViolationVerdict(v, VerdictKind.NOT_NEW_FRAGMENT_FOUND, evidence=found_at)
             elif v.key in pre_keys:
-                verdicts.append(
-                    NewViolationVerdict(v, VerdictKind.NOT_NEW_KEY_MATCH, evidence=v.start_line)
-                )
+                yield NewViolationVerdict(v, VerdictKind.NOT_NEW_KEY_MATCH, evidence=v.start_line)
             else:
-                verdicts.append(NewViolationVerdict(v, VerdictKind.NEW))
-    return verdicts
+                yield NewViolationVerdict(v, VerdictKind.NEW)
 
 
 @dataclass(frozen=True)
@@ -329,40 +339,49 @@ def write_newviol(
 def verdict_rows(verdicts: Iterable[NewViolationVerdict]) -> Iterator[tuple[list, Violation | None]]:
     """Each verdict's ``new_violations.csv`` row, with its violation when NEW."""
     for vd in verdicts:
-        v = vd.violation
-        row = [v.file_id, v.rule, v.vtype.value, v.severity.value, v.start_line, v.end_line,
-               v.message, vd.verdict.value, "" if vd.evidence is None else vd.evidence]
-        yield row, v if vd.verdict is VerdictKind.NEW else None
+        row = violation_row(vd.violation)
+        row += vd.verdict.value, "" if vd.evidence is None else vd.evidence
+        yield row, vd.violation if vd.verdict is VerdictKind.NEW else None
 
 
 def read_verdict_rows(
     path: Path, files: Collection[str] | None = None
 ) -> Iterator[tuple[list, Violation | None]]:
     """The rows of a ``new_violations.csv``, or those whose file is in
-    ``files``, in file order, parsed one at a time, each with its violation
+    ``files``, in file order, read one at a time, each with its violation
     when NEW.
 
     An empty file, one that is not UTF-8, a wrong header, a short or long row
-    or a bad value raises ``MalformedInputError`` naming ``path`` and the line
-    the row starts on.
+    or a bad value in any row raises ``MalformedInputError`` naming ``path``
+    and the line the row starts on, as :func:`parse_file` gives it.
     """
     try:
-        text = decode_input(path.read_bytes())
-        if not text:
-            raise MalformedInputError("empty file: expected a header row", 1)
-        rows = read_csv_table(text, NEW_VIOLATIONS_HEADER)
-        if files is not None:
-            rows = ((line, row) for line, row in rows if row[0] in files)
-        for line, row in share_text_fields(rows):
-            file_id, rule, vtype, severity, start_line, end_line, message, verdict, _ = row
-            yield row, Violation(
-                file_id=file_id, rule=rule, vtype=ViolationType(vtype), severity=Severity(severity),
-                start_line=int(start_line), end_line=int(end_line), message=message,
-            ) if verdict == VerdictKind.NEW.value else None
-    except MalformedInputError as exc:
-        raise MalformedInputError(f"{path}: {exc.message}", exc.line) from None
-    except ValueError as exc:  # a bad value in a NEW row
-        raise MalformedInputError(f"{path}: {exc}", line) from None
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield from _verdict_rows(fh, files)
+    except (HarnessError, ValueError):
+        parse_file(path, lambda data: list(_verdict_rows(data, files)))
+        raise
+
+
+def _verdict_rows(raw: bytes | TextIO, files: Collection[str] | None) -> Iterator[tuple[list, Violation | None]]:
+    rows = read_csv_table(raw, NEW_VIOLATIONS_HEADER, empty="empty file: expected a header row")
+    if files is not None:
+        rows = ((line, row) for line, row in rows if row[0] in files)
+    share = {}.setdefault
+    for line, row in rows:
+        file_id, rule, vtype, severity, start_line, end_line, message, verdict, evidence = row
+        try:  # the verdict, built from the row, checks every value
+            kind = VerdictKind(verdict)
+            if kind is VerdictKind.NEW:  # kept: one string per distinct file, rule and message
+                file_id, rule, message = share(file_id, file_id), share(rule, rule), share(message, message)
+            vd = NewViolationVerdict(
+                Violation(file_id, rule, ViolationType(vtype), Severity(severity), int(start_line), int(end_line),
+                          message),
+                kind, int(evidence) if evidence else None,
+            )
+        except ValueError as exc:
+            raise MalformedInputError(str(exc), line) from None
+        yield row, vd.violation if kind is VerdictKind.NEW else None
 
 
 def load_new(path: Path) -> tuple[int, list[Violation]]:

@@ -67,7 +67,7 @@ from .violations import (
     parse_json,
     parse_report,
     read_report,
-    serialize_report,
+    write_report,
 )
 
 if TYPE_CHECKING:
@@ -957,17 +957,21 @@ def _corpus(run: PipelineRun) -> list[Path]:
 def _copy_files(src: Path, rels: Iterable[str], dest: Path, link: bool = False) -> None:
     """Copy each relative path ``rels`` names from under ``src`` into the new
     directory ``dest``; with ``link``, hard-link it where the filesystem allows."""
-    dest.mkdir()
+    os.mkdir(dest)
+    made = {""}  # the parents made so far, relative to dest
     for rel in rels:
-        target = dest / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
+        parent = os.path.dirname(rel)
+        if parent not in made:
+            os.makedirs(os.path.join(dest, parent), exist_ok=True)
+            made.add(parent)
+        source, target = os.path.join(src, rel), os.path.join(dest, rel)
         if link:
             try:
-                os.link(src / rel, target)
+                os.link(source, target)
                 continue
             except OSError:  # EPERM, EXDEV, EMLINK: copied instead
                 pass
-        shutil.copyfile(src / rel, target)
+        shutil.copyfile(source, target)
 
 
 def _write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -1020,7 +1024,8 @@ def _analyze(tree: str, state: StateLabel, handoff: Handoff, run: PipelineRun, s
         return
     options = run.config.report_adapter_options
     report = parse_file(report_file, lambda data: parse_report(data, run.config.report_adapter, state, options))
-    csv_path.write_bytes(serialize_report(report).encode("utf-8"))
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        write_report(fh, report.entries)
     # a CSV re-read gives this same report back, so later stages need not parse
     run._hand_off(handoff, report)
 
@@ -1096,11 +1101,10 @@ def _newviol(run: PipelineRun, stage_dir: Path) -> None:
     old_keys = {old_keys[i : i + _KEY_LEN] for i in range(0, len(old_keys), _KEY_LEN)}
     kept = {file_id for file_id, k in keys.items() if k in old_keys}
     changed = keys.keys() - kept
-    verdicts = []
-    if changed:
+    rows: Iterable = ()
+    if changed:  # judged and written one file at a time
         pre, post = run._parsed(_PRE_REPORT, changed & violating), run._parsed(_POST_REPORT, changed)
-        verdicts = newviol_mod.detect_new_violations(pre, post, trees, run.config.normalization)
-    rows = newviol_mod.verdict_rows(verdicts)
+        rows = newviol_mod.verdict_rows(newviol_mod.judge_files(pre, post, trees, run.config.normalization))
     if kept:
         # both in canonical order, which groups the rows by file
         old_rows = newviol_mod.read_verdict_rows(prev_dir / "new_violations.csv", kept)

@@ -18,7 +18,7 @@ from enum import Enum
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
 
 from .errors import (
     ConflictingVerdictsError,
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .newviol import SourcePair, extract_fragment
 from .stats import Direction, StatResult
-from .violations import Z_TABLE, Violation, csv_writer, decode_input, json_text, read_csv_table
+from .violations import Z_TABLE, Violation, csv_writer, json_text, read_csv_table
 
 if TYPE_CHECKING:
     from .pipeline import SamplingParams
@@ -237,7 +237,7 @@ def _parse_verdict(raw: str, line: int, column: str) -> LabelVerdict:
     raise MalformedInputError(f"{column} must be TP or FP, got {raw!r}", line)
 
 
-def ingest_labels(raw: bytes | str) -> list[LabelRecord]:
+def ingest_labels(raw: bytes | str | TextIO) -> list[LabelRecord]:
     """Read back a filled labeling sheet into per-item final verdicts.
 
     Rows where the two evaluators agree yield a consensus record; rows
@@ -246,7 +246,7 @@ def ingest_labels(raw: bytes | str) -> list[LabelRecord]:
     unlabeled items.
     """
     records: list[LabelRecord] = []
-    for line, row in read_csv_table(decode_input(raw), SHEET_HEADER):
+    for line, row in read_csv_table(raw, SHEET_HEADER):
         item = row[0]
         e1, e2, adj = (_parse_verdict(raw, line, column) for raw, column in zip(row[-3:], SHEET_HEADER[-3:]))
         if e1 is LabelVerdict.UNLABELED or e2 is LabelVerdict.UNLABELED:

@@ -15,11 +15,11 @@ from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import MalformedInputError
 from .violations import (
-    csv_writer, decode_input, json_text, load_data_json, parse_file, parse_json, read_csv_table, table_text,
+    csv_writer, json_text, load_data_json, parse_file, parse_json, read_csv_table, table_text,
 )
 
 RESULTS_CSV_HEADER = ("test_id", "target_file", "status", "failure_kind")
@@ -122,8 +122,8 @@ def classify_compile_error(diagnostic: str) -> CompileErrorMatch:
 _STATUSES = {status.value: status for status in TestStatus}
 
 
-def _parse_results_csv(text: str) -> Iterable[TestOutcome]:
-    for line, (test_id, target_file, status_raw, failure_kind) in read_csv_table(text, RESULTS_CSV_HEADER):
+def _parse_results_csv(raw: bytes | str | TextIO) -> Iterable[TestOutcome]:
+    for line, (test_id, target_file, status_raw, failure_kind) in read_csv_table(raw, RESULTS_CSV_HEADER):
         status = _STATUSES.get(status_raw.strip().lower())
         if status is None:
             raise MalformedInputError(f"unknown status {status_raw!r}", line)
@@ -138,13 +138,13 @@ def _parse_results_csv(text: str) -> Iterable[TestOutcome]:
             raise MalformedInputError(str(exc), line) from None
 
 
-def ingest_test_results(raw: bytes | str) -> list[TestOutcome]:
+def ingest_test_results(raw: bytes | str | TextIO) -> list[TestOutcome]:
     """Normalize a runner's result file into TestOutcome records.
 
     Output is sorted by test id; a duplicated test id is malformed input
     because the pre/post diff needs one outcome per test per state.
     """
-    outcomes = sorted(_parse_results_csv(decode_input(raw)), key=attrgetter("test_id"))
+    outcomes = sorted(_parse_results_csv(raw), key=attrgetter("test_id"))
     for a, b in zip(outcomes, outcomes[1:]):
         if a.test_id == b.test_id:
             raise MalformedInputError(f"duplicate test id {a.test_id!r}")

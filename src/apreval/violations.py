@@ -18,12 +18,13 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TextIO, TypeVar
 
 from .errors import (
     ConfigError,
+    HarnessError,
     MalformedInputError,
     MissingRequiredFieldError,
     UnknownAdapterError,
@@ -195,8 +196,11 @@ def normalize_report(report: ViolationReport) -> ViolationReport:
         path = normalize_path(v.file_id)
         # entries were validated at construction; rebuild only to fix the path
         entries.append(v if path == v.file_id else replace(v, file_id=path))
-    entries.sort(key=_sort_key)
-    return replace(report, entries=tuple(entries))
+    # by the stored keys, _sort_key's first fields, so that no key is kept per
+    # entry; only runs of equal keys are ordered by the whole _sort_key
+    entries.sort(key=attrgetter("key"))
+    ordered = (v for _, same in groupby(entries, attrgetter("key")) for v in sorted(same, key=_sort_key))
+    return replace(report, entries=tuple(ordered))
 
 
 # --- adapters ----------------------------------------------------------------
@@ -235,29 +239,36 @@ def _parse_line_no(raw: str, name: str, line: int) -> int:
         raise MalformedInputError(f"{name} must be an integer, got {raw!r}", line) from None
 
 
-def decode_input(raw: bytes | str) -> str:
-    """The text of an input file given as bytes (UTF-8) or as text."""
+def decode_input(raw: bytes | str | TextIO) -> str:
+    """The text of an input file given as bytes (UTF-8), as text or as a text stream."""
     if isinstance(raw, bytes):
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             line = raw.count(b"\n", 0, exc.start) + 1
             raise MalformedInputError(f"stream is not valid UTF-8: {exc}", line) from None
-    return raw
+    return raw if isinstance(raw, str) else raw.read()
 
 
 _T = TypeVar("_T")
 
 
-def parse_file(path: Path, parse: Callable[[bytes], _T]) -> _T:
-    """``parse`` applied to the bytes of ``path``; any ``MalformedInputError`` names the file."""
+def parse_file(path: Path, parse: Callable[[Any], _T]) -> _T:
+    """``parse`` applied to ``path`` opened as UTF-8 text with ``newline=""``,
+    and on any fault to its bytes, so that the error is a whole-file read's;
+    any ``MalformedInputError`` names the file."""
     try:
+        try:
+            with open(path, encoding="utf-8", newline="") as fh:
+                return parse(fh)
+        except (HarnessError, ValueError):  # a UnicodeDecodeError is a ValueError
+            pass
         return parse(path.read_bytes())
     except MalformedInputError as exc:
         raise MalformedInputError(f"{path}: {exc.message}", exc.line) from None
 
 
-def parse_json(raw: bytes | str) -> Any:
+def parse_json(raw: bytes | str | TextIO) -> Any:
     """The JSON document ``raw`` holds; one that is not JSON raises ``MalformedInputError`` with the line at fault."""
     try:
         return json.loads(decode_input(raw))
@@ -286,23 +297,22 @@ def _check_csv_field(text: str, what: str) -> None:
         raise MalformedInputError(f"{what} holds a field longer than {limit} characters")
 
 
-def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+def _csv_rows(raw: bytes | str | TextIO) -> Iterator[tuple[int, list[str]]]:
     """The rows of a native CSV report, each with the line it starts on."""
-    if "\0" in text:  # see _check_csv_field
-        raise MalformedInputError("report contains a NUL character")
-    if not text:
-        raise MalformedInputError("empty stream: expected a header row", 1)
-    return read_csv_table(text, CSV_HEADER)
+    if isinstance(raw, (bytes, str)):
+        raw = decode_input(raw)
+        if "\0" in raw:  # see _check_csv_field
+            raise MalformedInputError("report contains a NUL character")
+    else:
+        raw = _nul_free(raw)
+    return read_csv_table(raw, CSV_HEADER, empty="empty stream: expected a header row")
 
 
-def share_text_fields(rows: Iterable[tuple[int, list[str]]]) -> Iterator[tuple[int, list[str]]]:
-    """``rows`` with their file, rule and message fields (columns 1, 2 and 7,
-    as in ``CSV_HEADER``) each replaced by the first equal string among them,
-    so that the violations built from them share one string per value."""
-    share = {}.setdefault
-    for line, row in rows:
-        row[0], row[1], row[6] = share(row[0], row[0]), share(row[1], row[1]), share(row[6], row[6])
-        yield line, row
+def _nul_free(lines: Iterable[str]) -> Iterator[str]:
+    for line in lines:
+        if "\0" in line:
+            raise MalformedInputError("report contains a NUL character")
+        yield line
 
 
 def _csv_violation(line: int, row: list[str]) -> Violation:
@@ -324,9 +334,31 @@ def _csv_violation(line: int, row: list[str]) -> Violation:
         raise MalformedInputError(str(exc), line) from None
 
 
-def _csv_adapter(text: str, options: Mapping) -> Iterable[Violation]:
-    for line, row in share_text_fields(_csv_rows(text)):
-        yield _csv_violation(line, row)
+def _csv_violations(rows: Iterable[tuple[int, list[str]]]) -> Iterator[Violation]:
+    """The violation of each report row; each distinct file, rule, type,
+    severity and line string is checked once, by :func:`_csv_violation`."""
+    files: dict[str, str] = {}
+    rules: dict[str, str] = {}
+    types: dict[str, ViolationType] = {}
+    severities: dict[str, Severity] = {}
+    ints: dict[str, int] = {}
+    share = {}.setdefault
+    for line, row in rows:
+        file_id, rule, vtype, severity, start_line, end_line, message = row
+        try:
+            v = Violation(files[file_id], rules[rule], types[vtype], severities[severity],
+                          ints[start_line], ints[end_line], share(message, message))
+        except (KeyError, ValueError):
+            # built from shared strings, so that its file, rule and message are the shared ones
+            row[0], row[1], row[6] = share(file_id, file_id), share(rule, rule), share(message, message)
+            v = _csv_violation(line, row)
+            files[file_id], rules[rule], types[vtype], severities[severity] = v.file_id, v.rule, v.vtype, v.severity
+            ints[start_line], ints[end_line] = v.start_line, v.end_line
+        yield v
+
+
+def _csv_adapter(raw: bytes | str | TextIO, options: Mapping) -> Iterable[Violation]:
+    return _csv_violations(_csv_rows(raw))
 
 
 def load_data_json(name: str) -> dict:
@@ -348,10 +380,10 @@ def analyzer_json_mapping(options: Mapping) -> dict:
     return mappings[name]
 
 
-def _analyzer_json_adapter(text: str, options: Mapping) -> Iterable[Violation]:
+def _analyzer_json_adapter(raw: bytes | str | TextIO, options: Mapping) -> Iterable[Violation]:
     m = analyzer_json_mapping(options)
     fallback = bool(options.get("end_line_fallback", False))
-    doc = parse_json(text)
+    doc = parse_json(raw)
     issues = doc.get(m["issues_key"])
     if issues is None:
         raise MissingRequiredFieldError(m["issues_key"])
@@ -416,7 +448,7 @@ ADAPTERS = {
 
 
 def parse_report(
-    raw: bytes | str,
+    raw: bytes | str | TextIO,
     adapter: str = "csv",
     state: StateLabel = StateLabel.PRE_REPAIR,
     options: Mapping | None = None,
@@ -424,8 +456,7 @@ def parse_report(
     """Ingest a raw analyzer report through a named adapter and normalize it."""
     if adapter not in ADAPTERS:
         raise UnknownAdapterError(adapter, list(ADAPTERS))
-    text = decode_input(raw)
-    entries = tuple(ADAPTERS[adapter](text, options or {}))
+    entries = tuple(ADAPTERS[adapter](raw, options or {}))
     return normalize_report(ViolationReport(state=state, entries=entries))
 
 
@@ -436,10 +467,9 @@ def read_report(path: Path, state: StateLabel, files: Collection[str] | None = N
     if files is None:
         return parse_file(path, lambda data: parse_report(data, "csv", state))
 
-    def pick(data: bytes) -> ViolationReport:
-        rows = ((line, row) for line, row in _csv_rows(decode_input(data)) if normalize_path(row[0]) in files)
-        entries = tuple(_csv_violation(line, row) for line, row in share_text_fields(rows))
-        return normalize_report(ViolationReport(state=state, entries=entries))
+    def pick(data: bytes | TextIO) -> ViolationReport:
+        rows = ((line, row) for line, row in _csv_rows(data) if normalize_path(row[0]) in files)
+        return normalize_report(ViolationReport(state=state, entries=tuple(_csv_violations(rows))))
 
     return parse_file(path, pick)
 
@@ -454,12 +484,12 @@ def finding_digests(path: Path, files: Collection[str] | None = None) -> dict[st
     them, but no violation is built: a bad value changes its file's digest,
     so reading that file's findings raises.
     """
-    def digests(data: bytes) -> dict[str, bytes]:
+    def digests(data: bytes | TextIO) -> dict[str, bytes]:
         found: dict[str, bytes] = {}
         header = json.dumps(list(CSV_HEADER)).encode()  # each file's chain starts here
         # canonical reports hold each file's rows together: one group per
         # file, and a file's later groups are chained onto its digest
-        for file_id, group in groupby(map(itemgetter(1), _csv_rows(decode_input(data))), itemgetter(0)):
+        for file_id, group in groupby(map(itemgetter(1), _csv_rows(data)), itemgetter(0)):
             file_id = normalize_path(file_id)
             if files is None or file_id in files:
                 rows = json.dumps(list(group)).encode()
@@ -505,43 +535,27 @@ def csv_writer(fh):
     return csv.writer(_LFRows(fh.write), lineterminator="\r\n")
 
 
-#: the line breaks of ``str.splitlines`` that a ``newline=""`` text stream
-#: does not split at, so that the csv module reads them as field characters
-_NOT_CSV_BREAKS = frozenset("\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
-
-
-def _csv_lines(text: str) -> Iterator[str]:
-    """The lines of ``text`` as ``io.StringIO(text, newline="")`` gives them,
-    broken at CR, LF and CRLF alone, without copying the text into a buffer."""
-    held: list[str] = []  # the pieces of a line broken at one of _NOT_CSV_BREAKS
-    for piece in text.splitlines(keepends=True):
-        if piece[-1] in _NOT_CSV_BREAKS:
-            held.append(piece)
-        elif held:
-            held.append(piece)
-            yield "".join(held)
-            held.clear()
-        else:
-            yield piece
-    if held:
-        yield "".join(held)
-
-
 def read_csv_table(
-    text: str, header: tuple[str, ...], *, fold_case: bool = False
+    source: bytes | str | Iterable[str], header: tuple[str, ...], *, fold_case: bool = False, empty: str = ""
 ) -> Iterator[tuple[int, list[str]]]:
     """The non-blank rows under ``header``, each with the physical line it starts on.
 
-    Header names are compared stripped (and lower-cased with ``fold_case``);
-    an empty text has no rows. A wrong header, a row of another width or a
-    ``csv.Error`` raises ``MalformedInputError``.
+    ``source`` is bytes (UTF-8), text, or the lines of a file opened with
+    ``newline=""``. Header names are compared stripped (and lower-cased with
+    ``fold_case``); an empty source has no rows, or raises ``empty`` if
+    given. A wrong header, a row of another width or a ``csv.Error`` raises
+    ``MalformedInputError``.
     """
-    reader = csv.reader(_csv_lines(text))
+    if isinstance(source, (bytes, str)):
+        source = io.StringIO(decode_input(source), newline="")
+    reader = csv.reader(source)
     width = len(header)
     line = 1
     try:
         first = next(reader, None)
         if first is None:
+            if empty:
+                raise MalformedInputError(empty, 1)
             return
         names = tuple(h.strip().lower() if fold_case else h.strip() for h in first)
         if names != header:
@@ -559,13 +573,20 @@ def read_csv_table(
         raise MalformedInputError(str(exc), line) from None
 
 
+def violation_row(v: Violation) -> list:
+    """The fields of ``v`` in a native CSV row, in ``CSV_HEADER`` order."""
+    return [v.file_id, v.rule, v.vtype.value, v.severity.value, v.start_line, v.end_line, v.message]
+
+
+def write_report(fh: TextIO, entries: Iterable[Violation]) -> None:
+    """Write the native CSV of ``entries`` to ``fh`` (opened with ``newline=""``) row by row."""
+    writer = csv_writer(fh)
+    writer.writerow(CSV_HEADER)
+    writer.writerows(map(violation_row, entries))
+
+
 def serialize_report(report: ViolationReport) -> str:
     """Render a report in the native normalized CSV format (UTF-8, LF)."""
     buf = io.StringIO()
-    writer = csv_writer(buf)
-    writer.writerow(CSV_HEADER)
-    for v in report.entries:
-        writer.writerow(
-            [v.file_id, v.rule, v.vtype.value, v.severity.value, v.start_line, v.end_line, v.message]
-        )
+    write_report(buf, report.entries)
     return buf.getvalue()

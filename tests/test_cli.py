@@ -1,3 +1,4 @@
+import builtins
 import csv
 import json
 import re
@@ -555,14 +556,18 @@ class TestStageParity:
         ws = mini / "workspace"
         trees = [ws / "repair" / "input", ws / "repair" / "output"]
         reads = []
-        read_bytes = Path.read_bytes
+        read_bytes, open_ = Path.read_bytes, builtins.open
 
-        def spy(self, *args, **kwargs):
-            if any(self.is_relative_to(tree) for tree in trees):
-                reads.append(self)
-            return read_bytes(self, *args, **kwargs)
+        def spy(read):
+            def counted(path, *args, **kwargs):
+                if not isinstance(path, int) and any(Path(path).is_relative_to(tree) for tree in trees):
+                    reads.append(Path(path))
+                return read(path, *args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(Path, "read_bytes", spy)
+        # a source is read as text, or as bytes after a fault
+        monkeypatch.setattr(Path, "read_bytes", spy(read_bytes))
+        monkeypatch.setattr(builtins, "open", spy(open_))
         args = [str(a) for a in _axis_args(ws)["newviol"]]
         assert main(["newviol", *args, "--out", str(tmp_path / "newviol")]) == 0
         with (ws / "analyze_post" / "post_violations.csv").open(encoding="utf-8", newline="") as fh:

@@ -496,7 +496,7 @@ class TestReadNewViolations:
         ('A.java,S1118,CodeSmell,Low,1,1,"x\r\ny",new,\n\n\r\n'
          'B.java,S1118,CodeSmell,Low,1,x,"p\nq",new,\n', 6),
         # a not-new row with a blank line inside its message
-        ('A.java,S1118,CodeSmell,Low,1,1,"x\n\ny",not_new_key_match,\n'
+        ('A.java,S1118,CodeSmell,Low,1,1,"x\n\ny",not_new_key_match,1\n'
          'B.java,S1118,CodeSmell,Low,1,x,m,new,\n', 5),
     ], ids=["two-line-bad-row", "after-blank-lines", "after-a-not-new-row"])
     def test_bad_row_reports_the_line_it_starts_on(self, tmp_path, rows, line):
@@ -557,6 +557,36 @@ class TestReadNewViolations:
         with pytest.raises(MalformedInputError, match="not valid UTF-8") as err:
             list(read_verdict_rows(path, files))
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("row, message", [
+        ("A.java,S1118,CodeSmell,Low,1,1,m,NEW,", "'NEW' is not a valid VerdictKind"),
+        ("A.java,S1118,CodeSmell,Low,1,1,m,,", "'' is not a valid VerdictKind"),
+        ("A.java,S1118,CodeSmell,Low,abc,1,m,not_new_key_match,1", "invalid literal for int() with base 10: 'abc'"),
+        ("A.java,S1118,CodeSmell,Low,1,,m,not_new_key_match,1", "invalid literal for int() with base 10: ''"),
+        ("A.java,S1118,CodeSmell,Low,5,4,m,not_new_key_match,5", "end_line 4 precedes start_line 5"),
+        ("A.java,S1118,Bogus,Low,1,1,m,not_new_key_match,1", "'Bogus' is not a valid ViolationType"),
+        ("A.java,S1118,CodeSmell,Huge,1,1,m,not_new_fragment_found,1", "'Huge' is not a valid Severity"),
+        ("A.java,X1,CodeSmell,Low,1,1,m,not_new_key_match,1",
+         "invalid rule id 'X1'; expected 'S' followed by 1-5 digits"),
+        (",S1118,CodeSmell,Low,1,1,m,not_new_key_match,1", "file_id must be non-empty"),
+        ("A.java,S1118,CodeSmell,Low,1,1,m,not_new_fragment_found,xyz",
+         "invalid literal for int() with base 10: 'xyz'"),
+        ("A.java,S1118,CodeSmell,Low,1,1,m,not_new_key_match,",
+         "evidence must be present exactly when the verdict is not NEW"),
+        ("A.java,S1118,CodeSmell,Low,1,1,m,new,7", "evidence must be present exactly when the verdict is not NEW"),
+        ("A.java,S1118,CodeSmell,Low,1,1,m,not_new_fragment_found,0", "evidence must be a line number >= 1, got 0"),
+    ], ids=["verdict-upper-case", "verdict-blank", "start-not-int", "end-blank", "end-before-start", "type",
+            "severity", "rule", "file-blank", "evidence-not-int", "not-new-without-evidence", "new-with-evidence",
+            "evidence-zero"])
+    @pytest.mark.parametrize("reader", [load_new, lambda path: list(read_verdict_rows(path, {"A.java", ""}))],
+                             ids=["load_new", "read_verdict_rows"])
+    def test_bad_value_in_any_row_is_refused(self, tmp_path, reader, row, message):
+        path = tmp_path / "new_violations.csv"
+        path.write_text(",".join(NEW_VIOLATIONS_HEADER) + "\nA.java,S1118,CodeSmell,Low,1,1,m,new,\n" + row + "\n",
+                        encoding="utf-8")
+        with pytest.raises(MalformedInputError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}: {message} (line 3)"
 
     def test_empty_file_is_refused(self, tmp_path):
         path = tmp_path / "new_violations.csv"

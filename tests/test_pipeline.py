@@ -1,3 +1,4 @@
+import builtins
 import errno
 import hashlib
 import json
@@ -653,14 +654,18 @@ class TestDigestPaths:
         repair = cfg.workspace_dir / "repair"
         trees = {repair / "input", repair / "output"}
         read: Counter[Path] = Counter()
-        read_bytes = Path.read_bytes
+        read_bytes, open_ = Path.read_bytes, builtins.open
 
-        def counting(self, *args, **kwargs):
-            if trees.intersection(self.parents):
-                read[self] += 1
-            return read_bytes(self, *args, **kwargs)
+        def counting(read_file):
+            def counted(path, *args, **kwargs):
+                if isinstance(path, (str, os.PathLike)) and trees.intersection(Path(path).parents):
+                    read[Path(path)] += 1
+                return read_file(path, *args, **kwargs)
+            return counted
 
-        monkeypatch.setattr(Path, "read_bytes", counting)
+        # a source is read as text, or as bytes after a fault
+        monkeypatch.setattr(Path, "read_bytes", counting(read_bytes))
+        monkeypatch.setattr(builtins, "open", counting(open_))
         run = PipelineRun(cfg)
         summary = run.run()
         assert summary["newviol"] == summary["sample"] == "ran"
@@ -1063,15 +1068,15 @@ def _post_files(cfg) -> set[str]:
 
 
 def _spy_judged(monkeypatch) -> list[set[str]]:
-    """Record the files of the post findings each ``detect_new_violations`` call judges."""
+    """Record the files of the post findings each ``judge_files`` call judges."""
     judged: list[set[str]] = []
-    detect = newviol_mod.detect_new_violations
+    detect = newviol_mod.judge_files
 
     def spy(pre, post, sources, normalization):
         judged.append({v.file_id for v in post.entries})
         return detect(pre, post, sources, normalization)
 
-    monkeypatch.setattr(newviol_mod, "detect_new_violations", spy)
+    monkeypatch.setattr(newviol_mod, "judge_files", spy)
     return judged
 
 
@@ -1112,8 +1117,9 @@ class TestEditCutoffs:
         judged = _spy_judged(monkeypatch)
         loaded_by_newviol: list[list[str]] = []
         write_newviol = newviol_mod.write_newviol
+        # newviol judges as it writes: the pairs loaded once its rows are written
         monkeypatch.setattr(newviol_mod, "write_newviol",
-                            lambda *args: loaded_by_newviol.append(list(pairs)) or write_newviol(*args))
+                            lambda *args: (write_newviol(*args), loaded_by_newviol.append(list(pairs)))[0])
         summary = run_pipeline(cfg)
         assert summary["analyze_post"] == summary["newviol"] == summary["sample"] == "ran"
         assert parses == []  # analyze_post moved its old CSV in; fixrate is cached
@@ -1381,7 +1387,7 @@ def computing(*args, **kwargs):
 
 pipeline._WorkspaceLock.__exit__ = recording_unlock
 if sys.argv[2] != "-":
-    newviol.detect_new_violations = computing
+    newviol.judge_files = computing
 sys.exit(main(sys.argv[3:]))
 """
 

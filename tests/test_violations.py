@@ -2,9 +2,11 @@ import csv
 import dataclasses
 import io
 import json
+import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from apreval.errors import (
@@ -14,7 +16,15 @@ from apreval.errors import (
     UnknownAdapterError,
 )
 from apreval.metrics import METRICS_CSV_HEADER, read_class_metrics_csv
-from apreval.newviol import Fragment, NewViolationVerdict, VerdictKind, load_new, verdict_rows, write_newviol
+from apreval.newviol import (
+    Fragment,
+    NewViolationVerdict,
+    VerdictKind,
+    load_new,
+    read_verdict_rows,
+    verdict_rows,
+    write_newviol,
+)
 from apreval.sampling import SHEET_HEADER, ingest_labels
 from apreval.semantic import RESULTS_CSV_HEADER, Regression, TestOutcome, TestStatus, ingest_test_results
 from apreval.violations import (
@@ -27,12 +37,15 @@ from apreval.violations import (
     ViolationType,
     check_rule_id,
     csv_writer,
+    finding_digests,
     normalize_path,
     normalize_report,
+    parse_file,
     parse_report,
     read_csv_table,
     read_report,
     serialize_report,
+    write_report,
 )
 
 from conftest import mkreport, mkviol, random_violation
@@ -144,29 +157,154 @@ CSV_PIECES = ("a", ",", '"', "\r", "\n", "\r\n", *EXTRA_BREAKS, *(f'"a{b}a"' for
 
 
 class TestCsvLineSplitting:
-    """``read_csv_table`` splits the text itself; it must read as a ``newline=""`` StringIO did."""
+    """``read_csv_table`` must read text, and the lines of a file opened with ``newline=""``,
+    as a ``newline=""`` StringIO reader did."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         header=st.sampled_from([("a",), ("a", "a")]),
         text=st.lists(st.sampled_from(CSV_PIECES), max_size=24).map("".join),
     )
-    def test_same_rows_lines_and_errors_as_a_stringio_reader(self, header, text):
-        assert _outcome(read_csv_table(text, header)) == _outcome(_stringio_read_csv_table(text, header))
+    def test_same_rows_lines_and_errors_as_a_stringio_reader(self, header, text, tmp_path):
+        expected = _outcome(_stringio_read_csv_table(text, header))
+        assert _outcome(read_csv_table(text, header)) == expected
+        path = tmp_path / "table.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert _outcome(read_csv_table(fh, header)) == expected
 
     @pytest.mark.parametrize("brk", EXTRA_BREAKS)
     def test_extra_breaks_stay_inside_their_field(self, brk):
         text = f"a,a\n1{brk}2,x\n\"3{brk}\",y{brk}\n"
         assert list(read_csv_table(text, ("a", "a"))) == [(2, [f"1{brk}2", "x"]), (3, [f"3{brk}", f"y{brk}"])]
 
-    def test_no_stringio_copy_of_the_text(self, monkeypatch):
-        def refused(*args, **kwargs):
-            raise AssertionError("read_csv_table copied its text into a StringIO")
+    def test_crlf_across_a_read_chunk_boundary(self, tmp_path):
+        # the CR of row 2 sits on either side of the 8 KiB boundary of the file's first read
+        path = tmp_path / "table.csv"
+        for n in range(8182, 8187):
+            text = f"a,b\r\n1,{'x' * n}\r\n2,y\r\n3,z\n"
+            path.write_text(text, encoding="utf-8", newline="")
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert list(read_csv_table(fh, ("a", "b"))) == list(_stringio_read_csv_table(text, ("a", "b")))
 
-        monkeypatch.setattr(io, "StringIO", refused)
-        text = 'file,rule,type,severity,start_line,end_line,message\nA.java,S1118,Bug,Low,1,1,"a\nb"\n'
-        assert list(read_csv_table(text, CSV_HEADER)) == [(2, ["A.java", "S1118", "Bug", "Low", "1", "1", "a\nb"])]
-        assert len(parse_report(text)) == 1
+    def test_a_good_file_is_read_line_by_line(self, tmp_path, monkeypatch):
+        text = serialize_report(mkreport(REPEATED))
+        path = tmp_path / "report.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = parse_report(text), finding_digests(path)
+        for name in ("read_bytes", "read_text"):
+            monkeypatch.setattr(Path, name, lambda *args, **kwargs: pytest.fail("the whole file was read"))
+        monkeypatch.setattr(io, "StringIO", lambda *args, **kwargs: pytest.fail("the text was copied"))
+        assert (read_report(path, StateLabel.PRE_REPAIR), finding_digests(path)) == expected
+
+
+def _report_lines(rows: int) -> list[bytes]:
+    """The lines of a native CSV report of ``rows`` good rows, about 56 bytes each."""
+    return [",".join(CSV_HEADER).encode() + b"\n"] + [
+        f"pkg/F{i % 7}.java,S1118,CodeSmell,Low,{i + 1},{i + 1},row number {i}\n".encode() for i in range(rows)
+    ]
+
+
+def _error(read) -> tuple[str, int | None]:
+    with pytest.raises(MalformedInputError) as err:
+        read()
+    return err.value.message, err.value.line
+
+
+def _whole_file_error(path, parse) -> tuple[str, int | None]:
+    """The error of ``parse`` given the bytes of ``path``, named as ``parse_file`` names it."""
+    message, line = _error(lambda: parse(path.read_bytes()))
+    return f"{path}: {message}", line
+
+
+class TestStreamedReadErrors:
+    """A report read line by line raises, on any fault, the error a whole-file
+    read of it raises: UTF-8 first, then a NUL, then the first bad row. The
+    faults sit past the first 64 KiB, beyond the first chunks read."""
+
+    @staticmethod
+    def _read(tmp_path, lines):
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"".join(lines))
+        whole = _whole_file_error(path, lambda data: parse_report(data, "csv"))
+        assert _error(lambda: parse_file(path, lambda data: parse_report(data, "csv"))) == whole
+        assert _error(lambda: read_report(path, StateLabel.PRE_REPAIR)) == whole
+        files = {f"pkg/F{i}.java" for i in range(7)}
+        assert _error(lambda: read_report(path, StateLabel.PRE_REPAIR, files=files)) == whole
+        return whole
+
+    def test_invalid_utf8_past_the_first_chunk(self, tmp_path):
+        lines = _report_lines(2000)
+        lines[1500] = lines[1500].replace(b"row", b"r\xffw")
+        message, line = self._read(tmp_path, lines)
+        assert sum(map(len, lines[:1500])) > 65536
+        assert message.startswith(f"{tmp_path / 'report.csv'}: stream is not valid UTF-8") and line == 1501
+
+    def test_nul_on_a_late_line(self, tmp_path):
+        lines = _report_lines(2000)
+        lines[1999] = lines[1999].replace(b"row", b"r\0w")
+        assert self._read(tmp_path, lines)[0].endswith("report contains a NUL character")
+
+    def test_field_over_the_size_limit(self, tmp_path):
+        lines = _report_lines(2000)
+        lines[1800] = lines[1800].replace(b"row", b"x" * (csv.field_size_limit() + 1))
+        message, line = self._read(tmp_path, lines)
+        assert "field larger than field limit" in message and line == 1801
+
+    def test_bad_severity_on_the_last_row(self, tmp_path):
+        lines = _report_lines(2000)
+        lines[-1] = lines[-1].replace(b",Low,", b",Bogus,")
+        message, line = self._read(tmp_path, lines)
+        assert message.endswith("unknown severity 'Bogus'") and line == 2001
+
+    @pytest.mark.parametrize("late", [b"r\xffw", b"r\0w"], ids=["utf8", "nul"])
+    def test_a_row_fault_before_a_utf8_fault_or_a_nul(self, tmp_path, late):
+        lines = _report_lines(2000)
+        lines[2] = lines[2].replace(b",Low,", b",Bogus,")
+        lines[1900] = lines[1900].replace(b"row", late)
+        message, line = self._read(tmp_path, lines)
+        assert "Bogus" not in message and line == (1901 if late == b"r\xffw" else None)
+
+    @pytest.mark.parametrize("name", sorted(TOOL_OUTPUT_READERS))
+    def test_each_tool_output_reader(self, tmp_path, name):
+        read, header, good, bad = TOOL_OUTPUT_READERS[name]
+        bad_row = [bad.get(i, f) for i, f in enumerate(good)]
+        path = tmp_path / "table.csv"
+        for late in (b"\xff", b"x" * (csv.field_size_limit() + 1)):
+            text = _table(header, [good, bad_row] + [good] * 3000).encode()
+            path.write_bytes(text + late + b"\n")
+            assert _error(lambda: parse_file(path, read)) == _whole_file_error(path, read)
+
+
+class TestReportMemory:
+    """A report file is parsed and written row by row: neither holds a copy
+    of the whole file, its text or its lines at any time."""
+
+    def test_parse_and_write_transients(self, tmp_path):
+        # as large_files_replay: 200 files of 1,500 lines, 50 findings each
+        report = mkreport(
+            mkviol(f"pkg{i % 8}/Gen{i % 200:03d}.java", SORALD_30.rules[i % 30], 1 + (i * 7919) % 1500,
+                   vtype=list(ViolationType)[i % 3], severity=list(Severity)[i // 3 % 3],
+                   message=("redundant, remove it", 'say "no"', "unused")[i % 3])
+            for i in range(10_000)
+        )
+        path = tmp_path / "report.csv"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                write_report(fh, report.entries)
+            written, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            back = read_report(path, StateLabel.PRE_REPAIR)
+            retained, parse_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back == report and path.read_text(encoding="utf-8") == serialize_report(report)
+        assert path.stat().st_size > 500_000
+        assert write_peak - before <= 500_000
+        assert retained - written > 1_000_000  # the report itself
+        assert parse_peak - retained <= 500_000
 
 
 def _distinct_objects(report, attr):
