@@ -84,8 +84,8 @@ def _cmd_newviol(args: argparse.Namespace) -> int:
     post = read_report(Path(args.post), StateLabel.POST_REPAIR)
     sources = load_sources(Path(args.original), Path(args.repaired))
     pre = restrict_to_files(pre, sources)
-    policy = NormalizationPolicy(args.normalize)
-    verdicts = newviol_mod.detect_new_violations(pre, post, sources, policy)
+    # judged as written, one file at a time, as the stage does
+    verdicts = newviol_mod.judge_files(pre, post, sources, NormalizationPolicy(args.normalize))
     rows, new = newviol_mod.write_newviol(Path(args.out), newviol_mod.verdict_rows(verdicts), sources.deleted())
     print(f"{rows} post-repair violations, {len(new)} classified new")
     return EXIT_OK

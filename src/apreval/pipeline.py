@@ -692,8 +692,8 @@ class PipelineRun:
         # the stages of this run not yet done, by name
         self._pending: dict[str, Stage] = {}
         # stage being rebuilt -> (its old directory, the record of the build
-        # there, its new record, whether _rebuild has checked the old one)
-        self._rebuilds: dict[str, tuple[Path, dict, dict, bool]] = {}
+        # there if it may be reused from or else {}, its new record)
+        self._rebuilds: dict[str, tuple[Path, dict, dict]] = {}
 
     def _at(self, *rels: str) -> list[Path]:
         return [self.workspace / rel for rel in rels]
@@ -769,19 +769,21 @@ class PipelineRun:
                 digest = _digest_paths(stage.inputs(self), stage.extra(self), self._memo)
             except FileNotFoundError as exc:
                 raise MissingStageOutputError(name, str(exc)) from None
-            previous = self.state["stages"].get(name)
             stage_dir = self.workspace / name
-            if (
-                not self.force
-                and previous is not None
-                and previous.get("status") == "ok"
-                and previous.get("input_digest") == digest
-                and stage_dir.is_dir()
-                and (stage.copies is None or self._holds_copies(*stage.copies(self)))
-            ):
+            # the last build, unless --force is given or it failed or is gone
+            old = self.state["stages"].get(name) or {}
+            if self.force or old.get("status") != "ok" or not stage_dir.is_dir():
+                old = {}
+            if old.get("input_digest") == digest and (stage.copies is None or self._holds_copies(*stage.copies(self))):
                 self.summary[name] = "cached"
                 return
-            # the old outputs stay readable beside the rebuild, for _step to reuse
+            # a rebuild may reuse from the old build, which stays readable beside
+            # it, only if that recorded steps or files and still has its output
+            # digest: a hand edit to any of its files changes that
+            if not (old.get("steps") or old.get("files")) or (
+                _digest_paths([stage_dir], "", self._memo) != old.get("output_digest")
+            ):
+                old = {}
             prev_dir = self.workspace / f".{name}.prev"
             shutil.rmtree(prev_dir, ignore_errors=True)  # left by a killed run
             self._drop(name, aside=prev_dir)
@@ -790,7 +792,7 @@ class PipelineRun:
             # files it has finished writing, for the output digest to reuse
             self._forget(stage_dir)
             record = {"input_digest": digest, "started": time.time(), "calls_s": 0.0}
-            self._rebuilds[name] = (prev_dir, previous or {}, record, False)
+            self._rebuilds[name] = (prev_dir, old, record)
             try:
                 body = stage.body(self, stage_dir)
                 if isinstance(body, Generator):
@@ -849,27 +851,11 @@ class PipelineRun:
         for key in stale:
             del self._memo[key]
 
-    def _rebuild(self, name: str) -> tuple[Path, dict, dict]:
-        """The old directory of stage ``name``'s rebuild, the record of the
-        build there if it may be reused from or else ``{}``, and the new record.
-
-        It may when it was ``ok``, ``--force`` is not given, and the directory
-        still has the output digest recorded; a hand edit there changes that.
-        This is checked once, at the first call, before any old output moves.
-        """
-        prev_dir, old, record, checked = self._rebuilds[name]
-        if not checked:
-            reusable = not self.force and old.get("status") == "ok" and prev_dir.is_dir()
-            if not (reusable and digest_paths([prev_dir]) == old.get("output_digest")):
-                old = {}
-            self._rebuilds[name] = (prev_dir, old, record, True)
-        return prev_dir, old, record
-
     def _reused(self, stage_dir: Path, sub: str, key: str) -> bool:
         """Whether ``stage_dir/sub``, a file or tree built from inputs of digest
-        ``key``, was moved in from the previous build: it is when
-        :meth:`_rebuild` gives that build, and it recorded the same key."""
-        prev_dir, old, record = self._rebuild(stage_dir.name)
+        ``key``, was moved in from the previous build: it is when that build
+        was found reusable as it was set aside, and it recorded the same key."""
+        prev_dir, old, record = self._rebuilds[stage_dir.name]
         record.setdefault("steps", {})[sub] = {"input_digest": key}
         if old.get("steps", {}).get(sub, {}).get("input_digest") == key and (prev_dir / sub).exists():
             os.replace(prev_dir / sub, stage_dir / sub)
@@ -1096,7 +1082,7 @@ def _newviol(run: PipelineRun, stage_dir: Path) -> None:
         return h.hexdigest()[:_KEY_LEN]
 
     keys = {file_id: key(file_id, post) for file_id, post in post_rows.items()}
-    prev_dir, old, record = run._rebuild("newviol")
+    prev_dir, old, record = run._rebuilds["newviol"]
     old_keys = old.get("files", "")
     old_keys = {old_keys[i : i + _KEY_LEN] for i in range(0, len(old_keys), _KEY_LEN)}
     kept = {file_id for file_id, k in keys.items() if k in old_keys}

@@ -91,7 +91,10 @@ def classify_failure(outcome: TestOutcome) -> FailureClass:
     """
     if outcome.status is not TestStatus.FAIL:
         raise ValueError(f"cannot classify non-failing outcome {outcome.test_id!r}")
-    raw = outcome.failure_kind or ""
+    return _failure_class(outcome.failure_kind or "")
+
+
+def _failure_class(raw: str) -> FailureClass:
     for cls, patterns, ci in _failure_patterns():
         haystack = raw.lower() if ci else raw
         for pattern in patterns:
@@ -225,13 +228,7 @@ def summarize_semantic(
     histogram: Counter[FailureClass] = Counter()
     excluded = 0
     for reg in regressions:
-        outcome = TestOutcome(
-            test_id=reg.test_id,
-            target_file=None,
-            status=TestStatus.FAIL,
-            failure_kind=reg.failure_kind or "unknown failure",
-        )
-        cls = classify_failure(outcome)
+        cls = _failure_class(reg.failure_kind or "unknown failure")
         if cls is FailureClass.SIMULATION_ARTIFACT:
             excluded += 1
         else:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from apreval import minicorpus
+from apreval import newviol as newviol_mod
 from apreval.cli import main
 from apreval.newviol import NEW_VIOLATIONS_HEADER
 from apreval.pipeline import STAGE_ORDER
@@ -229,6 +230,15 @@ class TestNewviolCommand:
         assert (out / "new_violations.csv").is_file()
         assert (out / "new_matrix.csv").is_file()
         assert (out / "new_frequency.csv").is_file()
+
+    def test_builds_no_whole_corpus_verdict_list(self, mini, tmp_path, monkeypatch):
+        # the verdicts go to the writer one file at a time, as in the stage
+        def whole_corpus(*args, **kwargs):
+            raise AssertionError("detect_new_violations was called")
+
+        monkeypatch.setattr(newviol_mod, "detect_new_violations", whole_corpus)
+        args = [str(a) for a in _axis_args(mini / "workspace")["newviol"]]
+        assert main(["newviol", *args, "--out", str(tmp_path / "newviol")]) == 0
 
 
 class TestSampleAndPrecision:

@@ -1039,6 +1039,35 @@ class TestSubStepReuse:
         assert ("metrics/pre_raw" in outputs) == (change == "record_without_steps")
         assert _workspace_bytes(cfg) == edited_reference
 
+    def test_old_build_is_hashed_only_where_it_may_be_reused(self, reuse_root, tmp_path, monkeypatch,
+                                                              edited_reference):
+        # sample's record holds no steps or files, so nothing of its old build
+        # is worth a hash; semantic's old build is hashed once, as it is set
+        # aside, and a file added by hand there makes it reuse nothing
+        cfg = _copy_run(reuse_root, tmp_path)
+        for stage in ("sample", "semantic"):
+            (cfg.workspace_dir / stage / "sentinel.txt").write_text("added by hand", encoding="utf-8")
+        _neutral_edit(cfg)
+        hashed: list[str] = []
+        file_sha256 = pipeline._file_sha256
+
+        def counting(path):
+            hashed.append(path)
+            return file_sha256(path)
+
+        monkeypatch.setattr(pipeline, "_file_sha256", counting)
+        outputs = _spy_adapter_outputs(monkeypatch)
+        summary = run_pipeline(cfg)
+        assert summary["sample"] == summary["semantic"] == "ran"
+        # the stage of each sentinel hash, whether hashed in place or set aside as .<stage>.prev
+        sentinels = [
+            Path(path).relative_to(cfg.workspace_dir).parts[0].removeprefix(".").removesuffix(".prev")
+            for path in hashed if os.path.basename(path) == "sentinel.txt"
+        ]
+        assert sentinels == ["semantic"]
+        assert "semantic/baseline_raw" in outputs and "metrics/pre_raw" not in outputs
+        assert _workspace_bytes(cfg) == edited_reference
+
     def test_interrupted_rebuild_reuses_nothing(self, reuse_root, tmp_path, monkeypatch, edited_reference):
         cfg = _copy_run(reuse_root, tmp_path)
         _neutral_edit(cfg)
