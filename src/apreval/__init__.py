@@ -21,10 +21,8 @@ _EXPORTS = {
     "newviol": (
         "SourcePair",
         "VerdictKind",
-        "categorize_new",
         "detect_new_violations",
         "extract_fragment",
-        "fragment_in_original",
     ),
     "sampling": (
         "cochran_sample_size",

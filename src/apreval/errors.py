@@ -175,4 +175,4 @@ class WorkspaceLockedError(HarnessError):
 
     def __init__(self, lock_path: str):
         self.lock_path = lock_path
-        super().__init__(f"workspace is locked by another run ({lock_path}); remove the lock if stale")
+        super().__init__(f"workspace is locked by another run ({lock_path})")

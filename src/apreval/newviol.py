@@ -26,7 +26,7 @@ from enum import Enum
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Collection, Iterable, Iterator, Mapping, TextIO
 
 from .errors import HarnessError, MalformedInputError, MissingSourceError, SpanOutOfBoundsError
 # NormalizationPolicy is defined beside the report types, so that a config can
@@ -198,19 +198,6 @@ class _LineIndex:
         return None
 
 
-def fragment_in_original(
-    fragment: Fragment,
-    pair: SourcePair,
-    normalization: NormalizationPolicy = NormalizationPolicy.EXACT,
-) -> int | None:
-    """First 1-based line where the fragment appears contiguously in the original.
-
-    Multi-line fragments must match as an unbroken block. Returns ``None``
-    when the fragment does not occur.
-    """
-    return _LineIndex(pair.original_lines, normalization, fragment.lines[:1]).find(fragment)
-
-
 def detect_new_violations(
     pre: ViolationReport,
     post: ViolationReport,
@@ -264,20 +251,9 @@ class NewViolationBreakdown:
     matrix: Mapping[tuple[ViolationType, Severity], int]
     rule_frequency: tuple[tuple[str, int], ...]
 
-    def type_totals(self) -> dict[ViolationType, int]:
-        totals: dict[ViolationType, int] = {t: 0 for t in ViolationType}
-        for (t, _s), n in self.matrix.items():
-            totals[t] += n
-        return totals
-
-
-def categorize_new(verdicts: Iterable[NewViolationVerdict]) -> NewViolationBreakdown:
-    """Aggregate NEW verdicts into the 3x3 type/severity matrix and rule list."""
-    return tally_new(vd.violation for vd in verdicts if vd.verdict is VerdictKind.NEW)
-
 
 def tally_new(new: Iterable[Violation]) -> NewViolationBreakdown:
-    """The breakdown of the NEW violations ``new``."""
+    """The breakdown of the NEW violations ``new``; rules most frequent first, ties by id."""
     matrix: dict[tuple[ViolationType, Severity], int] = {
         (t, s): 0 for t in ViolationType for s in Severity
     }
@@ -287,11 +263,8 @@ def tally_new(new: Iterable[Violation]) -> NewViolationBreakdown:
         matrix[(v.vtype, v.severity)] += 1
         by_rule[v.rule] += 1
         total += 1
-    return NewViolationBreakdown(total_new=total, matrix=matrix, rule_frequency=_by_frequency(by_rule))
-
-
-def _by_frequency(counts: Counter[str]) -> tuple[tuple[str, int], ...]:
-    return tuple(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
+    frequency = tuple(sorted(by_rule.items(), key=lambda kv: (-kv[1], kv[0])))
+    return NewViolationBreakdown(total_new=total, matrix=matrix, rule_frequency=frequency)
 
 
 # --- new_violations.csv -------------------------------------------------------
@@ -394,11 +367,12 @@ def load_new(path: Path) -> tuple[int, list[Violation]]:
     return count, new
 
 
-def summarize_new(rows: int, new: Sequence[Violation]) -> dict:
+def summarize_new(rows: int, new: Iterable[Violation]) -> dict:
     """The ``newviol`` section of ``summary.json``: ``rows`` post-repair violations, ``new`` of them NEW."""
+    breakdown = tally_new(new)
     return {
         "post_violations": rows,
-        "total_new": len(new),
-        "matrix": dict(Counter(f"{v.vtype.value}/{v.severity.value}" for v in new)),
-        "top_rules": list(_by_frequency(Counter(v.rule for v in new))),
+        "total_new": breakdown.total_new,
+        "matrix": {f"{t.value}/{s.value}": n for (t, s), n in breakdown.matrix.items() if n},
+        "top_rules": list(breakdown.rule_frequency),
     }

@@ -24,6 +24,7 @@ stage that reads them is done.
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import inspect
 import json
@@ -362,7 +363,7 @@ _DigestMemo = dict[str, bytes | tuple[tuple[str, str], ...]]
 
 
 def _walk_files(top: str, rel: str = "") -> Iterator[tuple[str, str]]:
-    """(relpath, path) of each file under ``top``, in ``sorted(rglob("*"))`` order.
+    """(relpath, path) of each file under ``top``, in ``Path`` order.
 
     Entries are sorted by name at each level, which is how ``Path``
     compares. Symlinks to files are included; symlinked directories are not
@@ -443,20 +444,25 @@ def _adapter_fingerprint(adapter: ToolAdapter | None) -> str:
 
 
 class _WorkspaceLock:
+    """An flock on ``workspace/.lock``, which the kernel drops when its holder dies."""
+
     def __init__(self, workspace: Path):
         self.path = workspace / ".lock"
 
     def __enter__(self):
+        # writable, so that an flock emulated with byte-range locks (NFS) holds too
+        self.fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o666)
         try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise WorkspaceLockedError(str(self.path)) from None
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+            fcntl.flock(self.fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            os.close(self.fd)
+            if isinstance(exc, BlockingIOError):
+                raise WorkspaceLockedError(str(self.path)) from None
+            raise
         return self
 
     def __exit__(self, *exc):
-        self.path.unlink(missing_ok=True)
+        os.close(self.fd)  # never unlinked, lest two runs each lock a file of that name
         return False
 
 
@@ -975,9 +981,8 @@ def _prepare(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
         yield [partial(run_tool_adapter, compiler, corpus, stage_dir / "raw")]
         compilable, rejected = _compile_results(compiler, stage_dir / "raw")
     else:
-        compilable = sorted(
-            p.relative_to(corpus).as_posix() for p in corpus.rglob("*") if p.is_file()
-        )
+        # the listing the input digest has just put in the memo
+        compilable = sorted(rel for rel, _ in _listing(os.path.abspath(corpus), run._memo))
         rejected = {}
     _copy_files(corpus, compilable, run.workspace / _SOURCES)
     (stage_dir / "rejected.json").write_text(json_text(rejected), encoding="utf-8")
@@ -999,8 +1004,7 @@ def _analyze(tree: str, state: StateLabel, handoff: Handoff, run: PipelineRun, s
     if analyzer.expected_artifacts:
         report_file = raw / analyzer.expected_artifacts[0]
     else:  # the first file the tool wrote, by relative path
-        written = [path.relative_to(raw).as_posix() for path in raw.rglob("*")
-                   if path.is_file() and path.name not in _ADAPTER_LOGS]
+        written = [rel for rel, path in _walk_files(str(raw)) if os.path.basename(path) not in _ADAPTER_LOGS]
         if not written:
             raise MissingArtifactError(analyzer.name, "<analysis report>")
         report_file = raw / min(written)

@@ -83,20 +83,14 @@ def _compile_patterns() -> tuple[tuple[CompileErrorClass, str], ...]:
     return tuple((CompileErrorClass(entry["class"]), entry["pattern"]) for entry in doc["classes"])
 
 
-def classify_failure(outcome: TestOutcome) -> FailureClass:
-    """Bucket a failing outcome by its recorded failure kind.
+def classify_failure(kind: str) -> FailureClass:
+    """Bucket a test failure by its recorded failure kind.
 
     Patterns are tried in table order; the first substring hit wins and
     anything unmatched is Other, so classification is total.
     """
-    if outcome.status is not TestStatus.FAIL:
-        raise ValueError(f"cannot classify non-failing outcome {outcome.test_id!r}")
-    return _failure_class(outcome.failure_kind or "")
-
-
-def _failure_class(raw: str) -> FailureClass:
     for cls, patterns, ci in _failure_patterns():
-        haystack = raw.lower() if ci else raw
+        haystack = kind.lower() if ci else kind
         for pattern in patterns:
             if (pattern.lower() if ci else pattern) in haystack:
                 return cls
@@ -228,7 +222,7 @@ def summarize_semantic(
     histogram: Counter[FailureClass] = Counter()
     excluded = 0
     for reg in regressions:
-        cls = _failure_class(reg.failure_kind or "unknown failure")
+        cls = classify_failure(reg.failure_kind or "unknown failure")
         if cls is FailureClass.SIMULATION_ARTIFACT:
             excluded += 1
         else:

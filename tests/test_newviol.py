@@ -10,16 +10,15 @@ from apreval.newviol import (
     NormalizationPolicy,
     SourcePair,
     VerdictKind,
-    categorize_new,
     detect_new_violations,
     extract_fragment,
-    fragment_in_original,
     NEW_VIOLATIONS_HEADER,
     NewViolationVerdict,
     _LineIndex,
     load_new,
     read_verdict_rows,
     summarize_new,
+    tally_new,
     verdict_rows,
     write_newviol,
 )
@@ -56,38 +55,42 @@ class TestExtractFragment:
             Fragment(file_id="A.java", lines=("x",), span=(1, 2))
 
 
-class TestFragmentInOriginal:
+def fragment_evidence(pair, span, policy=NormalizationPolicy.EXACT):
+    """The evidence line of the verdict on a finding at ``span`` of ``pair``'s
+    repaired file, with no pre-repair finding: where the fragment first
+    occurs in the original, or None when the finding is NEW."""
+    post = mkreport([mkviol(pair.file_id, start=span[0], end=span[1])], StateLabel.POST_REPAIR)
+    (vd,) = detect_new_violations(mkreport([]), post, {pair.file_id: pair}, policy)
+    assert vd.verdict is (VerdictKind.NEW if vd.evidence is None else VerdictKind.NOT_NEW_FRAGMENT_FOUND)
+    return vd.evidence
+
+
+class TestFragmentSearch:
     def test_verbatim_presence(self):
-        original = TEN_LINES
-        pair = pair_of("A.java", original, original)
-        frag = Fragment("A.java", tuple(original[6:9]), (7, 9))
-        assert fragment_in_original(frag, pair) == 7
+        pair = pair_of("A.java", TEN_LINES, TEN_LINES)
+        assert fragment_evidence(pair, (7, 9)) == 7
 
     def test_absent_text(self):
         pair = pair_of("A.java", TEN_LINES, ["int other = 1;"])
-        frag = Fragment("A.java", ("int other = 1;",), (1, 1))
-        assert fragment_in_original(frag, pair) is None
+        assert fragment_evidence(pair, (1, 1)) is None
 
     def test_reindented_fragment_needs_loose_policy(self):
         original = ["call();"]
         repaired = ["        call();   "]
         pair = pair_of("A.java", original, repaired)
-        frag = extract_fragment(pair, (1, 1))
-        assert fragment_in_original(frag, pair, NormalizationPolicy.EXACT) is None
-        assert fragment_in_original(frag, pair, NormalizationPolicy.LOOSE) == 1
+        assert fragment_evidence(pair, (1, 1), NormalizationPolicy.EXACT) is None
+        assert fragment_evidence(pair, (1, 1), NormalizationPolicy.LOOSE) == 1
 
     def test_first_occurrence_wins(self):
         original = ["dup();", "mid();", "dup();"]
         pair = pair_of("A.java", original, original)
-        frag = Fragment("A.java", ("dup();",), (3, 3))
-        assert fragment_in_original(frag, pair) == 1
+        assert fragment_evidence(pair, (3, 3)) == 1
 
     def test_multiline_must_be_contiguous(self):
         original = ["a;", "x;", "b;"]
         repaired = ["a;", "b;"]
         pair = pair_of("A.java", original, repaired)
-        frag = extract_fragment(pair, (1, 2))  # ("a;", "b;")
-        assert fragment_in_original(frag, pair) is None
+        assert fragment_evidence(pair, (1, 2)) is None  # ("a;", "b;")
 
     @pytest.mark.parametrize("policy", list(NormalizationPolicy), ids=lambda p: p.value)
     def test_naive_scan_oracle_on_random_files(self, rng, policy):
@@ -104,15 +107,14 @@ class TestFragmentInOriginal:
             pair = pair_of("A.java", original, repaired)
             start = rng.randint(1, len(repaired))
             end = rng.randint(start, len(repaired))
-            frag = extract_fragment(pair, (start, end))
-            needle = [norm(l) for l in frag.lines]
+            needle = [norm(l) for l in repaired[start - 1 : end]]
             hay = [norm(l) for l in original]
             expected = None
             for i in range(len(hay) - len(needle) + 1):
                 if hay[i : i + len(needle)] == needle:
                     expected = i + 1
                     break
-            assert fragment_in_original(frag, pair, policy) == expected
+            assert fragment_evidence(pair, (start, end), policy) == expected
 
 
 class TestLineIndex:
@@ -426,46 +428,45 @@ class TestMultiFileEvidence:
         assert [vd.violation for vd in verdicts] == list(post.entries)
 
 
-class TestCategorize:
-    def _verdict(self, vtype, severity, rule="S1106", new=True):
-        v = mkviol("A.java", rule, 1, vtype=vtype, severity=severity)
-        kind = VerdictKind.NEW if new else VerdictKind.NOT_NEW_KEY_MATCH
-        return NewViolationVerdict(v, kind, evidence=None if new else 1)
-
+class TestTallyNew:
     def test_corpus_scale_totals(self):
         # corpus-scale population: : 2120 new findings,
         # 32 bugs + 2088 code smells, no vulnerabilities
-        verdicts = []
-        for i in range(32):
-            verdicts.append(self._verdict(ViolationType.BUG, Severity.LOW, rule="S2164"))
-        for i in range(2088):
-            verdicts.append(self._verdict(ViolationType.CODE_SMELL, Severity.LOW, rule="S1106"))
-        breakdown = categorize_new(verdicts)
+        new = [mkviol("A.java", "S2164", vtype=ViolationType.BUG, severity=Severity.LOW)] * 32
+        new += [mkviol("A.java", "S1106", vtype=ViolationType.CODE_SMELL, severity=Severity.LOW)] * 2088
+        breakdown = tally_new(new)
         assert breakdown.total_new == 2120
-        totals = breakdown.type_totals()
-        assert totals[ViolationType.BUG] == 32
-        assert totals[ViolationType.CODE_SMELL] == 2088
-        assert totals[ViolationType.VULNERABILITY] == 0
+        totals = {t: sum(n for (vtype, _), n in breakdown.matrix.items() if vtype is t) for t in ViolationType}
+        assert totals == {ViolationType.BUG: 32, ViolationType.CODE_SMELL: 2088, ViolationType.VULNERABILITY: 0}
 
     def test_empty_is_all_zero(self):
-        breakdown = categorize_new([])
+        breakdown = tally_new([])
         assert breakdown.total_new == 0
+        assert len(breakdown.matrix) == len(ViolationType) * len(Severity)
         assert set(breakdown.matrix.values()) == {0}
         assert breakdown.rule_frequency == ()
 
-    def test_hand_tally(self):
+    def test_hand_tally(self, tmp_path):
+        def verdict(vtype, severity, rule, new=True):
+            v = mkviol("A.java", rule, 1, vtype=vtype, severity=severity)
+            kind = VerdictKind.NEW if new else VerdictKind.NOT_NEW_KEY_MATCH
+            return NewViolationVerdict(v, kind, evidence=None if new else 1)
+
         verdicts = [
-            self._verdict(ViolationType.CODE_SMELL, Severity.LOW, rule="S1106"),
-            self._verdict(ViolationType.CODE_SMELL, Severity.LOW, rule="S1106"),
-            self._verdict(ViolationType.BUG, Severity.HIGH, rule="S2164"),
-            self._verdict(ViolationType.CODE_SMELL, Severity.MEDIUM, rule="S103"),
-            self._verdict(ViolationType.BUG, Severity.HIGH, rule="S2164", new=False),
+            verdict(ViolationType.CODE_SMELL, Severity.LOW, "S1106"),
+            verdict(ViolationType.CODE_SMELL, Severity.LOW, "S1106"),
+            verdict(ViolationType.BUG, Severity.HIGH, "S2164"),
+            verdict(ViolationType.CODE_SMELL, Severity.MEDIUM, "S103"),
+            verdict(ViolationType.BUG, Severity.HIGH, "S2164", new=False),
         ]
-        breakdown = categorize_new(verdicts)
-        assert breakdown.total_new == 4  # the non-NEW verdict is not counted
+        # the stage's path: the rows of the verdicts, and the NEW violations among them
+        rows, new = write_newviol(tmp_path, verdict_rows(verdicts), [])
+        breakdown = tally_new(new)
+        assert (rows, breakdown.total_new) == (5, 4)  # the non-NEW verdict is not counted
         assert breakdown.matrix[(ViolationType.CODE_SMELL, Severity.LOW)] == 2
         assert breakdown.matrix[(ViolationType.BUG, Severity.HIGH)] == 1
         assert breakdown.rule_frequency == (("S1106", 2), ("S103", 1), ("S2164", 1))
+        assert (tmp_path / "new_frequency.csv").read_text(encoding="utf-8") == "rule,count\nS1106,2\nS103,1\nS2164,1\n"
 
 
 #: pieces of the messages written to ``new_violations.csv``: the CSV's
@@ -541,13 +542,16 @@ class TestReadNewViolations:
         written = write_newviol(out, verdict_rows(verdicts), [])
         new = [vd.violation for vd in verdicts if vd.verdict is VerdictKind.NEW]
         assert written == load_new(path) == (len(verdicts), new)
-        # summary.json's section agrees with the new_matrix and new_frequency tables
-        breakdown = categorize_new(verdicts)
+        # summary.json's section agrees with the new_matrix and new_frequency tables written
+        matrix, frequency = (
+            [line.split(",") for line in (out / name).read_text(encoding="utf-8").splitlines()[1:]]
+            for name in ("new_matrix.csv", "new_frequency.csv")
+        )
         assert summarize_new(*written) == {
             "post_violations": len(verdicts),
-            "total_new": breakdown.total_new,
-            "matrix": {f"{t.value}/{s.value}": n for (t, s), n in breakdown.matrix.items() if n},
-            "top_rules": list(breakdown.rule_frequency),
+            "total_new": sum(int(n) for _, _, n in matrix),
+            "matrix": {f"{t}/{s}": int(n) for t, s, n in matrix if n != "0"},
+            "top_rules": [(rule, int(n)) for rule, n in frequency],
         }
 
         expected = [([str(field) for field in row], v) for row, v in verdict_rows(verdicts) if row[0] in files]

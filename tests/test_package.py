@@ -40,7 +40,7 @@ class TestLazyPackage:
         assert loaded == {"numpy": False, "apreval": ["apreval.stubs"]}
 
     def test_every_public_name_resolves(self):
-        assert len(apreval.__all__) == len(set(apreval.__all__)) == 42
+        assert len(apreval.__all__) == len(set(apreval.__all__)) == 40
         listed = dir(apreval)
         for name in apreval.__all__:
             assert getattr(apreval, name) is not None, name
@@ -130,3 +130,38 @@ class TestImports:
     def test_a_name_in_a_string_annotation_counts_as_used(self):
         code = "from a import B, C, D\ndef f(x: 'B') -> 'list[C]':\n    pass\n"
         assert _unused_imports(ast.parse(code)) == ["D (line 1)"]
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """The names a module reads, bare or as an attribute, outside the
+    top-level definition of the same name."""
+    read = set()
+    for top in tree.body:
+        names = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        }
+        read |= names - {getattr(top, "name", None)}
+    return read
+
+
+class TestExports:
+    #: where a public name counts as used: the package's own modules, the
+    #: benchmark, and the acceptance suite, which states the public contract
+    ROOT = Path(__file__).resolve().parents[1]
+    CALLERS = (
+        [path for path in Path(apreval.__file__).parent.glob("*.py") if path.name != "__init__.py"]
+        + sorted((ROOT / "bench").glob("*.py"))
+        + [ROOT / "tests" / "test_acceptance.py"]
+    )
+
+    def test_every_export_has_a_caller(self):
+        read = set()
+        for path in self.CALLERS:
+            read |= _read_names(ast.parse(path.read_text(encoding="utf-8")))
+        assert [name for name in apreval.__all__ if name not in read] == []
+
+    def test_a_name_read_only_inside_its_own_definition_is_not_a_caller(self):
+        code = "def g():\n    return C.y\n\ndef f(n):\n    return f(n - 1)\n\nclass C:\n    x = C\n"
+        assert _read_names(ast.parse(code)) == {"n", "C", "y"}

@@ -1525,7 +1525,7 @@ class TestFailureIsolation:
         with pytest.raises(TypeError):
             run._save_state()
         assert state_path.read_bytes() == before
-        assert sorted(p.name for p in cfg.workspace_dir.iterdir() if p.is_file()) == ["state.json"]
+        assert sorted(p.name for p in cfg.workspace_dir.iterdir() if p.is_file()) == [".lock", "state.json"]
 
     def test_interrupted_stage_is_not_cached(self, tmp_path, monkeypatch):
         cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
@@ -1553,12 +1553,66 @@ class TestFailureIsolation:
         returncode = _stop_parallel_run(tmp_path, lambda run: os.kill(run.pid, signal.SIGTERM))
         assert returncode == 128 + signal.SIGTERM
 
-    def test_workspace_lock(self, tmp_path):
-        cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
+    def test_workspace_lock(self, tmp_path, capsys):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        cfg = load_config(config_path)
+        lock = cfg.workspace_dir / ".lock"
         cfg.workspace_dir.mkdir(parents=True, exist_ok=True)
-        (cfg.workspace_dir / ".lock").write_text("12345", encoding="utf-8")
-        with pytest.raises(WorkspaceLockedError):
-            run_pipeline(cfg, stages=["prepare"])
+        # what older versions left behind when killed: the pid of a run that is gone
+        gone = subprocess.run([PY, "-c", "import os; print(os.getpid())"], capture_output=True, text=True, check=True)
+        lock.write_text(gone.stdout.strip(), encoding="utf-8")
+        assert run_pipeline(cfg, stages=["prepare"]) == {"prepare": "ran"}
+        holder_code = (
+            "import fcntl, os, sys, time\n"
+            "fcntl.flock(os.open(sys.argv[1], os.O_RDWR), fcntl.LOCK_EX)\n"
+            "print('held', flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        with subprocess.Popen([PY, "-c", holder_code, str(lock)], stdout=subprocess.PIPE, text=True) as holder:
+            try:
+                assert holder.stdout.readline() == "held\n"
+                with pytest.raises(WorkspaceLockedError):
+                    run_pipeline(cfg, stages=["prepare"])
+                capsys.readouterr()
+                assert main(["run", "--config", str(config_path), "--stages", "prepare"]) == 2
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1 and err[0].startswith("error: workspace is locked by another run")
+            finally:
+                holder.kill()
+        assert holder.returncode == -signal.SIGKILL
+        # the kernel dropped the dead holder's lock; the file stays
+        assert run_pipeline(cfg, stages=["prepare"]) == {"prepare": "cached"}
+        assert lock.is_file()
+
+    def test_killed_run_resumes_without_cleanup(self, tmp_path):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        plain = config_path.read_bytes()
+        sleeper = tmp_path / "sleeper.py"
+        sleeper.write_text(_SLEEPER, encoding="utf-8")
+        cfg = _edit_config(config_path, lambda doc: doc["adapters"]["repairer"].update(
+            command=f"{PY} {sleeper} repairer {{input}} {{output}}"))
+        pid_file = cfg.workspace_dir / "repair" / "output" / "sleeper.pid"
+        pid = None
+        with subprocess.Popen([PY, "-m", "apreval.cli", "run", "--config", str(config_path)], cwd=tmp_path,
+                              env=_adapter_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as run:
+            try:
+                deadline = time.monotonic() + 60.0
+                while not (pid_file.is_file() and pid_file.read_text()):
+                    assert run.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.05)
+                pid = int(pid_file.read_text())
+            finally:
+                run.kill()
+                # the repair pass leads its own process group, which outlives the run
+                if pid is not None and _pid_alive(pid):
+                    os.killpg(pid, signal.SIGKILL)
+        assert run.returncode == -signal.SIGKILL
+        config_path.write_bytes(plain)
+        cfg = load_config(config_path)
+        assert run_pipeline(cfg)["repair"] == "ran"
+        summary = cfg.workspace_dir / "report" / "summary.json"
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == MINI_SUMMARY_SHA256
+        assert set(run_pipeline(cfg).values()) == {"cached"}
 
 
 def _edit_config(config_path: Path, edit) -> PipelineConfig:
@@ -1644,6 +1698,26 @@ class TestStageFate:
         assert run_pipeline(cfg, stages=["analyze_pre"]) == {
             "analyze_pre": "skipped (analyzer role not bound)"
         }
+
+    def test_no_compiler_and_no_declared_report(self, tmp_path):
+        # prepare takes every corpus file, a symlink to a file too but nothing
+        # under a symlinked directory; analyze reads the one file its tool wrote
+        def edit(doc):
+            doc["adapters"]["compiler"] = "skip"
+            del doc["adapters"]["analyzer"]["expected_artifacts"]
+
+        cfg = _edit_config(minicorpus.materialize(tmp_path, seed=17), edit)
+        corpus = cfg.corpus_dir
+        files = sorted(p.name for p in corpus.iterdir())
+        (corpus / "sub").mkdir()
+        os.symlink(corpus / files[0], corpus / "sub" / "Link.java")
+        os.symlink(corpus / "sub", corpus / "linked")
+        assert run_pipeline(cfg, stages=["prepare", "analyze_pre"]) == {"prepare": "ran", "analyze_pre": "ran"}
+        ws = cfg.workspace_dir
+        assert (ws / "prepare" / "compilable.txt").read_text(encoding="utf-8").splitlines() == files + ["sub/Link.java"]
+        assert sorted(p.name for p in (ws / "analyze_pre" / "raw").iterdir()) == [
+            "adapter_stderr.log", "adapter_stdout.log", "violations.csv"]
+        assert "sub/Link.java" in (ws / "analyze_pre" / "pre_violations.csv").read_text(encoding="utf-8")
 
     def test_report_adapter_options_change_reruns_analysis(self, tmp_path):
         script = tmp_path / "json_analyzer.py"
