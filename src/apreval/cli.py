@@ -22,7 +22,7 @@ from .errors import (
     HarnessError,
     StageFailureError,
 )
-from .pipeline import SamplingParams, emit_reports, load_config, load_sources, run_pipeline
+from .pipeline import ROLES, SamplingParams, emit_reports, load_config, load_sources, run_pipeline
 from .violations import NormalizationPolicy, StateLabel, decode_input, get_profile, json_text, parse_file, read_report
 
 EXIT_OK = 0
@@ -127,7 +127,7 @@ def _cmd_semantic(args: argparse.Namespace) -> int:
     diagnostics: dict[str, str] = {}
     if args.compile_log:
         log_dir = Path(args.compile_log)
-        results_file = log_dir / "compile_results.json"
+        results_file = log_dir / ROLES["compiler"]
         if results_file.is_file():
             _, diagnostics = semantic_mod.read_compile_results(results_file)
         else:

@@ -76,7 +76,9 @@ if TYPE_CHECKING:
 
     from .newviol import SourceTrees
 
-ROLES = ("analyzer", "repairer", "test_runner", "metric_extractor", "compiler")
+#: each adapter role and the file its tool must leave, where the role fixes one (see :func:`_artifact`)
+ROLES = {"analyzer": None, "repairer": None, "test_runner": "results.csv",
+         "metric_extractor": "class_metrics.csv", "compiler": "compile_results.json"}
 
 _ALLOWED_PLACEHOLDERS = {"input", "output", "workdir", "python", "rule"}
 
@@ -315,8 +317,8 @@ def run_tool_adapter(
             _running_adapters.discard(proc)
             if proc.returncode is None:
                 _kill_process_group(proc)
-    (output_dir / "adapter_stdout.log").write_bytes(stdout)
-    (output_dir / "adapter_stderr.log").write_bytes(stderr)
+    for log, data in zip(_ADAPTER_LOGS, (stdout, stderr)):
+        (output_dir / log).write_bytes(data)
     if proc.returncode != 0:
         raise NonZeroExitError(adapter.name, proc.returncode, stderr.decode("utf-8", "replace"))
     for artifact in adapter.expected_artifacts:
@@ -324,20 +326,21 @@ def run_tool_adapter(
             raise MissingArtifactError(adapter.name, artifact)
 
 
-def _compile_results(compiler: ToolAdapter, out_dir: Path) -> tuple[list[str], dict[str, str]]:
-    """The files a compiler run into ``out_dir`` accepted, and the rejected ones.
+def _written(top: Path) -> list[str]:
+    """The relative path of each file a tool wrote under ``top``: all but the
+    adapter's own logs at its top."""
+    return [rel for rel, _ in _walk_files(str(top)) if rel not in _ADAPTER_LOGS]
 
-    The compiler adapter writes ``compile_results.json`` (one record per
-    file with ok/diagnostic); rejected files keep their diagnostics for the
-    compile-error classification. A compiler that wrote no such file
-    raises :class:`MissingArtifactError`.
-    """
-    results_path = out_dir / "compile_results.json"
-    if not results_path.is_file():
-        raise MissingArtifactError(compiler.name, "compile_results.json")
-    from .semantic import read_compile_results
 
-    return read_compile_results(results_path)
+def _artifact(adapter: ToolAdapter, out_dir: Path) -> Path:
+    """The file a call of ``adapter`` left in ``out_dir`` for its stage to read:
+    its role's file in ``ROLES``, else its first declared artifact, else the
+    first file it wrote by relative path; one missing raises :class:`MissingArtifactError`."""
+    name = (ROLES.get(adapter.name) or next(iter(adapter.expected_artifacts), None)
+            or min(_written(out_dir), default=None))
+    if name is None or not (out_dir / name).is_file():
+        raise MissingArtifactError(adapter.name, name or "<analysis report>")
+    return out_dir / name
 
 
 def prepare_corpus_violating(
@@ -979,7 +982,9 @@ def _prepare(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
     corpus = run.config.corpus_dir
     if compiler is not None:
         yield [partial(run_tool_adapter, compiler, corpus, stage_dir / "raw")]
-        compilable, rejected = _compile_results(compiler, stage_dir / "raw")
+        from .semantic import read_compile_results
+
+        compilable, rejected = read_compile_results(_artifact(compiler, stage_dir / "raw"))
     else:
         # the listing the input digest has just put in the memo
         compilable = sorted(rel for rel, _ in _listing(os.path.abspath(corpus), run._memo))
@@ -1001,13 +1006,7 @@ def _analyze(tree: str, state: StateLabel, handoff: Handoff, run: PipelineRun, s
     analyzer = run.config.adapters["analyzer"]
     raw = stage_dir / "raw"
     yield [partial(run_tool_adapter, analyzer, run.workspace / tree, raw)]
-    if analyzer.expected_artifacts:
-        report_file = raw / analyzer.expected_artifacts[0]
-    else:  # the first file the tool wrote, by relative path
-        written = [rel for rel, path in _walk_files(str(raw)) if os.path.basename(path) not in _ADAPTER_LOGS]
-        if not written:
-            raise MissingArtifactError(analyzer.name, "<analysis report>")
-        report_file = raw / min(written)
+    report_file = _artifact(analyzer, raw)
     csv_path = run.workspace / handoff.path
     # the same raw report, read the same way, gives the same CSV: move the old one in
     if run._reused(stage_dir, csv_path.name, _digest_paths([report_file], _analyzer_fingerprint(run), run._memo)):
@@ -1036,7 +1035,7 @@ def _repair(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
             yield [partial(run_tool_adapter, repairer, current, pass_dir, rule=rule)]
             current = pass_dir
         # a copy, so that an edit of repair/output leaves the last pass as it was
-        _copy_files(current, [rel for rel, _ in _walk_files(str(current)) if rel not in _ADAPTER_LOGS], output_dir)
+        _copy_files(current, _written(current), output_dir)
     else:
         yield [partial(run_tool_adapter, repairer, input_dir, output_dir)]
 
@@ -1129,11 +1128,10 @@ def _semantic(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
     if compiler is not None:
         calls.append(partial(run_tool_adapter, compiler, repair_out, stage_dir / "compile_raw"))
     yield calls
-    diagnostics = _compile_results(compiler, stage_dir / "compile_raw")[1] if compiler is not None else {}
+    diagnostics = (semantic_mod.read_compile_results(_artifact(compiler, stage_dir / "compile_raw"))[1]
+                   if compiler is not None else {})
     regressions, summary = semantic_mod.compare_runs(
-        stage_dir / "baseline_raw" / "results.csv",
-        stage_dir / "repaired_raw" / "results.csv",
-        diagnostics,
+        _artifact(runner, stage_dir / "baseline_raw"), _artifact(runner, stage_dir / "repaired_raw"), diagnostics
     )
     semantic_mod.write_semantic(stage_dir, regressions, summary)
 
@@ -1148,7 +1146,7 @@ def _metrics(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
         partial(run_tool_adapter, extractor, repair_out, stage_dir / "post_raw"),
     ]
     pairs, exclusions = metrics_mod.pair_metric_files(
-        stage_dir / "pre_raw" / "class_metrics.csv", stage_dir / "post_raw" / "class_metrics.csv"
+        _artifact(extractor, stage_dir / "pre_raw"), _artifact(extractor, stage_dir / "post_raw")
     )
     metrics_mod.write_metrics(stage_dir, pairs, exclusions, metrics_mod.structural_report(pairs))
 

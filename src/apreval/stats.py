@@ -53,10 +53,6 @@ class StatResult:
         if self.p_value is not None and not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p_value {self.p_value} outside [0, 1]")
 
-    @property
-    def undefined(self) -> bool:
-        return self.statistic is None
-
     def significant_at(self, alpha: float = 0.05) -> bool | None:
         if self.p_value is None:
             return None
@@ -69,10 +65,6 @@ class PairedSeries:
 
     metric_name: str
     deltas: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.deltas)
 
 
 def midranks(values: list[float]) -> list[float]:

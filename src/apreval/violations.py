@@ -371,22 +371,29 @@ def load_data_json(name: str) -> dict:
 
 
 def analyzer_json_mapping(options: Mapping) -> dict:
-    """The packaged field mapping that ``options`` name, ``sonarqube-9`` by default."""
+    """The packaged field mapping that ``options`` name, ``sonarqube-9`` by
+    default; an ``end_line_fallback`` that is not a boolean is refused too."""
     mappings = load_data_json("analyzer_json_mappings.json")
     name = options.get("mapping", "sonarqube-9")
     if not isinstance(name, str) or name not in mappings:
         raise ConfigError("report_adapter_options.mapping",
                           f"unknown mapping {name!r}; known: {', '.join(sorted(mappings))}")
+    if not isinstance(options.get("end_line_fallback", False), bool):
+        raise ConfigError("report_adapter_options.end_line_fallback", "must be a boolean")
     return mappings[name]
 
 
 def _analyzer_json_adapter(raw: bytes | str | TextIO, options: Mapping) -> Iterable[Violation]:
     m = analyzer_json_mapping(options)
-    fallback = bool(options.get("end_line_fallback", False))
+    fallback = options.get("end_line_fallback", False)
     doc = parse_json(raw)
+    if not isinstance(doc, dict):
+        raise MalformedInputError("report root must be an object")
     issues = doc.get(m["issues_key"])
     if issues is None:
         raise MissingRequiredFieldError(m["issues_key"])
+    if not isinstance(issues, list):
+        raise MalformedInputError(f"field {m['issues_key']!r} must be a list")
     f = m["fields"]
     share = {}.setdefault  # one string per distinct file, rule and message
     for i, issue in enumerate(issues):

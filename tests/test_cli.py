@@ -520,28 +520,40 @@ class TestInputNotUtf8:
 
 
 class TestCompilerWithoutResults:
-    @pytest.mark.parametrize("stage, tree", [("prepare", "corpus"), ("semantic", "output")])
-    def test_is_an_adapter_failure_in_each_stage(self, tmp_path, capsys, stage, tree):
-        # a compiler that exits 0 without writing its results for one tree
-        # (prepare compiles the corpus, semantic repair/output)
+    @pytest.mark.parametrize("role, stub, stage, tree, artifact", [
+        ("compiler", "compiler", "prepare", "corpus", "compile_results.json"),
+        ("compiler", "compiler", "semantic", "output", "compile_results.json"),
+        ("test_runner", "testrunner", "semantic", "input", "results.csv"),
+        ("test_runner", "testrunner", "semantic", "output", "results.csv"),
+        ("metric_extractor", "metrics", "metrics", "input", "class_metrics.csv"),
+        ("metric_extractor", "metrics", "metrics", "output", "class_metrics.csv"),
+    ])
+    def test_is_an_adapter_failure_in_each_stage(self, tmp_path, capsys, role, stub, stage, tree, artifact):
+        # a tool that exits 0 without writing its file for one tree (prepare
+        # compiles the corpus; semantic and metrics read repair/input and
+        # repair/output) and declares no artifact, so the stage finds it missing
         config_path = minicorpus.materialize(tmp_path, seed=17)
-        wrapper = tmp_path / "compiler.py"
+        wrapper = tmp_path / "tool.py"
         wrapper.write_text(
             "import subprocess, sys\n"
             "from pathlib import Path\n"
-            "subprocess.run([sys.executable, '-m', 'apreval.stubs', 'compiler', *sys.argv[1:]], check=True)\n"
+            f"subprocess.run([sys.executable, '-m', 'apreval.stubs', {stub!r}, *sys.argv[1:]], check=True)\n"
             f"if Path(sys.argv[1]).name == {tree!r}:\n"
-            "    Path(sys.argv[2], 'compile_results.json').unlink()\n",
+            f"    Path(sys.argv[2], {artifact!r}).unlink()\n",
             encoding="utf-8",
         )
         doc = json.loads(config_path.read_text(encoding="utf-8"))
-        doc["adapters"]["compiler"] = {"command": f"{{python}} {wrapper} {{input}} {{output}}"}
+        doc["adapters"][role] = {"command": f"{{python}} {wrapper} {{input}} {{output}}"}
         config_path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == 3
         err = capsys.readouterr().err
-        assert "adapter 'compiler' did not produce expected artifact 'compile_results.json'" in err
-        state = json.loads((tmp_path / "workspace" / "state.json").read_text(encoding="utf-8"))
-        assert state["stages"][stage]["status"] == "failed"
+        assert err.splitlines() == [f"adapter failure: adapter {role!r} did not produce expected artifact {artifact!r}"]
+        ws = tmp_path / "workspace"
+        state = json.loads((ws / "state.json").read_text(encoding="utf-8"))
+        assert state["stages"].pop(stage)["status"] == "failed"
+        # the stages that ended before it keep their records and outputs
+        assert all(record["status"] == "ok" and (ws / name).is_dir() for name, record in state["stages"].items())
+        assert stage == "prepare" or "repair" in state["stages"]
 
 
 class TestStageParity:

@@ -162,6 +162,20 @@ class TestExports:
             read |= _read_names(ast.parse(path.read_text(encoding="utf-8")))
         assert [name for name in apreval.__all__ if name not in read] == []
 
+    def test_every_public_member_has_a_caller(self):
+        # a method or property of a package class, read as an attribute
+        read = set()
+        for path in self.CALLERS:
+            read |= {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+        members = [
+            f"{path.name}: {cls.name}.{member.name}"
+            for path in sorted(Path(apreval.__file__).parent.glob("*.py"))
+            for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(cls, ast.ClassDef)
+            for member in cls.body if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+        ]
+        assert [member for member in members if member.rsplit(".", 1)[1] not in read] == []
+
     def test_a_name_read_only_inside_its_own_definition_is_not_a_caller(self):
         code = "def g():\n    return C.y\n\ndef f(n):\n    return f(n - 1)\n\nclass C:\n    x = C\n"
         assert _read_names(ast.parse(code)) == {"n", "C", "y"}

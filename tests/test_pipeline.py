@@ -163,6 +163,8 @@ class TestLoadConfig:
          {"report_adapter": "analyzer-json", "report_adapter_options": {"mapping": "nope"}}),
         ("report_adapter_options.mapping",
          {"report_adapter": "analyzer-json", "report_adapter_options": {"mapping": ["sonarqube-9"]}}),
+        ("report_adapter_options.end_line_fallback",
+         {"report_adapter": "analyzer-json", "report_adapter_options": {"end_line_fallback": "false"}}),
     ])
     def test_value_a_stage_would_refuse_is_rejected(self, tmp_path, key_path, value):
         with pytest.raises(ConfigError) as err:

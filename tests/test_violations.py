@@ -705,9 +705,12 @@ class TestAnalyzerJsonAdapter:
         assert by_file["B.java"].vtype is ViolationType.VULNERABILITY
         assert by_file["C.java"].severity is Severity.LOW
 
-    def test_invalid_json(self):
-        with pytest.raises(MalformedInputError):
-            parse_report("{not json", "analyzer-json", StateLabel.PRE_REPAIR)
+    @pytest.mark.parametrize("raw", ["{not json", "[]", "null", '{"issues": 5}', '{"issues": {"a": 1}}'])
+    def test_invalid_json(self, raw):
+        # not JSON, or not an object holding a list of issues
+        with pytest.raises(MalformedInputError) as err:
+            parse_report(raw, "analyzer-json", StateLabel.PRE_REPAIR)
+        assert not isinstance(err.value, MissingRequiredFieldError)
 
     def test_rule_with_trailing_newline_rejected(self):
         with pytest.raises(ValueError):
