@@ -47,12 +47,9 @@ _EXPORTS = {
         "signed_rank_direction",
         "wilcoxon_signed_rank",
     ),
+    "terms": ("SORALD_30", "NormalizationPolicy", "RuleProfile", "StateLabel"),
     "violations": (
-        "SORALD_30",
-        "NormalizationPolicy",
-        "RuleProfile",
         "Severity",
-        "StateLabel",
         "Violation",
         "ViolationKey",
         "ViolationReport",

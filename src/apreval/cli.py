@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 usage/config error, 2 stage failure, 3 adapter
 failure, 143 a `run` stopped by SIGTERM.
 
-Each command imports the axis module it uses, so that `run` starts with
-the orchestrator alone, and writes its files through that module's writer,
-the one the matching pipeline stage calls.
+Each command imports the axis module it uses, and the report readers of
+`violations`, so that `run` starts with the orchestrator alone, and writes
+its files through that module's writer, the one the matching pipeline stage
+calls.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
     StageFailureError,
 )
 from .pipeline import ROLES, SamplingParams, emit_reports, load_config, load_sources, run_pipeline
-from .violations import NormalizationPolicy, StateLabel, decode_input, get_profile, json_text, parse_file, read_report
+from .terms import NormalizationPolicy, StateLabel, get_profile
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -42,9 +42,9 @@ def _raise_terminated(signum, frame) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.workspace:
-        config = replace(config, workspace_dir=Path(args.workspace).resolve())
+        config = config._replace(workspace_dir=Path(args.workspace).resolve())
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = config._replace(seed=args.seed)
     stages = args.stages.split(",") if args.stages else None
     # adapters lead their own sessions and never see a signal sent to this
     # process; the interrupt makes the pipeline kill their process groups
@@ -62,6 +62,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_fixrate(args: argparse.Namespace) -> int:
     from . import fixrate as fixrate_mod
+    from .violations import decode_input, parse_file, read_report
 
     profile = get_profile(args.profile)
     pre = read_report(Path(args.pre), StateLabel.PRE_REPAIR)
@@ -79,6 +80,7 @@ def _cmd_fixrate(args: argparse.Namespace) -> int:
 def _cmd_newviol(args: argparse.Namespace) -> int:
     from . import newviol as newviol_mod
     from .fixrate import restrict_to_files
+    from .violations import read_report
 
     pre = read_report(Path(args.pre), StateLabel.PRE_REPAIR)
     post = read_report(Path(args.post), StateLabel.POST_REPAIR)
@@ -106,6 +108,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 def _cmd_precision(args: argparse.Namespace) -> int:
     from . import sampling as sampling_mod
+    from .violations import parse_file
 
     records = parse_file(Path(args.labels), sampling_mod.ingest_labels)
     tp, fp = sampling_mod.label_counts(records)
@@ -123,6 +126,7 @@ def _cmd_precision(args: argparse.Namespace) -> int:
 
 def _cmd_semantic(args: argparse.Namespace) -> int:
     from . import semantic as semantic_mod
+    from .violations import decode_input, parse_file
 
     diagnostics: dict[str, str] = {}
     if args.compile_log:
@@ -154,6 +158,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .violations import json_text
+
     summary = emit_reports(Path(args.workspace))
     sys.stdout.write(json_text(summary))
     return EXIT_OK

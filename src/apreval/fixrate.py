@@ -15,9 +15,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import StateMismatchError
+from .terms import RuleProfile, StateLabel
 from .violations import (
-    RuleProfile,
-    StateLabel,
     Violation,
     ViolationReport,
     json_text,

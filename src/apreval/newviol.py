@@ -29,10 +29,10 @@ from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, TextIO
 
 from .errors import HarnessError, MalformedInputError, MissingSourceError, SpanOutOfBoundsError
-# NormalizationPolicy is defined beside the report types, so that a config can
-# be loaded without this module; it stays importable from here
+# NormalizationPolicy is defined in terms, so that a config can be loaded
+# without this module; it stays importable from here
+from .terms import NormalizationPolicy
 from .violations import (
-    NormalizationPolicy,
     Severity,
     Violation,
     ViolationReport,

@@ -16,7 +16,9 @@ External tools are described by command templates and run as
 subprocesses with timeout enforcement, artifact checks, and log capture;
 scripted stub tools ship with the package, so the whole pipeline runs
 without any external toolchain. Each stage body imports the axis module
-it needs, so a run whose stages are all cached loads no analysis code.
+it needs, and the report parsing of ``violations`` too, so a run whose
+stages are all cached loads no analysis code: what it reads of a config
+comes from ``terms``, and no ``dataclasses`` or ``inspect`` either.
 Parsed values pass between stages through one hand-off table, used only
 while the files they came from are unchanged and dropped once the last
 stage that reads them is done.
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import fcntl
 import hashlib
-import inspect
 import json
 import math
 import os
@@ -37,9 +38,9 @@ import string
 import sys
 import time
 from contextlib import closing, suppress
-from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Any, Callable, Collection, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -52,29 +53,14 @@ from .errors import (
     StageFailureError,
     WorkspaceLockedError,
 )
-from .violations import (
-    ADAPTERS,
-    Z_TABLE,
-    NormalizationPolicy,
-    RuleProfile,
-    StateLabel,
-    Violation,
-    ViolationReport,
-    analyzer_json_mapping,
-    finding_digests,
-    get_profile,
-    json_text,
-    parse_file,
-    parse_json,
-    parse_report,
-    read_report,
-    write_report,
-)
+from .terms import Z_TABLE, NormalizationPolicy, StateLabel, check_report_adapter, get_profile
 
 if TYPE_CHECKING:
     import subprocess
 
     from .newviol import SourceTrees
+    from .terms import RuleProfile
+    from .violations import Violation, ViolationReport
 
 #: each adapter role and the file its tool must leave, where the role fixes one (see :func:`_artifact`)
 ROLES = {"analyzer": None, "repairer": None, "test_runner": "results.csv",
@@ -86,21 +72,26 @@ _ALLOWED_PLACEHOLDERS = {"input", "output", "workdir", "python", "rule"}
 _ADAPTER_LOGS = ("adapter_stdout.log", "adapter_stderr.log")
 
 
-@dataclass(frozen=True)
-class ToolAdapter:
-    """External tool described by a command template.
-
-    Templates may use {input}, {output}, {workdir}, {python} and, for
-    repairers running one pass per rule, {rule}. A template is split into
-    arguments as a POSIX shell would before they are filled in.
-    """
-
+class _ToolAdapterFields(NamedTuple):
     name: str
     command_template: str
     timeout: float = 600.0
     expected_artifacts: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class ToolAdapter(_ToolAdapterFields):
+    """External tool described by a command template.
+
+    Templates may use {input}, {output}, {workdir}, {python} and, for
+    repairers running one pass per rule, {rule}. A template is split into
+    arguments as a POSIX shell would before they are filled in. Each
+    expected artifact is a relative path under {output}.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ToolAdapter:
+        self = super().__new__(cls, *args, **kwargs)
         if "{input}" not in self.command_template:
             raise ConfigError(f"adapters.{self.name}.command", "template must contain {input}")
         if self.timeout <= 0:
@@ -115,32 +106,36 @@ class ToolAdapter:
                     f"adapters.{self.name}.command",
                     f"unknown placeholder {{{fname}}}; allowed: {sorted(_ALLOWED_PLACEHOLDERS)}",
                 )
+        for artifact in self.expected_artifacts:
+            # one outside the output directory is a file no digest of the stage covers
+            if os.path.isabs(artifact) or ".." in Path(artifact).parts:
+                raise ConfigError(f"adapters.{self.name}.expected_artifacts",
+                                  f"{artifact!r} is not a relative path under {{output}}")
+        return self
 
 
-@dataclass(frozen=True)
-class SamplingParams:
+class SamplingParams(NamedTuple):
     confidence: float = 0.95
     margin: float = 0.05
     proportion: float = 0.5
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     corpus_dir: Path
     workspace_dir: Path
     adapters: Mapping[str, ToolAdapter | None]  # None means the role is skipped
     profile: str = "sorald-30"
-    sampling: SamplingParams = field(default_factory=SamplingParams)
+    sampling: SamplingParams = SamplingParams()
     seed: int = 0
     jobs: int = 1
     normalization: NormalizationPolicy = NormalizationPolicy.EXACT
     report_adapter: str = "csv"
-    report_adapter_options: Mapping = field(default_factory=dict)
+    report_adapter_options: Mapping = MappingProxyType({})
 
 
-_TOP_KEYS = {f.name for f in fields(PipelineConfig)}
+_TOP_KEYS = set(PipelineConfig._fields)
 _ADAPTER_KEYS = {"command", "timeout", "expected_artifacts"}
-_SAMPLING_KEYS = {f.name for f in fields(SamplingParams)}
+_SAMPLING_KEYS = set(SamplingParams._fields)
 
 #: what each kind of config value must be; an int is also a number, a bool neither
 _KINDS = {str: "a string", int: "an integer", float: "a finite number", list: "a list of strings", dict: "an object"}
@@ -227,11 +222,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     if jobs < 1:
         raise ConfigError("jobs", "must be at least 1")
     report_adapter = _typed(doc, "report_adapter", str, "csv")
-    if report_adapter not in ADAPTERS:
-        raise ConfigError("report_adapter", f"must be one of {sorted(ADAPTERS)}")
     options = dict(_typed(doc, "report_adapter_options", dict, {}))
-    if report_adapter == "analyzer-json":
-        analyzer_json_mapping(options)  # refuses an unknown mapping
+    check_report_adapter(report_adapter, options)
     base = path.parent
     return PipelineConfig(
         corpus_dir=(base / _typed(doc, "corpus_dir", str, None)).resolve(),
@@ -646,9 +638,25 @@ def _load_new(path: Path) -> tuple[int, list[Violation]]:
     return load_new(path)
 
 
-_PRE_REPORT = Handoff(_PRE_CSV, partial(read_report, state=StateLabel.PRE_REPAIR))
-_POST_REPORT = Handoff(_POST_CSV, partial(read_report, state=StateLabel.POST_REPAIR))
+def _read_report(state: StateLabel, path: Path, files: Collection[str] | None = None) -> ViolationReport:
+    from .violations import read_report
+
+    return read_report(path, state, files)
+
+
+_PRE_REPORT = Handoff(_PRE_CSV, partial(_read_report, StateLabel.PRE_REPAIR))
+_POST_REPORT = Handoff(_POST_CSV, partial(_read_report, StateLabel.POST_REPAIR))
 _NEW = Handoff(_NEW_CSV, _load_new)  # its number of rows and NEW violations
+
+
+#: the code flag of a generator function, ``inspect.CO_GENERATOR``
+_CO_GENERATOR = 0x20
+
+
+def _yields(body: Callable) -> bool:
+    """Whether a stage body, a function or a ``partial`` of one, is a generator
+    function: one that yields adapter calls."""
+    return bool(getattr(body, "func", body).__code__.co_flags & _CO_GENERATOR)
 
 
 class Stage(NamedTuple):
@@ -734,6 +742,8 @@ class PipelineRun:
     def _save_state(self) -> None:
         # write beside state.json and swap it in, so a crash or a failed
         # serialization never leaves a truncated state file behind
+        from .violations import json_text
+
         tmp = self.state_path.with_name(self.state_path.name + ".tmp")
         try:
             tmp.write_text(json_text(self.state), encoding="utf-8")
@@ -923,8 +933,7 @@ class PipelineRun:
             self.summary = {}
             self._pending = {stage.name: stage for stage in STAGES if stage.name in requested}
             tasks = [
-                Task(stage.name, self._upstream(stage), inspect.isgeneratorfunction(stage.body),
-                     partial(self._run_stage, stage))
+                Task(stage.name, self._upstream(stage), _yields(stage.body), partial(self._run_stage, stage))
                 for stage in self._pending.values()
             ]
             schedule(tasks, self.jobs)
@@ -978,6 +987,8 @@ def _read_lines(path: Path) -> list[str]:
 
 
 def _prepare(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
+    from .violations import json_text
+
     compiler = run.config.adapters.get("compiler")
     corpus = run.config.corpus_dir
     if compiler is not None:
@@ -1011,6 +1022,8 @@ def _analyze(tree: str, state: StateLabel, handoff: Handoff, run: PipelineRun, s
     # the same raw report, read the same way, gives the same CSV: move the old one in
     if run._reused(stage_dir, csv_path.name, _digest_paths([report_file], _analyzer_fingerprint(run), run._memo)):
         return
+    from .violations import parse_file, parse_report, write_report
+
     options = run.config.report_adapter_options
     report = parse_file(report_file, lambda data: parse_report(data, run.config.report_adapter, state, options))
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
@@ -1063,6 +1076,7 @@ def _newviol(run: PipelineRun, stage_dir: Path) -> None:
     import heapq
 
     from . import newviol as newviol_mod
+    from .violations import finding_digests
 
     trees = load_sources(*run._at(*_TREES))
     post_rows = finding_digests(run.workspace / _POST_CSV)
@@ -1167,7 +1181,7 @@ STAGES = (
     Stage("newviol", _under(*_MATCHED, *_TREES), _newviol_fingerprint, _newviol,
           reads=(_PRE_REPORT, _POST_REPORT)),
     Stage("sample", _under(_NEW_CSV, *_TREES),
-          lambda run: json.dumps({**asdict(run.config.sampling), "seed": run.config.seed}, sort_keys=True),
+          lambda run: json.dumps({**run.config.sampling._asdict(), "seed": run.config.seed}, sort_keys=True),
           _sample, reads=(_NEW,)),
     Stage("semantic", _under(*_TREES), _fingerprint("test_runner", "compiler"), _semantic, "test_runner"),
     Stage("metrics", _under(*_TREES), _fingerprint("metric_extractor"), _metrics, "metric_extractor"),
@@ -1214,6 +1228,8 @@ def emit_reports(
     Output depends only on the stage outputs, so identical workspaces
     produce byte-identical reports.
     """
+    from .violations import json_text, parse_file, parse_json
+
     workspace = Path(workspace)
     report_dir = workspace / "report"
     report_dir.mkdir(parents=True, exist_ok=True)

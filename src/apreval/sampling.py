@@ -30,7 +30,8 @@ from .errors import (
 )
 from .newviol import SourcePair, extract_fragment
 from .stats import Direction, StatResult
-from .violations import Z_TABLE, Violation, csv_writer, json_text, read_csv_table
+from .terms import Z_TABLE
+from .violations import Violation, csv_writer, json_text, read_csv_table
 
 if TYPE_CHECKING:
     from .pipeline import SamplingParams

@@ -18,9 +18,8 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence, TextIO
 
 from .errors import MalformedInputError
-from .violations import (
-    csv_writer, json_text, load_data_json, parse_file, parse_json, read_csv_table, table_text,
-)
+from .terms import load_data_json
+from .violations import csv_writer, json_text, parse_file, parse_json, read_csv_table, table_text
 
 RESULTS_CSV_HEADER = ("test_id", "target_file", "status", "failure_kind")
 

@@ -14,7 +14,6 @@ import csv
 import hashlib
 import io
 import json
-import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import groupby
@@ -22,15 +21,20 @@ from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, TextIO, TypeVar
 
+from . import terms
 from .errors import (
-    ConfigError,
     HarnessError,
     MalformedInputError,
     MissingRequiredFieldError,
     UnknownAdapterError,
 )
+from .terms import StateLabel, analyzer_json_mapping, check_rule_id
 
-RULE_ID_RE = re.compile(r"S\d{1,5}")
+# defined in ``terms``, which a fully cached run loads in place of this
+# module; importable from here as well
+NormalizationPolicy, RuleProfile, SORALD_30, get_profile = (
+    terms.NormalizationPolicy, terms.RuleProfile, terms.SORALD_30, terms.get_profile
+)
 
 #: Header of the native normalized violation CSV.
 CSV_HEADER = ("file", "rule", "type", "severity", "start_line", "end_line", "message")
@@ -46,32 +50,6 @@ class Severity(Enum):
     HIGH = "High"
     MEDIUM = "Medium"
     LOW = "Low"
-
-
-class StateLabel(Enum):
-    PRE_REPAIR = "pre"
-    POST_REPAIR = "post"
-
-
-class NormalizationPolicy(Enum):
-    """How source lines are compared when a finding's code is searched for."""
-
-    #: lines must be byte-identical
-    EXACT = "exact"
-    #: trailing whitespace trimmed, leading whitespace collapsed away
-    LOOSE = "loose"
-
-
-#: z critical values for the supported confidence levels of a validation
-#: sample; here, so that a config is checked without loading ``sampling``
-Z_TABLE = {0.90: 1.645, 0.95: 1.96, 0.99: 2.576}
-
-
-def check_rule_id(code: str) -> str:
-    """Validate an analyzer rule code (``S`` + 1-5 digits) and return it."""
-    if not RULE_ID_RE.fullmatch(code):
-        raise ValueError(f"invalid rule id {code!r}; expected 'S' followed by 1-5 digits")
-    return code
 
 
 class ViolationKey(NamedTuple):
@@ -116,45 +94,6 @@ class Violation:
     @property
     def span(self) -> tuple[int, int]:
         return (self.start_line, self.end_line)
-
-
-@dataclass(frozen=True)
-class RuleProfile:
-    """An ordered set of rule ids; order is the tool's application order."""
-
-    name: str
-    rules: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        for r in self.rules:
-            check_rule_id(r)
-        if len(set(self.rules)) != len(self.rules):
-            raise ValueError(f"profile {self.name!r} contains duplicate rule ids")
-
-    @property
-    def application_order(self) -> tuple[str, ...]:
-        return self.rules
-
-
-#: The 30 repairable rules, in the repair tool's application order.
-SORALD_30 = RuleProfile(
-    name="sorald-30",
-    rules=(
-        "S1118", "S1068", "S1854", "S1481", "S1132", "S1444", "S2184", "S2142",
-        "S1948", "S2095", "S4973", "S2057", "S2111", "S1656", "S2755", "S1155",
-        "S2116", "S1217", "S2272", "S1860", "S2097", "S3067", "S3984", "S3032",
-        "S4065", "S2167", "S1596", "S2204", "S2225", "S2164",
-    ),
-)
-
-PROFILES: dict[str, RuleProfile] = {SORALD_30.name: SORALD_30}
-
-
-def get_profile(name: str) -> RuleProfile:
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise ConfigError("profile", f"unknown profile {name!r}; known: {', '.join(sorted(PROFILES))}") from None
 
 
 def normalize_path(path: str) -> str:
@@ -361,28 +300,6 @@ def _csv_adapter(raw: bytes | str | TextIO, options: Mapping) -> Iterable[Violat
     return _csv_violations(_csv_rows(raw))
 
 
-def load_data_json(name: str) -> dict:
-    """A JSON table packaged in ``apreval.data``."""
-    # imported on first use: with zipfile, it costs every start that reads no data file
-    from importlib import resources
-
-    with resources.files("apreval.data").joinpath(name).open("r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def analyzer_json_mapping(options: Mapping) -> dict:
-    """The packaged field mapping that ``options`` name, ``sonarqube-9`` by
-    default; an ``end_line_fallback`` that is not a boolean is refused too."""
-    mappings = load_data_json("analyzer_json_mappings.json")
-    name = options.get("mapping", "sonarqube-9")
-    if not isinstance(name, str) or name not in mappings:
-        raise ConfigError("report_adapter_options.mapping",
-                          f"unknown mapping {name!r}; known: {', '.join(sorted(mappings))}")
-    if not isinstance(options.get("end_line_fallback", False), bool):
-        raise ConfigError("report_adapter_options.end_line_fallback", "must be a boolean")
-    return mappings[name]
-
-
 def _analyzer_json_adapter(raw: bytes | str | TextIO, options: Mapping) -> Iterable[Violation]:
     m = analyzer_json_mapping(options)
     fallback = options.get("end_line_fallback", False)
@@ -448,6 +365,7 @@ def _analyzer_json_adapter(raw: bytes | str | TextIO, options: Mapping) -> Itera
             raise MalformedInputError(f"issue {i}: {exc}") from None
 
 
+#: the reader of each report adapter in ``terms.REPORT_ADAPTERS``, which a config is checked against
 ADAPTERS = {
     "csv": _csv_adapter,
     "analyzer-json": _analyzer_json_adapter,

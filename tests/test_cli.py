@@ -59,6 +59,32 @@ class TestRun:
             assert all(matches), (kind, lines)
             assert dict(m.groups() for m in matches) == expected, kind
 
+    def test_seed_and_workspace_override_the_config(self, tmp_path, capsys):
+        config = minicorpus.materialize(tmp_path / "mini", seed=17)
+        assert main(["run", "--config", str(config)]) == 0
+
+        def run(*extra: str) -> dict[str, str]:
+            capsys.readouterr()
+            assert main(["run", "--config", str(config), *extra]) == 0
+            lines = capsys.readouterr().out.splitlines()[:-1]
+            return dict(STATUS_LINE.match(line).groups() for line in lines)
+
+        def outputs(workspace: Path) -> dict[str, bytes]:
+            return {p.relative_to(workspace).as_posix(): p.read_bytes() for p in sorted(workspace.rglob("*"))
+                    if p.is_file() and p.name != "state.json" and not p.name.startswith("adapter_")}
+
+        # the config's own seed changes no digest
+        assert run("--seed", "17") == dict.fromkeys(STAGE_ORDER, "cached")
+        # another seed draws another sample, and so another report
+        reseeded = {"sample", "report"}
+        assert run("--seed", "18") == {s: "ran" if s in reseeded else "cached" for s in STAGE_ORDER}
+        assert run("--seed", "18") == dict.fromkeys(STAGE_ORDER, "cached")
+        # both flags at once: a cold run elsewhere gives the same files
+        fresh = tmp_path / "fresh"
+        assert run("--seed", "18", "--workspace", str(fresh)) == dict.fromkeys(STAGE_ORDER, "ran")
+        assert outputs(fresh) == outputs(tmp_path / "mini" / "workspace")
+        assert json.loads(config.read_text(encoding="utf-8"))["seed"] == 17
+
     def test_bad_config_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "c.json"
         bad.write_text('{"corpus_dir": "x"}', encoding="utf-8")

@@ -4,12 +4,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import apreval
 from apreval import minicorpus
 from apreval.pipeline import _adapter_env, load_config, run_pipeline
 
 #: what a process needs to decide that every stage is cached
-ORCHESTRATOR = ["apreval", "apreval.cli", "apreval.errors", "apreval.pipeline", "apreval.violations"]
+ORCHESTRATOR = ["apreval", "apreval.cli", "apreval.errors", "apreval.pipeline", "apreval.terms"]
+
+#: modules that only building a stage needs: the report parsing, and the
+#: standard modules that it or the old config classes brought in
+NOT_ON_A_CACHE_HIT = {"apreval.violations", "dataclasses", "inspect", "csv"}
 
 
 def _apreval_modules_after(code: str) -> tuple[list[str], list[str]]:
@@ -24,6 +30,24 @@ def _apreval_modules_after(code: str) -> tuple[list[str], list[str]]:
     )
     *lines, loaded = out.stdout.splitlines()
     return lines, json.loads(loaded)
+
+
+def _modules_after(code: str) -> tuple[list[str], set[str]]:
+    """Run ``code`` in a fresh interpreter; its stdout lines and every module it loaded."""
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_adapter_env(), check=True
+    )
+    *lines, loaded = out.stdout.splitlines()
+    return lines, set(json.loads(loaded))
+
+
+@pytest.fixture(scope="module")
+def cached_mini(tmp_path_factory) -> Path:
+    """The config of a mini-corpus workspace whose every stage is built."""
+    config = minicorpus.materialize(tmp_path_factory.mktemp("cached"), seed=17)
+    run_pipeline(load_config(config))
+    return config
 
 
 class TestLazyPackage:
@@ -89,6 +113,19 @@ class TestLeanStartup:
         statuses = dict(line.split() for line in lines[:-1] if not line.startswith("workspace:"))
         assert set(statuses.values()) == {"cached"} and len(statuses) == 10
         assert loaded == ORCHESTRATOR
+
+    @pytest.mark.parametrize("flags", [[], ["--jobs", "2"]])
+    def test_only_the_decision_is_loaded_beyond_a_bare_interpreter(self, cached_mini, flags):
+        _, bare = _modules_after("pass")
+        lines, loaded = _modules_after(
+            "from apreval.cli import main\n"
+            f"assert main(['run', '--config', {str(cached_mini)!r}, *{flags!r}]) == 0"
+        )
+        statuses = dict(line.split() for line in lines if not line.startswith("workspace:"))
+        assert len(statuses) == 10 and set(statuses.values()) == {"cached"}
+        beyond = loaded - bare
+        assert set(ORCHESTRATOR) <= beyond
+        assert beyond & NOT_ON_A_CACHE_HIT == set()
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:

@@ -165,14 +165,52 @@ class TestLoadConfig:
          {"report_adapter": "analyzer-json", "report_adapter_options": {"mapping": ["sonarqube-9"]}}),
         ("report_adapter_options.end_line_fallback",
          {"report_adapter": "analyzer-json", "report_adapter_options": {"end_line_fallback": "false"}}),
+        # an option the chosen adapter does not read: misspelled, or for csv, any
+        ("report_adapter_options.end_line_fallbak",
+         {"report_adapter": "analyzer-json", "report_adapter_options": {"end_line_fallbak": True}}),
+        ("report_adapter_options.anything", {"report_adapter_options": {"anything": 1}}),
     ])
     def test_value_a_stage_would_refuse_is_rejected(self, tmp_path, key_path, value):
         with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path / "c.json", **value))
         assert err.value.key_path == key_path
-        # the mapping is only looked up for the adapter that reads it
-        config = load_config(write_config(tmp_path / "c.json", report_adapter_options={"mapping": "nope"}))
-        assert config.report_adapter == "csv"
+        # the csv adapter reads no option, so a mapping is refused before it is looked up
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path / "c.json", report_adapter_options={"mapping": "nope"}))
+        assert str(err.value) == "report_adapter_options.mapping: the 'csv' report adapter takes no option"
+
+    def test_options_the_adapter_reads_are_accepted(self, tmp_path):
+        options = {"mapping": "sonarqube-9", "end_line_fallback": True}
+        config = load_config(write_config(tmp_path / "c.json", report_adapter="analyzer-json",
+                                          report_adapter_options=options))
+        assert config.report_adapter_options == options
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path / "c.json", report_adapter="analyzer-json",
+                                     report_adapter_options={**options, "end_line_fallbak": True}))
+        assert str(err.value) == (
+            "report_adapter_options.end_line_fallbak: "
+            "the 'analyzer-json' report adapter takes only end_line_fallback, mapping"
+        )
+
+    @pytest.mark.parametrize("artifact", ["/outside.csv", "../../../outside.csv", "raw/../../outside.csv"])
+    def test_artifact_outside_the_output_directory_rejected(self, tmp_path, capsys, artifact):
+        path = write_config(tmp_path / "c.json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["adapters"]["analyzer"]["expected_artifacts"] = [artifact]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.key_path == "adapters.analyzer.expected_artifacts"
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: adapters.analyzer.expected_artifacts: {artifact!r} is not a relative path under {{output}}\n"
+        )
+        with pytest.raises(ConfigError):
+            ToolAdapter(name="analyzer", command_template="tool {input} {output}", expected_artifacts=(artifact,))
+
+    def test_artifact_in_a_subdirectory_accepted(self, tmp_path):
+        adapter = ToolAdapter(name="analyzer", command_template="tool {input}", expected_artifacts=("out/a..b.csv",))
+        assert adapter.expected_artifacts == ("out/a..b.csv",)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, tmp_path, jobs):
@@ -326,6 +364,15 @@ class TestRunToolAdapter:
         )
         run_tool_adapter(adapter, tmp_path / "in", tmp_path / "out")
         assert "hello from tool" in (tmp_path / "out" / "adapter_stdout.log").read_text()
+
+
+def test_a_stage_is_a_tool_stage_when_its_body_is_a_generator_function():
+    import inspect
+
+    flags = [pipeline._yields(stage.body) for stage in STAGES]
+    assert flags == [inspect.isgeneratorfunction(stage.body) for stage in STAGES]
+    assert [stage.name for stage, tool in zip(STAGES, flags) if tool] == [
+        "prepare", "analyze_pre", "repair", "analyze_post", "semantic", "metrics"]
 
 
 class TestPrepareViolating:
@@ -711,8 +758,8 @@ class TestDigestPaths:
 def _count_parses(monkeypatch) -> list[int]:
     """Record one entry per ``parse_report`` call the pipeline makes.
 
-    The analyze stages call it directly; every other reader goes through
-    ``violations.read_report``, which looks it up in its own module.
+    The analyze stages look it up in ``violations`` as they run, and every
+    other reader goes through ``violations.read_report``, which does too.
     """
     calls: list[int] = []
     parse_report = violations.parse_report
@@ -721,7 +768,6 @@ def _count_parses(monkeypatch) -> list[int]:
         calls.append(1)
         return parse_report(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "parse_report", counting)
     monkeypatch.setattr(violations, "parse_report", counting)
     return calls
 
@@ -1182,16 +1228,17 @@ class TestEditCutoffs:
         assert judged == [_post_files(cfg)]
         assert _workspace_bytes(cfg, logs=True) == before
 
-    def test_changed_adapter_options_parse_again(self, reuse_root, tmp_path, monkeypatch):
+    def test_option_the_csv_adapter_does_not_read_is_refused(self, reuse_root, tmp_path):
         cfg = _copy_run(reuse_root, tmp_path)
         before = _workspace_bytes(cfg)
-        # the native CSV adapter takes no options, so only the fingerprint changes
-        cfg = _edit_config(cfg.workspace_dir.parent / "config.json",
-                           lambda doc: doc.update(report_adapter_options={"unused": True}))
-        parses = _count_parses(monkeypatch)
-        summary = run_pipeline(cfg)
-        assert summary["analyze_pre"] == summary["analyze_post"] == "ran"
-        assert len(parses) == 2
+        # an option the native CSV adapter ignores would only change the
+        # analyze stages' fingerprint and rerun them for the same output
+        config_path = cfg.workspace_dir.parent / "config.json"
+        with pytest.raises(ConfigError) as err:
+            _edit_config(config_path, lambda doc: doc.update(report_adapter_options={"unused": True}))
+        assert err.value.key_path == "report_adapter_options.unused"
+        cfg = _edit_config(config_path, lambda doc: doc.pop("report_adapter_options"))
+        assert set(run_pipeline(cfg).values()) == {"cached"}
         assert _workspace_bytes(cfg) == before
 
     @pytest.mark.parametrize("report, finding", [

@@ -418,6 +418,16 @@ class TestProfile:
         with pytest.raises(ValueError):
             RuleProfile(name="dup", rules=("S1", "S1"))
 
+    def test_invalid_rule_rejected_by_keyword_or_position(self):
+        for make in (lambda: RuleProfile("bad", ("S1", "X2")), lambda: RuleProfile(name="bad", rules=("X2",))):
+            with pytest.raises(ValueError, match="invalid rule id 'X2'"):
+                make()
+
+    def test_every_report_adapter_a_config_names_has_a_reader(self):
+        from apreval import terms, violations
+
+        assert sorted(terms.REPORT_ADAPTERS) == sorted(violations.ADAPTERS)
+
 
 class TestNormalize:
     def test_backslash_paths_canonicalized(self):
