@@ -4,9 +4,12 @@ Exit codes: 0 success, 1 usage/config error, 2 stage failure, 3 adapter
 failure, 143 a `run` stopped by SIGTERM.
 
 Each command imports the axis module it uses, and the report readers of
-`violations`, so that `run` starts with the orchestrator alone, and writes
-its files through that module's writer, the one the matching pipeline stage
-calls.
+`violations`, so that `run` starts with the orchestrator alone. An axis
+command parses its flags, reads its inputs and prints what one call
+returns, the call that the matching pipeline stage makes too:
+`fixrate.score_fix_rate`, `sampling.sample_new`, `semantic.score_semantic`
+and `metrics.score_metrics`. `newviol` judges and writes through
+`newviol.judge_files` and `newviol.write_newviol`, as its stage does.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import (
     HarnessError,
     StageFailureError,
 )
-from .pipeline import ROLES, SamplingParams, emit_reports, load_config, load_sources, run_pipeline
+from .pipeline import ROLES, SamplingParams, emit_reports, load_config, load_sources, run_pipeline, split_lines
 from .terms import NormalizationPolicy, StateLabel, get_profile
 
 EXIT_OK = 0
@@ -61,19 +64,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_fixrate(args: argparse.Namespace) -> int:
-    from . import fixrate as fixrate_mod
+    from .fixrate import restrict_to_files, score_fix_rate
     from .violations import decode_input, parse_file, read_report
 
     profile = get_profile(args.profile)
     pre = read_report(Path(args.pre), StateLabel.PRE_REPAIR)
     post = read_report(Path(args.post), StateLabel.POST_REPAIR)
     if args.violating_files:
-        files = parse_file(Path(args.violating_files), decode_input).splitlines()
-        pre = fixrate_mod.restrict_to_files(pre, files)
-    outcome = fixrate_mod.match_violations(pre, post)
-    summary = fixrate_mod.summarize_fix_rate(fixrate_mod.compute_fix_rates(outcome, profile))
-    fixrate_mod.write_fixrate(Path(args.out), outcome, summary)
-    print(summary.text)
+        pre = restrict_to_files(pre, split_lines(parse_file(Path(args.violating_files), decode_input)))
+    print(score_fix_rate(pre, post, profile, Path(args.out)))
     return EXIT_OK
 
 
@@ -94,15 +93,13 @@ def _cmd_newviol(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    from . import sampling as sampling_mod
     from .newviol import load_new
+    from .sampling import sample_new
 
     new = load_new(Path(args.new_violations))[1]
     params = SamplingParams(confidence=args.confidence, margin=args.margin)
-    sample = sampling_mod.draw_sample(new, params, args.seed)
     sources = load_sources(Path(args.original), Path(args.repaired), originals=False)
-    sampling_mod.write_sample(Path(args.out), sample, len(new), sources)
-    print(f"sampled {sample.size} of {len(new)} new violations across {len(sample.allocation)} rules")
+    print(sample_new(new, params, args.seed, sources, Path(args.out)))
     return EXIT_OK
 
 
@@ -125,7 +122,7 @@ def _cmd_precision(args: argparse.Namespace) -> int:
 
 
 def _cmd_semantic(args: argparse.Namespace) -> int:
-    from . import semantic as semantic_mod
+    from .semantic import read_compile_results, score_semantic
     from .violations import decode_input, parse_file
 
     diagnostics: dict[str, str] = {}
@@ -133,27 +130,18 @@ def _cmd_semantic(args: argparse.Namespace) -> int:
         log_dir = Path(args.compile_log)
         results_file = log_dir / ROLES["compiler"]
         if results_file.is_file():
-            _, diagnostics = semantic_mod.read_compile_results(results_file)
+            _, diagnostics = read_compile_results(results_file)
         else:
             for diag_file in sorted(log_dir.glob("*.log")):
                 diagnostics[diag_file.stem] = parse_file(diag_file, decode_input)
-    regressions, summary = semantic_mod.compare_runs(Path(args.baseline), Path(args.repaired), diagnostics)
-    semantic_mod.write_semantic(Path(args.out), regressions, summary)
-    print(
-        f"executed {summary.executed}, failed {summary.failed}, "
-        f"pass rate {summary.pass_rate:.1%}, uncompilable files {summary.uncompilable_files}"
-    )
+    print(score_semantic(Path(args.baseline), Path(args.repaired), diagnostics, Path(args.out)))
     return EXIT_OK
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from . import metrics as metrics_mod
+    from .metrics import score_metrics
 
-    pairs, exclusions = metrics_mod.pair_metric_files(Path(args.pre), Path(args.post))
-    report = metrics_mod.structural_report(pairs)
-    metrics_mod.write_metrics(Path(args.out), pairs, exclusions, report)
-    sig = ", ".join(report.significant()) or "none"
-    print(f"{len(pairs)} file pairs ({len(exclusions)} excluded); significant at 0.05: {sig}")
+    print(score_metrics(Path(args.pre), Path(args.post), Path(args.out)))
     return EXIT_OK
 
 

@@ -185,10 +185,14 @@ def summarize_fix_rate(table: FixRateTable) -> FixRateSummary:
     return FixRateSummary(csv_text=csv_text, json_text=json_text(payload), text="\n".join(lines) + "\n")
 
 
-def write_fixrate(out_dir: Path, outcome: MatchOutcome, summary: FixRateSummary) -> None:
-    """Write ``fixrate.csv``, ``fixrate.json`` and ``fixed_violations.csv``."""
+def score_fix_rate(pre: ViolationReport, post: ViolationReport, profile: RuleProfile, out_dir: Path) -> str:
+    """Match ``pre`` against ``post``, write ``fixrate.csv``, ``fixrate.json``
+    and ``fixed_violations.csv`` to ``out_dir``, and return the fix-rate listing."""
+    outcome = match_violations(pre, post)
+    summary = summarize_fix_rate(compute_fix_rates(outcome, profile))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "fixrate.csv").write_text(summary.csv_text, encoding="utf-8")
     (out_dir / "fixrate.json").write_text(summary.json_text, encoding="utf-8")
     with open(out_dir / "fixed_violations.csv", "w", encoding="utf-8", newline="") as fh:
         write_report(fh, outcome.fixed)
+    return summary.text

@@ -96,12 +96,6 @@ def aggregate_file_metrics(rows: Sequence[ClassMetricsRow]) -> list[FileMetrics]
     return result
 
 
-def pair_metric_files(pre_csv: Path, post_csv: Path) -> tuple[list[MetricPair], list[tuple[str, str]]]:
-    """Read, roll up per file and join the extractor CSVs of the two states."""
-    pre, post = (aggregate_file_metrics(parse_file(p, read_class_metrics_csv)) for p in (pre_csv, post_csv))
-    return pair_pre_post(pre, post)
-
-
 def pair_pre_post(
     pre: Sequence[FileMetrics], post: Sequence[FileMetrics]
 ) -> tuple[list[MetricPair], list[tuple[str, str]]]:
@@ -222,13 +216,13 @@ def normality_csv(report: StructuralReport) -> str:
     )
 
 
-def write_metrics(
-    out_dir: Path,
-    pairs: Sequence[MetricPair],
-    exclusions: Sequence[tuple[str, str]],
-    report: StructuralReport,
-) -> None:
-    """Write the four statistics CSVs, ``exclusions.csv`` and ``metrics.json``."""
+def score_metrics(pre_csv: Path, post_csv: Path, out_dir: Path) -> str:
+    """Roll the extractor CSVs of the two states up per file, join them, write
+    the four statistics CSVs, ``exclusions.csv`` and ``metrics.json`` to
+    ``out_dir``, and return a one-line summary."""
+    pre, post = (aggregate_file_metrics(parse_file(p, read_class_metrics_csv)) for p in (pre_csv, post_csv))
+    pairs, exclusions = pair_pre_post(pre, post)
+    report = structural_report(pairs)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, render in (("structural_stats", structural_stats_csv), ("metric_medians", metric_medians_csv),
                          ("signed_ranks", signed_ranks_csv), ("normality", normality_csv)):
@@ -257,3 +251,5 @@ def write_metrics(
         ],
     }
     (out_dir / "metrics.json").write_text(json_text(payload), encoding="utf-8")
+    sig = ", ".join(report.significant()) or "none"
+    return f"{len(pairs)} file pairs ({len(exclusions)} excluded); significant at 0.05: {sig}"

@@ -15,10 +15,12 @@ in ``state.json``.
 External tools are described by command templates and run as
 subprocesses with timeout enforcement, artifact checks, and log capture;
 scripted stub tools ship with the package, so the whole pipeline runs
-without any external toolchain. Each stage body imports the axis module
-it needs, and the report parsing of ``violations`` too, so a run whose
-stages are all cached loads no analysis code: what it reads of a config
-comes from ``terms``, and no ``dataclasses`` or ``inspect`` either.
+without any external toolchain. Each axis stage makes the one call of
+its axis module that its ``apreval <axis>`` command makes too, such as
+``fixrate.score_fix_rate``. Each stage body imports the axis module it
+needs, and the report parsing of ``violations`` too, so a run whose stages
+are all cached loads no analysis code: what it reads of a config comes
+from ``terms``, and no ``dataclasses`` or ``inspect`` either.
 Parsed values pass between stages through one hand-off table, used only
 while the files they came from are unchanged and dropped once the last
 stage that reads them is done.
@@ -982,8 +984,17 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
     path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
 
 
+def split_lines(text: str) -> list[str]:
+    """A list file's names: split on ``\\n`` alone, as ``_write_lines`` joins
+    them, so U+2028 may be part of a name, and each without one trailing ``\\r``."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]
+
+
 def _read_lines(path: Path) -> list[str]:
-    return path.read_text(encoding="utf-8").splitlines()
+    return split_lines(path.read_bytes().decode("utf-8"))
 
 
 def _prepare(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
@@ -1000,6 +1011,9 @@ def _prepare(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
         # the listing the input digest has just put in the memo
         compilable = sorted(rel for rel, _ in _listing(os.path.abspath(corpus), run._memo))
         rejected = {}
+    for rel in compilable:
+        if "\n" in rel or "\r" in rel:  # a list file could not give it back
+            raise StageFailureError("prepare", f"corpus file name holds a line break: {rel!r}")
     _copy_files(corpus, compilable, run.workspace / _SOURCES)
     (stage_dir / "rejected.json").write_text(json_text(rejected), encoding="utf-8")
     _write_lines(run.workspace / _COMPILABLE, compilable)
@@ -1054,13 +1068,10 @@ def _repair(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
 
 
 def _fixrate(run: PipelineRun, stage_dir: Path) -> None:
-    from . import fixrate as fixrate_mod
+    from .fixrate import restrict_to_files, score_fix_rate
 
-    pre = fixrate_mod.restrict_to_files(run._parsed(_PRE_REPORT), _read_lines(run.workspace / _VIOLATING))
-    post = run._parsed(_POST_REPORT)
-    outcome = fixrate_mod.match_violations(pre, post)
-    table = fixrate_mod.compute_fix_rates(outcome, run.profile)
-    fixrate_mod.write_fixrate(stage_dir, outcome, fixrate_mod.summarize_fix_rate(table))
+    pre = restrict_to_files(run._parsed(_PRE_REPORT), _read_lines(run.workspace / _VIOLATING))
+    score_fix_rate(pre, run._parsed(_POST_REPORT), run.profile, stage_dir)
 
 
 def _newviol_fingerprint(run: PipelineRun) -> str:
@@ -1118,15 +1129,13 @@ def _newviol(run: PipelineRun, stage_dir: Path) -> None:
 
 
 def _sample(run: PipelineRun, stage_dir: Path) -> None:
-    from . import sampling as sampling_mod
+    from .sampling import sample_new
 
     new = run._parsed(_NEW)[1]
-    sample = sampling_mod.draw_sample(new, run.config.sampling, run.config.seed)
     # the sheet shows repaired code alone, so no original file is read
-    sampling_mod.write_sample(
-        stage_dir / "sheet.csv", sample, len(new), load_sources(*run._at(*_TREES), originals=False),
-        stage_dir / "allocation.json",
-    )
+    sources = load_sources(*run._at(*_TREES), originals=False)
+    sample_new(new, run.config.sampling, run.config.seed, sources,
+               stage_dir / "sheet.csv", stage_dir / "allocation.json")
 
 
 def _semantic(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
@@ -1144,14 +1153,12 @@ def _semantic(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
     yield calls
     diagnostics = (semantic_mod.read_compile_results(_artifact(compiler, stage_dir / "compile_raw"))[1]
                    if compiler is not None else {})
-    regressions, summary = semantic_mod.compare_runs(
-        _artifact(runner, stage_dir / "baseline_raw"), _artifact(runner, stage_dir / "repaired_raw"), diagnostics
-    )
-    semantic_mod.write_semantic(stage_dir, regressions, summary)
+    semantic_mod.score_semantic(_artifact(runner, stage_dir / "baseline_raw"),
+                                _artifact(runner, stage_dir / "repaired_raw"), diagnostics, stage_dir)
 
 
 def _metrics(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
-    from . import metrics as metrics_mod
+    from .metrics import score_metrics
 
     extractor = run.config.adapters["metric_extractor"]
     repair_in, repair_out = run._at(*_TREES)
@@ -1159,10 +1166,7 @@ def _metrics(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
         *run._step(stage_dir, "pre_raw", extractor, repair_in),
         partial(run_tool_adapter, extractor, repair_out, stage_dir / "post_raw"),
     ]
-    pairs, exclusions = metrics_mod.pair_metric_files(
-        _artifact(extractor, stage_dir / "pre_raw"), _artifact(extractor, stage_dir / "post_raw")
-    )
-    metrics_mod.write_metrics(stage_dir, pairs, exclusions, metrics_mod.structural_report(pairs))
+    score_metrics(_artifact(extractor, stage_dir / "pre_raw"), _artifact(extractor, stage_dir / "post_raw"), stage_dir)
 
 
 #: every stage, in run order

@@ -18,7 +18,7 @@ from enum import Enum
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Mapping, Sequence, TextIO
 
 from .errors import (
     ConflictingVerdictsError,
@@ -42,6 +42,15 @@ SHEET_HEADER = (
 )
 
 
+def _check_params(confidence: float, margin: float, proportion: float) -> None:
+    if not 0 < margin < 1:
+        raise InvalidParameterError(f"margin must be in (0, 1), got {margin}")
+    if not 0 < proportion < 1:
+        raise InvalidParameterError(f"proportion must be in (0, 1), got {proportion}")
+    if confidence not in Z_TABLE:
+        raise InvalidParameterError(f"confidence must be one of {sorted(Z_TABLE)}, got {confidence}")
+
+
 def cochran_sample_size(
     population_size: int,
     confidence: float = 0.95,
@@ -55,14 +64,7 @@ def cochran_sample_size(
     """
     if population_size < 1:
         raise InvalidParameterError(f"population_size must be >= 1, got {population_size}")
-    if not 0 < margin < 1:
-        raise InvalidParameterError(f"margin must be in (0, 1), got {margin}")
-    if not 0 < proportion < 1:
-        raise InvalidParameterError(f"proportion must be in (0, 1), got {proportion}")
-    if confidence not in Z_TABLE:
-        raise InvalidParameterError(
-            f"confidence must be one of {sorted(Z_TABLE)}, got {confidence}"
-        )
+    _check_params(confidence, margin, proportion)
     z = Z_TABLE[confidence]
     n0 = z * z * proportion * (1.0 - proportion) / (margin * margin)
     corrected = n0 / (1.0 + (n0 - 1.0) / population_size)
@@ -147,23 +149,6 @@ def stratified_sample(
     return StratifiedSample(strata=strata, allocation=alloc, seed=seed)
 
 
-def draw_sample(new: Iterable[Violation], params: SamplingParams, seed: int) -> StratifiedSample:
-    """Stratify the new violations by rule and draw a Cochran-sized sample.
-
-    The target is raised to one item per rule when Cochran asks for fewer;
-    no violations give an empty sample.
-    """
-    population: dict[str, list[Violation]] = {}
-    for v in new:
-        population.setdefault(v.rule, []).append(v)
-    target = 0
-    if population:
-        total = sum(len(vs) for vs in population.values())
-        target = cochran_sample_size(total, params.confidence, params.margin, params.proportion)
-        target = max(target, len(population))
-    return stratified_sample(population, target, seed)
-
-
 def export_labeling_sheet(
     sample: StratifiedSample, sources: Mapping[str, SourcePair]
 ) -> str:
@@ -195,25 +180,36 @@ def export_labeling_sheet(
     return buf.getvalue()
 
 
-def write_sample(
-    sheet: Path,
-    sample: StratifiedSample,
-    population_size: int,
+def sample_new(
+    new: Sequence[Violation],
+    params: SamplingParams,
+    seed: int,
     sources: Mapping[str, SourcePair],
+    sheet: Path,
     allocation: Path | None = None,
-) -> None:
-    """Write the labeling sheet and, when ``allocation`` is given, the allocation JSON."""
+) -> str:
+    """Draw a Cochran-sized sample of the new violations, stratified by rule,
+    write its labeling sheet to ``sheet`` and, when ``allocation`` is given,
+    the allocation JSON there, and return a one-line summary.
+
+    The parameters are checked even with nothing to draw. The target is
+    raised to one item per rule when Cochran asks for fewer.
+    """
+    _check_params(*params)
+    population: dict[str, list[Violation]] = {}
+    for v in new:
+        population.setdefault(v.rule, []).append(v)
+    target = 0
+    if population:
+        target = max(cochran_sample_size(len(new), *params), len(population))
+    sample = stratified_sample(population, target, seed)
     sheet.write_text(export_labeling_sheet(sample, sources), encoding="utf-8")
-    if allocation is None:
-        return
-    payload = {
-        "population": population_size,
-        "target_n": sample.size,
-        "allocation": dict(sample.allocation),
-    }
-    if population_size:  # an empty population draws nothing, so no seed is recorded
-        payload["seed"] = sample.seed
-    allocation.write_text(json_text(payload), encoding="utf-8")
+    if allocation is not None:
+        payload = {"population": len(new), "target_n": sample.size, "allocation": dict(sample.allocation)}
+        if new:  # an empty population draws nothing, so no seed is recorded
+            payload["seed"] = seed
+        allocation.write_text(json_text(payload), encoding="utf-8")
+    return f"sampled {sample.size} of {len(new)} new violations across {len(sample.allocation)} rules"
 
 
 class LabelVerdict(Enum):

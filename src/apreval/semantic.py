@@ -240,15 +240,6 @@ def summarize_semantic(
     )
 
 
-def compare_runs(
-    baseline_csv: Path, repaired_csv: Path, compile_diagnostics: Mapping[str, str]
-) -> tuple[list[Regression], SemanticSummary]:
-    """Regressions and their summary from the result files of the original and repaired code."""
-    baseline = filter_baseline(parse_file(baseline_csv, ingest_test_results))
-    regressions = diff_test_outcomes(baseline, parse_file(repaired_csv, ingest_test_results))
-    return regressions, summarize_semantic(baseline, regressions, compile_diagnostics)
-
-
 def read_compile_results(results_json: Path) -> tuple[list[str], dict[str, str]]:
     """The files a compiler's ``compile_results.json`` accepts, sorted, and its diagnostics of the rest."""
     return parse_file(results_json, _parse_compile_results)
@@ -273,8 +264,15 @@ def _parse_compile_results(data: bytes) -> tuple[list[str], dict[str, str]]:
     return sorted(compilable), rejected
 
 
-def write_semantic(out_dir: Path, regressions: Sequence[Regression], summary: SemanticSummary) -> None:
-    """Write ``regressions.csv``, ``failure_histogram.csv``, ``compile_errors.csv`` and ``semantic.json``."""
+def score_semantic(
+    baseline_csv: Path, repaired_csv: Path, compile_diagnostics: Mapping[str, str], out_dir: Path
+) -> str:
+    """Diff the result files of the original and repaired code, write
+    ``regressions.csv``, ``failure_histogram.csv``, ``compile_errors.csv`` and
+    ``semantic.json`` to ``out_dir``, and return a one-line summary."""
+    baseline = filter_baseline(parse_file(baseline_csv, ingest_test_results))
+    regressions = diff_test_outcomes(baseline, parse_file(repaired_csv, ingest_test_results))
+    summary = summarize_semantic(baseline, regressions, compile_diagnostics)
     out_dir.mkdir(parents=True, exist_ok=True)
     with (out_dir / "regressions.csv").open("w", encoding="utf-8", newline="") as fh:
         writer = csv_writer(fh)
@@ -304,3 +302,7 @@ def write_semantic(out_dir: Path, regressions: Sequence[Regression], summary: Se
         "uncompilable_files": summary.uncompilable_files,
     }
     (out_dir / "semantic.json").write_text(json_text(payload), encoding="utf-8")
+    return (
+        f"executed {summary.executed}, failed {summary.failed}, "
+        f"pass rate {summary.pass_rate:.1%}, uncompilable files {summary.uncompilable_files}"
+    )

@@ -310,6 +310,18 @@ class TestSampleAndPrecision:
         assert code == 2
         assert "confidence must be one of [0.9, 0.95, 0.99], got 2.0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("population", ["empty", "mini"])
+    def test_parameters_are_checked_with_nothing_to_sample(self, mini, tmp_path, capsys, population):
+        args = [str(a) for a in _axis_args(mini / "workspace")["sample"]]
+        if population == "empty":
+            new_csv = tmp_path / "new_violations.csv"
+            new_csv.write_text(",".join(NEW_VIOLATIONS_HEADER) + "\n", encoding="utf-8")
+            args[args.index("--new-violations") + 1] = str(new_csv)
+        sheet = tmp_path / "sheet.csv"
+        assert main(["sample", *args, "--confidence", "0.5", "--margin", "5", "--out", str(sheet)]) == 2
+        assert capsys.readouterr().err == "error: margin must be in (0, 1), got 5.0\n"
+        assert not sheet.exists()
+
     def test_missing_column_is_a_clear_error(self, mini, tmp_path, capsys):
         ws = mini / "workspace"
         text = (ws / "newviol" / "new_violations.csv").read_text(encoding="utf-8")
@@ -473,7 +485,60 @@ def _axis_args(ws):
             "--pre", ws / "metrics" / "pre_raw" / "class_metrics.csv",
             "--post", ws / "metrics" / "post_raw" / "class_metrics.csv",
         ],
+        "sample": [
+            "--new-violations", ws / "newviol" / "new_violations.csv",
+            "--original", ws / "repair" / "input",
+            "--repaired", ws / "repair" / "output",
+            "--seed", "17",
+        ],
     }
+
+
+#: the whole stdout of each axis command on the mini workspace
+AXIS_STDOUT = {
+    "fixrate": (
+        "rule      violations   fixed    rate\n"
+        "S2164              4       1   25.0%\n"
+        "S1068              3       3    100%\n"
+        "S1118              3       2   66.7%\n"
+        "S1481              3       3    100%\n"
+        "S1132              1       1    100%\n"
+        "S1444              1       1    100%\n"
+        "S1854              1       1    100%\n"
+        "S1948              1       1    100%\n"
+        "S2057              1       1    100%\n"
+        "S2095              1       1    100%\n"
+        "S2142              1       1    100%\n"
+        "S2184              1       1    100%\n"
+        "S2755              1       1    100%\n"
+        "overall           22      18   81.8%\n"
+        "\n"
+    ),
+    "newviol": "16 post-repair violations, 5 classified new\n",
+    "sample": "sampled 5 of 5 new violations across 4 rules\n",
+    "semantic": "executed 35, failed 9, pass rate 74.3%, uncompilable files 1\n",
+    "metrics": "11 file pairs (1 excluded); significant at 0.05: none\n",
+}
+
+
+class TestAxisStdout:
+    @pytest.mark.parametrize("command", list(AXIS_STDOUT))
+    def test_prints_exactly(self, mini, tmp_path, capsys, command):
+        args = [str(a) for a in _axis_args(mini / "workspace")[command]]
+        capsys.readouterr()
+        assert main([command, *args, "--out", str(tmp_path / command)]) == 0
+        assert capsys.readouterr().out == AXIS_STDOUT[command]
+
+    def test_violating_files_with_crlf_line_ends(self, mini, tmp_path, capsys):
+        # a list written by hand on Windows reads as the stage's own
+        ws = mini / "workspace"
+        crlf = tmp_path / "violating_files.txt"
+        crlf.write_bytes((ws / "repair" / "violating_files.txt").read_bytes().replace(b"\n", b"\r\n"))
+        args = [str(a) for a in _axis_args(ws)["fixrate"]]
+        args[args.index("--violating-files") + 1] = str(crlf)
+        capsys.readouterr()
+        assert main(["fixrate", *args, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out == AXIS_STDOUT["fixrate"]
 
 
 class TestMalformedReport:

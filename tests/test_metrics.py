@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from apreval import metrics as metrics_mod
 from apreval.errors import MalformedInputError
 from apreval.metrics import (
     METRIC_NAMES,
@@ -10,13 +11,12 @@ from apreval.metrics import (
     FileMetrics,
     aggregate_file_metrics,
     metric_medians_csv,
-    pair_metric_files,
     pair_pre_post,
     read_class_metrics_csv,
+    score_metrics,
     signed_ranks_csv,
     structural_report,
     structural_stats_csv,
-    write_metrics,
 )
 from apreval.stats import Direction
 
@@ -60,9 +60,13 @@ class TestCsv:
             read_class_metrics_csv("file,klass,noc\nx,y,1\n")
 
 
-    def test_exclusions_csv_quotes_a_comma_in_a_file_id(self, tmp_path):
+    def test_exclusions_csv_quotes_a_comma_in_a_file_id(self, tmp_path, monkeypatch):
         exclusions = [("a,b.java", "PostAbsent"), ("C.java", "PreAbsent")]
-        write_metrics(tmp_path, [], exclusions, structural_report([]))
+        # the join is stubbed to give these exclusions as they are, so only the writer is tested
+        monkeypatch.setattr(metrics_mod, "pair_pre_post", lambda pre, post: ([], exclusions))
+        empty = tmp_path / "empty.csv"
+        empty.write_text("file,class,noc,npa,dit,lcom1,wmc,cbo,rfc,loc\n", encoding="utf-8")
+        score_metrics(empty, empty, tmp_path)
         text = (tmp_path / "exclusions.csv").read_text(encoding="utf-8")
         assert text == 'file,reason\n"a,b.java",PostAbsent\nC.java,PreAbsent\n'
         assert list(csv.reader(text.splitlines()))[1:] == [list(e) for e in exclusions]
@@ -75,7 +79,7 @@ class TestCsv:
         for s, path in paths.items():
             path.write_text(good + ("B.java,B\n" if s == side else ""), encoding="utf-8")
         with pytest.raises(MalformedInputError) as err:
-            pair_metric_files(paths["pre"], paths["post"])
+            score_metrics(paths["pre"], paths["post"], tmp_path / "out")
         assert (err.value.message, err.value.line) == (f"{paths[side]}: expected 10 fields, got 2", 3)
         assert str(err.value) == f"{paths[side]}: expected 10 fields, got 2 (line 3)"
 

@@ -45,6 +45,7 @@ from apreval.pipeline import (
     prepare_corpus_violating,
     run_pipeline,
     run_tool_adapter,
+    split_lines,
 )
 from apreval.violations import SORALD_30, StateLabel
 
@@ -392,6 +393,37 @@ class TestPrepareViolating:
     def test_uncompilable_files_not_selected(self):
         report = mkreport([mkviol(file_id="Bad.java", rule="S1118")], StateLabel.PRE_REPAIR)
         assert prepare_corpus_violating(["Good.java"], report, SORALD_30) == []
+
+
+class TestListFiles:
+    @pytest.mark.parametrize("text, names", [
+        ("", []),
+        ("A.java\nB.java\n", ["A.java", "B.java"]),
+        ("A.java\nB.java", ["A.java", "B.java"]),
+        ("A.java\r\nB.java\r\n", ["A.java", "B.java"]),
+        ("A.java\n\n", ["A.java", ""]),
+        ("Ut\u2028ils.java\nF\x0c\x85.java\n", ["Ut\u2028ils.java", "F\x0c\x85.java"]),
+    ])
+    def test_split_on_newline_alone(self, text, names):
+        assert split_lines(text) == names
+
+    def test_name_with_a_unicode_line_break_is_repaired_then_cached(self, tmp_path):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        corpus = tmp_path / "corpus"
+        shutil.copyfile(corpus / "Utils.java", corpus / "Ut\u2028ils.java")
+        cfg = load_config(config_path)
+        assert set(run_pipeline(cfg).values()) == {"ran"}
+        assert (cfg.workspace_dir / "repair" / "input" / "Ut\u2028ils.java").is_file()
+        assert set(run_pipeline(cfg).values()) == {"cached"}
+
+    @pytest.mark.parametrize("name", ["Ut\nils.java", "Ut\rils.java"])
+    def test_name_with_a_newline_fails_prepare(self, tmp_path, name):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        corpus = tmp_path / "corpus"
+        shutil.copyfile(corpus / "Utils.java", corpus / name)
+        with pytest.raises(StageFailureError) as err:
+            run_pipeline(load_config(config_path))
+        assert str(err.value) == f"stage 'prepare' failed: corpus file name holds a line break: {name!r}"
 
 
 @pytest.fixture(scope="module")
@@ -1069,7 +1101,7 @@ class TestSubStepReuse:
                 raise ValueError("comparison failed")
 
             with monkeypatch.context() as m:
-                m.setattr(semantic_mod, "compare_runs", fail)
+                m.setattr(semantic_mod, "score_semantic", fail)
                 with pytest.raises(StageFailureError):
                     run_pipeline(cfg, stages=["semantic"], force=True)
         else:

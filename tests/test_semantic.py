@@ -9,10 +9,10 @@ from apreval.semantic import (
     TestStatus,
     classify_compile_error,
     classify_failure,
-    compare_runs,
     diff_test_outcomes,
     filter_baseline,
     ingest_test_results,
+    score_semantic,
     summarize_semantic,
 )
 
@@ -62,7 +62,7 @@ class TestIngest:
             TestOutcome(test_id="t", target_file=None, status=TestStatus.FAIL, failure_kind=None)
 
 
-class TestCompareRuns:
+class TestScoreSemantic:
     @pytest.mark.parametrize("side", ["baseline", "repaired"])
     def test_malformed_file_is_named(self, tmp_path, side):
         # the baseline file may come from an earlier run, so say which file is bad
@@ -71,7 +71,7 @@ class TestCompareRuns:
         for s, path in paths.items():
             path.write_text(good + ("t99,A.java\n" if s == side else ""), encoding="utf-8")
         with pytest.raises(MalformedInputError) as err:
-            compare_runs(paths["baseline"], paths["repaired"], {})
+            score_semantic(paths["baseline"], paths["repaired"], {}, tmp_path / "out")
         assert (err.value.message, err.value.line) == (f"{paths[side]}: expected 4 fields, got 2", 4)
         assert str(err.value) == f"{paths[side]}: expected 4 fields, got 2 (line 4)"
 
