@@ -25,7 +25,7 @@ from .errors import (
     HarnessError,
     StageFailureError,
 )
-from .pipeline import ROLES, SamplingParams, emit_reports, load_config, load_sources, run_pipeline, split_lines
+from .pipeline import ROLES, SamplingParams, emit_reports, load_config, run_pipeline, split_lines
 from .terms import NormalizationPolicy, StateLabel, get_profile
 
 EXIT_OK = 0
@@ -79,6 +79,7 @@ def _cmd_fixrate(args: argparse.Namespace) -> int:
 def _cmd_newviol(args: argparse.Namespace) -> int:
     from . import newviol as newviol_mod
     from .fixrate import restrict_to_files
+    from .stages import load_sources
     from .violations import read_report
 
     pre = read_report(Path(args.pre), StateLabel.PRE_REPAIR)
@@ -95,6 +96,7 @@ def _cmd_newviol(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     from .newviol import load_new
     from .sampling import sample_new
+    from .stages import load_sources
 
     new = load_new(Path(args.new_violations))[1]
     params = SamplingParams(confidence=args.confidence, margin=args.margin)
@@ -128,6 +130,8 @@ def _cmd_semantic(args: argparse.Namespace) -> int:
     diagnostics: dict[str, str] = {}
     if args.compile_log:
         log_dir = Path(args.compile_log)
+        if not log_dir.is_dir():  # globbed, it would read as no file failing to compile
+            raise FileNotFoundError(f"{log_dir} is not a directory")
         results_file = log_dir / ROLES["compiler"]
         if results_file.is_file():
             _, diagnostics = read_compile_results(results_file)

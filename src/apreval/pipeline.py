@@ -1,29 +1,25 @@
-"""End-to-end orchestration: corpus prep, tool adapters, cached stages.
+"""End-to-end orchestration: configs, tool adapters, and the cache decision.
 
-The ``STAGES`` table declares each stage once: its inputs, config
-fingerprint, adapter role, body, and the hand-offs its body reads. A run
-is split as in "Build systems à la carte" (Mokhov, Mitchell and Peyton
-Jones, ICFP 2018). The scheduler, :func:`schedule`, knows only tasks (a
-name, upstream names, a tool flag and a generator that yields batches of
+The ``STAGES`` table declares each stage once, as data: its inputs, config
+fingerprint, adapter role, whether it calls tools, and the hand-off paths
+it reads. The bodies that build the stages are in ``stages``. A run is
+split as in "Build systems à la carte" (Mokhov, Mitchell and Peyton Jones,
+ICFP 2018). The scheduler, :func:`schedule`, knows only tasks (a name,
+upstream names, a tool flag and a generator that yields batches of
 calls): it starts each task once its upstream tasks have ended, and runs
 their calls on a :class:`CallRunner`. The rebuilder,
 ``PipelineRun._run_stage``, is the task of one stage: it skips the stage,
 takes it as cached when its input digest is unchanged and the files it
-copied still match, or rebuilds ``workspace/<stage>/``, and records which
-in ``state.json``.
+copied still match, or rebuilds ``workspace/<stage>/`` with the stage's
+body, and records which in ``state.json``.
 
 External tools are described by command templates and run as
 subprocesses with timeout enforcement, artifact checks, and log capture;
 scripted stub tools ship with the package, so the whole pipeline runs
-without any external toolchain. Each axis stage makes the one call of
-its axis module that its ``apreval <axis>`` command makes too, such as
-``fixrate.score_fix_rate``. Each stage body imports the axis module it
-needs, and the report parsing of ``violations`` too, so a run whose stages
-are all cached loads no analysis code: what it reads of a config comes
-from ``terms``, and no ``dataclasses`` or ``inspect`` either.
-Parsed values pass between stages through one hand-off table, used only
-while the files they came from are unchanged and dropped once the last
-stage that reads them is done.
+without any external toolchain. The rebuilder imports ``stages``, and the
+axis modules with it, at a run's first rebuild, so a run whose stages are
+all cached loads no analysis code: what it reads of a config comes from
+``terms``, and no ``dataclasses`` or ``inspect`` either.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from contextlib import closing, suppress
 from functools import partial
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Any, Callable, Collection, Generator, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Generator, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     AdapterFailureError,
@@ -55,20 +51,25 @@ from .errors import (
     StageFailureError,
     WorkspaceLockedError,
 )
-from .terms import Z_TABLE, NormalizationPolicy, StateLabel, check_report_adapter, get_profile
+from .terms import Z_TABLE, NormalizationPolicy, check_report_adapter, get_profile
 
 if TYPE_CHECKING:
     import subprocess
 
-    from .newviol import SourceTrees
-    from .terms import RuleProfile
-    from .violations import Violation, ViolationReport
+    from .violations import Violation
 
-#: each adapter role and the file its tool must leave, where the role fixes one (see :func:`_artifact`)
+#: each adapter role and the file its tool must leave, where the role fixes one (see ``stages._artifact``)
 ROLES = {"analyzer": None, "repairer": None, "test_runner": "results.csv",
          "metric_extractor": "class_metrics.csv", "compiler": "compile_results.json"}
 
 _ALLOWED_PLACEHOLDERS = {"input", "output", "workdir", "python", "rule"}
+
+
+def _placeholders(template: str) -> set[str]:
+    """The fields a command template fills in: those of each argument it is
+    split into, as ``str.format`` reads them, so ``{{rule}}`` is literal text."""
+    return {field for arg in shlex.split(template) for _, field, _, _ in string.Formatter().parse(arg)
+            if field is not None}
 
 #: the logs :func:`run_tool_adapter` writes at the top of its output directory
 _ADAPTER_LOGS = ("adapter_stdout.log", "adapter_stderr.log")
@@ -84,30 +85,30 @@ class _ToolAdapterFields(NamedTuple):
 class ToolAdapter(_ToolAdapterFields):
     """External tool described by a command template.
 
-    Templates may use {input}, {output}, {workdir}, {python} and, for
-    repairers running one pass per rule, {rule}. A template is split into
-    arguments as a POSIX shell would before they are filled in. Each
-    expected artifact is a relative path under {output}.
+    Templates may use {input}, {output}, {workdir}, {python} and, for a
+    repairer alone, {rule}, which makes it run one pass per rule. A template
+    is split into arguments as a POSIX shell would before they are filled
+    in. Each expected artifact is a relative path under {output}.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs) -> ToolAdapter:
         self = super().__new__(cls, *args, **kwargs)
-        if "{input}" not in self.command_template:
-            raise ConfigError(f"adapters.{self.name}.command", "template must contain {input}")
         if self.timeout <= 0:
             raise ConfigError(f"adapters.{self.name}.timeout", "timeout must be > 0")
+        where = f"adapters.{self.name}.command"
         try:
-            shlex.split(self.command_template)
+            fields = _placeholders(self.command_template)
         except ValueError as exc:  # such as an unclosed quote
-            raise ConfigError(f"adapters.{self.name}.command", f"cannot be split into arguments: {exc}") from None
-        for _, fname, _, _ in string.Formatter().parse(self.command_template):
-            if fname is not None and fname not in _ALLOWED_PLACEHOLDERS:
-                raise ConfigError(
-                    f"adapters.{self.name}.command",
-                    f"unknown placeholder {{{fname}}}; allowed: {sorted(_ALLOWED_PLACEHOLDERS)}",
-                )
+            raise ConfigError(where, f"cannot be split into arguments: {exc}") from None
+        if "input" not in fields:
+            raise ConfigError(where, "template must contain {input}")
+        unknown = fields - _ALLOWED_PLACEHOLDERS
+        if unknown:
+            raise ConfigError(where, f"unknown placeholder {{{min(unknown)}}}; allowed: {sorted(_ALLOWED_PLACEHOLDERS)}")
+        if "rule" in fields and self.name != "repairer":
+            raise ConfigError(where, "{rule} is filled in for the repairer alone")
         for artifact in self.expected_artifacts:
             # one outside the output directory is a file no digest of the stage covers
             if os.path.isabs(artifact) or ".." in Path(artifact).parts:
@@ -135,9 +136,7 @@ class PipelineConfig(NamedTuple):
     report_adapter_options: Mapping = MappingProxyType({})
 
 
-_TOP_KEYS = set(PipelineConfig._fields)
-_ADAPTER_KEYS = {"command", "timeout", "expected_artifacts"}
-_SAMPLING_KEYS = set(SamplingParams._fields)
+_ADAPTER_KEYS = ("command", "timeout", "expected_artifacts")
 
 #: what each kind of config value must be; an int is also a number, a bool neither
 _KINDS = {str: "a string", int: "an integer", float: "a finite number", list: "a list of strings", dict: "an object"}
@@ -156,6 +155,13 @@ def _typed(doc: dict, key: str, kind: type, default: object, where: str = "") ->
     return value
 
 
+def _known(doc: dict, keys: Collection[str], where: str, what: str) -> None:
+    """Refuse the first key of ``doc``, by name, that is not in ``keys``."""
+    unknown = set(doc).difference(keys)
+    if unknown:
+        raise ConfigError(where + sorted(unknown)[0], f"unknown {what}")
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     """Load and fully validate a JSON pipeline config; unknown keys and wrongly typed values reject."""
     path = Path(path)
@@ -167,9 +173,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "config root must be an object")
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(sorted(unknown)[0], "unknown configuration key")
+    _known(doc, PipelineConfig._fields, "", "configuration key")
     for required in ("corpus_dir", "workspace_dir", "adapters"):
         if required not in doc:
             raise ConfigError(required, "required key is missing")
@@ -177,9 +181,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     raw_adapters = doc["adapters"]
     if not isinstance(raw_adapters, dict):
         raise ConfigError("adapters", "must be an object mapping roles to adapters")
-    unknown = set(raw_adapters) - set(ROLES)
-    if unknown:
-        raise ConfigError(f"adapters.{sorted(unknown)[0]}", "unknown adapter role")
+    _known(raw_adapters, ROLES, "adapters.", "adapter role")
     adapters: dict[str, ToolAdapter | None] = {}
     for role in ROLES:
         if role not in raw_adapters:
@@ -190,12 +192,10 @@ def load_config(path: str | Path) -> PipelineConfig:
             continue
         if not isinstance(raw, dict):
             raise ConfigError(f"adapters.{role}", "must be an adapter object or \"skip\"")
-        unknown = set(raw) - _ADAPTER_KEYS
-        if unknown:
-            raise ConfigError(f"adapters.{role}.{sorted(unknown)[0]}", "unknown adapter key")
-        if "command" not in raw:
-            raise ConfigError(f"adapters.{role}.command", "required key is missing")
         where = f"adapters.{role}."
+        _known(raw, _ADAPTER_KEYS, where, "adapter key")
+        if "command" not in raw:
+            raise ConfigError(where + "command", "required key is missing")
         adapters[role] = ToolAdapter(
             name=role,
             command_template=_typed(raw, "command", str, None, where),
@@ -204,9 +204,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         )
 
     raw_sampling = _typed(doc, "sampling", dict, {})
-    unknown = set(raw_sampling) - _SAMPLING_KEYS
-    if unknown:
-        raise ConfigError(f"sampling.{sorted(unknown)[0]}", "unknown sampling key")
+    _known(raw_sampling, SamplingParams._fields, "sampling.", "sampling key")
     sampling = SamplingParams(**{key: float(_typed(raw_sampling, key, float, None, "sampling."))
                                  for key in raw_sampling})
     if sampling.confidence not in Z_TABLE:  # the values sampling.cochran_sample_size takes
@@ -318,32 +316,6 @@ def run_tool_adapter(
     for artifact in adapter.expected_artifacts:
         if not (output_dir / artifact).exists():
             raise MissingArtifactError(adapter.name, artifact)
-
-
-def _written(top: Path) -> list[str]:
-    """The relative path of each file a tool wrote under ``top``: all but the
-    adapter's own logs at its top."""
-    return [rel for rel, _ in _walk_files(str(top)) if rel not in _ADAPTER_LOGS]
-
-
-def _artifact(adapter: ToolAdapter, out_dir: Path) -> Path:
-    """The file a call of ``adapter`` left in ``out_dir`` for its stage to read:
-    its role's file in ``ROLES``, else its first declared artifact, else the
-    first file it wrote by relative path; one missing raises :class:`MissingArtifactError`."""
-    name = (ROLES.get(adapter.name) or next(iter(adapter.expected_artifacts), None)
-            or min(_written(out_dir), default=None))
-    if name is None or not (out_dir / name).is_file():
-        raise MissingArtifactError(adapter.name, name or "<analysis report>")
-    return out_dir / name
-
-
-def prepare_corpus_violating(
-    compilable: Iterable[str], report: ViolationReport, profile: RuleProfile
-) -> list[str]:
-    """Files carrying at least one in-profile violation; the repair input."""
-    rules = set(profile.rules)
-    violating = {v.file_id for v in report.entries if v.rule in rules}
-    return sorted(set(compilable) & violating)
 
 
 # --- digests and state --------------------------------------------------------
@@ -461,14 +433,6 @@ class _WorkspaceLock:
     def __exit__(self, *exc):
         os.close(self.fd)  # never unlinked, lest two runs each lock a file of that name
         return False
-
-
-def load_sources(original_dir: Path, repaired_dir: Path, originals: bool = True) -> SourceTrees:
-    """SourcePairs for every file present in the original tree, each read at
-    lookup; with ``originals=False``, pairs of the repaired lines alone."""
-    from .newviol import SourceTrees
-
-    return SourceTrees(original_dir, repaired_dir, [rel for rel, _ in _walk_files(str(original_dir))], originals)
 
 
 # --- the scheduler ------------------------------------------------------------
@@ -611,9 +575,6 @@ def schedule(tasks: Sequence[Task], jobs: int, runner: Callable[[int], CallRunne
 
 # --- the run itself -----------------------------------------------------------
 
-#: hex digits of a file's key in the ``newviol`` record
-_KEY_LEN = 16
-
 #: workspace paths read by a stage other than the one that writes them
 _SOURCES = "prepare/sources"
 _COMPILABLE = "prepare/compilable.txt"
@@ -627,61 +588,28 @@ _NEW_CSV = "newviol/new_violations.csv"
 _FIXRATE_JSON = "fixrate/fixrate.json"
 
 
-class Handoff(NamedTuple):
-    """A value that stages hand on to later ones: ``load`` of the workspace file ``path``."""
-
-    path: str
-    load: Callable[..., object]
-
-
-def _load_new(path: Path) -> tuple[int, list[Violation]]:
-    from .newviol import load_new
-
-    return load_new(path)
-
-
-def _read_report(state: StateLabel, path: Path, files: Collection[str] | None = None) -> ViolationReport:
-    from .violations import read_report
-
-    return read_report(path, state, files)
-
-
-_PRE_REPORT = Handoff(_PRE_CSV, partial(_read_report, StateLabel.PRE_REPAIR))
-_POST_REPORT = Handoff(_POST_CSV, partial(_read_report, StateLabel.POST_REPAIR))
-_NEW = Handoff(_NEW_CSV, _load_new)  # its number of rows and NEW violations
-
-
-#: the code flag of a generator function, ``inspect.CO_GENERATOR``
-_CO_GENERATOR = 0x20
-
-
-def _yields(body: Callable) -> bool:
-    """Whether a stage body, a function or a ``partial`` of one, is a generator
-    function: one that yields adapter calls."""
-    return bool(getattr(body, "func", body).__code__.co_flags & _CO_GENERATOR)
-
-
 class Stage(NamedTuple):
-    """One stage: the inputs and config fingerprint it is cached on, and its body.
+    """One stage: the inputs and config fingerprint it is cached on.
 
     The input digest covers ``inputs(run)``, which are the paths
     ``needs(run)`` lists and each workspace path in ``optional`` that exists,
-    and ``extra(run)``. ``body(run, stage_dir)`` builds ``workspace/<name>/``;
-    a body that needs tools yields each batch of adapter calls and is sent
-    their results. A stage whose adapter ``role`` is unbound is skipped.
-    ``reads`` names the hand-offs the body takes with ``run._parsed``; the
-    run keeps each hand-off until the last stage that reads it is done.
-    ``copies(run)`` gives the (source tree, list file, tree) of the files
-    the body copies or links, which a cache hit checks.
+    and ``extra(run)``. Its body, ``stages.BODIES[name]``, builds
+    ``workspace/<name>/``; ``tools`` declares that the body calls tools, so
+    that it yields each batch of adapter calls and is sent their results.
+    A stage whose adapter ``role`` is unbound is skipped. ``reads`` names
+    the workspace paths of the hand-offs the body takes; the run keeps each
+    hand-off until the last stage that reads it is done. ``copies(run)``
+    gives the (source tree, list file, tree) of the files the body copies
+    or links, which a cache hit checks.
     """
 
     name: str
     needs: Callable[[PipelineRun], list[Path]]
     extra: Callable[[PipelineRun], str]
-    body: Callable[[PipelineRun, Path], object]
+    tools: bool = False
     role: str | None = None
     optional: tuple[str, ...] = ()
-    reads: tuple[Handoff, ...] = ()
+    reads: tuple[str, ...] = ()
     copies: Callable[[PipelineRun], tuple[Path, Path, Path]] | None = None
 
     def inputs(self, run: PipelineRun) -> list[Path]:
@@ -706,8 +634,8 @@ class PipelineRun:
         # that each file is read at most once; emptied whenever adapter calls
         # end, and a stage directory forgotten when its body starts
         self._memo: _DigestMemo = {}
-        # hand-off -> (digest of its file, value)
-        self._handoffs: dict[Handoff, tuple[str, object]] = {}
+        # hand-off path -> (digest of its file, value)
+        self._handoffs: dict[str, tuple[str, object]] = {}
         # the stages of this run not yet done, by name
         self._pending: dict[str, Stage] = {}
         # stage being rebuilt -> (its old directory, the record of the build
@@ -798,6 +726,8 @@ class PipelineRun:
             if old.get("input_digest") == digest and (stage.copies is None or self._holds_copies(*stage.copies(self))):
                 self.summary[name] = "cached"
                 return
+            from . import stages  # the bodies and the analysis they call, which no cache hit loads
+
             # a rebuild may reuse from the old build, which stays readable beside
             # it, only if that recorded steps or files and still has its output
             # digest: a hand edit to any of its files changes that
@@ -815,8 +745,8 @@ class PipelineRun:
             record = {"input_digest": digest, "started": time.time(), "calls_s": 0.0}
             self._rebuilds[name] = (prev_dir, old, record)
             try:
-                body = stage.body(self, stage_dir)
-                if isinstance(body, Generator):
+                body = stages.BODIES[name](self, stage_dir)
+                if stage.tools:
                     with closing(body), suppress(StopIteration):
                         batch = next(body)
                         while True:
@@ -845,9 +775,9 @@ class PipelineRun:
             self.summary[name] = "ran"
         finally:
             self._pending.pop(name, None)
-            read = {handoff for left in self._pending.values() for handoff in left.reads}
-            for handoff in [handoff for handoff in self._handoffs if handoff not in read]:
-                del self._handoffs[handoff]
+            read = {path for left in self._pending.values() for path in left.reads}
+            for path in [path for path in self._handoffs if path not in read]:
+                del self._handoffs[path]
 
     def _holds_copies(self, src: Path, listed: Path, tree: Path) -> bool:
         """Whether ``tree`` holds exactly the files ``listed`` names, each with
@@ -891,32 +821,6 @@ class PipelineRun:
             return []
         return [partial(run_tool_adapter, adapter, input_dir, stage_dir / sub)]
 
-    def _hand_off(self, handoff: Handoff, value: object) -> None:
-        """Hand on ``value``, which is what ``handoff`` loads from the file just written."""
-        self._handoffs[handoff] = (_digest_paths(self._at(handoff.path), "", self._memo), value)
-
-    def _parsed(self, handoff: Handoff, files: Collection[str] | None = None) -> Any:
-        """``handoff``'s value as handed on, if its file still has the digest
-        it had then, or else loaded from it, once per run.
-
-        With ``files``, a report hand-off's findings in those files alone: a
-        stale value is then not loaded whole, but from its CSV's rows of those
-        files, and not kept. The digest comes from the memo, which the reading
-        stage's input digest has just filled.
-        """
-        path = self.workspace / handoff.path
-        digest = _digest_paths([path], "", self._memo)
-        entry = self._handoffs.get(handoff)
-        if entry is None or entry[0] != digest:
-            if files is not None:
-                return handoff.load(path, files=files)
-            entry = self._handoffs[handoff] = (digest, handoff.load(path))
-        if files is None:
-            return entry[1]
-        from .fixrate import restrict_to_files
-
-        return restrict_to_files(entry[1], files)
-
     def _upstream(self, stage: Stage) -> set[str]:
         """The stages whose directory holds an input of ``stage``, present or not."""
         ws = self.workspace
@@ -935,7 +839,7 @@ class PipelineRun:
             self.summary = {}
             self._pending = {stage.name: stage for stage in STAGES if stage.name in requested}
             tasks = [
-                Task(stage.name, self._upstream(stage), _yields(stage.body), partial(self._run_stage, stage))
+                Task(stage.name, self._upstream(stage), stage.tools, partial(self._run_stage, stage))
                 for stage in self._pending.values()
             ]
             schedule(tasks, self.jobs)
@@ -960,32 +864,8 @@ def _corpus(run: PipelineRun) -> list[Path]:
     return [corpus]
 
 
-def _copy_files(src: Path, rels: Iterable[str], dest: Path, link: bool = False) -> None:
-    """Copy each relative path ``rels`` names from under ``src`` into the new
-    directory ``dest``; with ``link``, hard-link it where the filesystem allows."""
-    os.mkdir(dest)
-    made = {""}  # the parents made so far, relative to dest
-    for rel in rels:
-        parent = os.path.dirname(rel)
-        if parent not in made:
-            os.makedirs(os.path.join(dest, parent), exist_ok=True)
-            made.add(parent)
-        source, target = os.path.join(src, rel), os.path.join(dest, rel)
-        if link:
-            try:
-                os.link(source, target)
-                continue
-            except OSError:  # EPERM, EXDEV, EMLINK: copied instead
-                pass
-        shutil.copyfile(source, target)
-
-
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    path.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
-
-
 def split_lines(text: str) -> list[str]:
-    """A list file's names: split on ``\\n`` alone, as ``_write_lines`` joins
+    """A list file's names: split on ``\\n`` alone, as ``stages._write_lines`` joins
     them, so U+2028 may be part of a name, and each without one trailing ``\\r``."""
     lines = text.split("\n")
     if lines[-1] == "":
@@ -997,28 +877,6 @@ def _read_lines(path: Path) -> list[str]:
     return split_lines(path.read_bytes().decode("utf-8"))
 
 
-def _prepare(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
-    from .violations import json_text
-
-    compiler = run.config.adapters.get("compiler")
-    corpus = run.config.corpus_dir
-    if compiler is not None:
-        yield [partial(run_tool_adapter, compiler, corpus, stage_dir / "raw")]
-        from .semantic import read_compile_results
-
-        compilable, rejected = read_compile_results(_artifact(compiler, stage_dir / "raw"))
-    else:
-        # the listing the input digest has just put in the memo
-        compilable = sorted(rel for rel, _ in _listing(os.path.abspath(corpus), run._memo))
-        rejected = {}
-    for rel in compilable:
-        if "\n" in rel or "\r" in rel:  # a list file could not give it back
-            raise StageFailureError("prepare", f"corpus file name holds a line break: {rel!r}")
-    _copy_files(corpus, compilable, run.workspace / _SOURCES)
-    (stage_dir / "rejected.json").write_text(json_text(rejected), encoding="utf-8")
-    _write_lines(run.workspace / _COMPILABLE, compilable)
-
-
 def _analyzer_fingerprint(run: PipelineRun) -> str:
     extra = _fingerprint("analyzer")(run) + "|" + run.config.report_adapter
     options = run.config.report_adapter_options
@@ -1027,172 +885,29 @@ def _analyzer_fingerprint(run: PipelineRun) -> str:
     return extra
 
 
-def _analyze(tree: str, state: StateLabel, handoff: Handoff, run: PipelineRun, stage_dir: Path) -> Iterator[list]:
-    analyzer = run.config.adapters["analyzer"]
-    raw = stage_dir / "raw"
-    yield [partial(run_tool_adapter, analyzer, run.workspace / tree, raw)]
-    report_file = _artifact(analyzer, raw)
-    csv_path = run.workspace / handoff.path
-    # the same raw report, read the same way, gives the same CSV: move the old one in
-    if run._reused(stage_dir, csv_path.name, _digest_paths([report_file], _analyzer_fingerprint(run), run._memo)):
-        return
-    from .violations import parse_file, parse_report, write_report
-
-    options = run.config.report_adapter_options
-    report = parse_file(report_file, lambda data: parse_report(data, run.config.report_adapter, state, options))
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        write_report(fh, report.entries)
-    # a CSV re-read gives this same report back, so later stages need not parse
-    run._hand_off(handoff, report)
-
-
-def _repair(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
-    repairer = run.config.adapters["repairer"]
-    sources, compilable_txt = run._at(_SOURCES, _COMPILABLE)
-    violating = prepare_corpus_violating(_read_lines(compilable_txt), run._parsed(_PRE_REPORT), run.profile)
-    _write_lines(run.workspace / _VIOLATING, violating)
-    input_dir, output_dir = run._at(*_TREES)
-    # hard links: a tool's write in place shows in prepare/sources too, and both cache checks see it
-    _copy_files(sources, violating, input_dir, link=True)
-    if "{rule}" in repairer.command_template:
-        # one sequential pass per profile rule, in application order
-        current = input_dir
-        for i, rule in enumerate(run.profile.application_order):
-            pass_dir = stage_dir / f"pass_{i:02d}_{rule}"
-            yield [partial(run_tool_adapter, repairer, current, pass_dir, rule=rule)]
-            current = pass_dir
-        # a copy, so that an edit of repair/output leaves the last pass as it was
-        _copy_files(current, _written(current), output_dir)
-    else:
-        yield [partial(run_tool_adapter, repairer, input_dir, output_dir)]
-
-
-def _fixrate(run: PipelineRun, stage_dir: Path) -> None:
-    from .fixrate import restrict_to_files, score_fix_rate
-
-    pre = restrict_to_files(run._parsed(_PRE_REPORT), _read_lines(run.workspace / _VIOLATING))
-    score_fix_rate(pre, run._parsed(_POST_REPORT), run.profile, stage_dir)
-
-
 def _newviol_fingerprint(run: PipelineRun) -> str:
     return run.profile.name + "|" + run.config.normalization.value
 
 
-def _newviol(run: PipelineRun, stage_dir: Path) -> None:
-    """Judge the post findings of each file whose inputs changed since the
-    last build, and take the other files' rows from that build. A file's
-    verdicts depend only on its original and repaired bytes and its own pre
-    (if sent to repair) and post findings; the record keeps a short key of
-    these per file."""
-    import heapq
-
-    from . import newviol as newviol_mod
-    from .violations import finding_digests
-
-    trees = load_sources(*run._at(*_TREES))
-    post_rows = finding_digests(run.workspace / _POST_CSV)
-    violating = set(_read_lines(run.workspace / _VIOLATING))
-    pre_rows = finding_digests(run.workspace / _PRE_CSV, violating & post_rows.keys())
-    fingerprint = hashlib.sha256(_newviol_fingerprint(run).encode())
-    absent = bytes(32)  # in place of a 32-byte digest
-
-    def key(file_id: str, post: bytes) -> str:
-        original, repaired = trees.original(file_id), trees.repaired(file_id)
-        h = fingerprint.copy()
-        # each part a digest, so only the file id is of varying length
-        h.update(b"".join((
-            absent if original is None else _memo_sha256(original, run._memo),
-            _memo_sha256(repaired, run._memo) if original and os.path.isfile(repaired) else absent,
-            pre_rows.get(file_id, absent),
-            post,
-        )))
-        h.update(file_id.encode())
-        return h.hexdigest()[:_KEY_LEN]
-
-    keys = {file_id: key(file_id, post) for file_id, post in post_rows.items()}
-    prev_dir, old, record = run._rebuilds["newviol"]
-    old_keys = old.get("files", "")
-    old_keys = {old_keys[i : i + _KEY_LEN] for i in range(0, len(old_keys), _KEY_LEN)}
-    kept = {file_id for file_id, k in keys.items() if k in old_keys}
-    changed = keys.keys() - kept
-    rows: Iterable = ()
-    if changed:  # judged and written one file at a time
-        pre, post = run._parsed(_PRE_REPORT, changed & violating), run._parsed(_POST_REPORT, changed)
-        rows = newviol_mod.verdict_rows(newviol_mod.judge_files(pre, post, trees, run.config.normalization))
-    if kept:
-        # both in canonical order, which groups the rows by file
-        old_rows = newviol_mod.read_verdict_rows(prev_dir / "new_violations.csv", kept)
-        rows = heapq.merge(old_rows, rows, key=lambda item: item[0][0])
-    record["files"] = "".join(sorted(keys.values()))
-    # a re-read gives these same rows back, so sample and report need not parse
-    run._hand_off(_NEW, newviol_mod.write_newviol(stage_dir, rows, trees.deleted()))
-
-
-def _sample(run: PipelineRun, stage_dir: Path) -> None:
-    from .sampling import sample_new
-
-    new = run._parsed(_NEW)[1]
-    # the sheet shows repaired code alone, so no original file is read
-    sources = load_sources(*run._at(*_TREES), originals=False)
-    sample_new(new, run.config.sampling, run.config.seed, sources,
-               stage_dir / "sheet.csv", stage_dir / "allocation.json")
-
-
-def _semantic(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
-    from . import semantic as semantic_mod
-
-    runner = run.config.adapters["test_runner"]
-    compiler = run.config.adapters.get("compiler")
-    repair_in, repair_out = run._at(*_TREES)
-    calls = [
-        *run._step(stage_dir, "baseline_raw", runner, repair_in),
-        partial(run_tool_adapter, runner, repair_out, stage_dir / "repaired_raw"),
-    ]
-    if compiler is not None:
-        calls.append(partial(run_tool_adapter, compiler, repair_out, stage_dir / "compile_raw"))
-    yield calls
-    diagnostics = (semantic_mod.read_compile_results(_artifact(compiler, stage_dir / "compile_raw"))[1]
-                   if compiler is not None else {})
-    semantic_mod.score_semantic(_artifact(runner, stage_dir / "baseline_raw"),
-                                _artifact(runner, stage_dir / "repaired_raw"), diagnostics, stage_dir)
-
-
-def _metrics(run: PipelineRun, stage_dir: Path) -> Iterator[list]:
-    from .metrics import score_metrics
-
-    extractor = run.config.adapters["metric_extractor"]
-    repair_in, repair_out = run._at(*_TREES)
-    yield [
-        *run._step(stage_dir, "pre_raw", extractor, repair_in),
-        partial(run_tool_adapter, extractor, repair_out, stage_dir / "post_raw"),
-    ]
-    score_metrics(_artifact(extractor, stage_dir / "pre_raw"), _artifact(extractor, stage_dir / "post_raw"), stage_dir)
-
-
 #: every stage, in run order
 STAGES = (
-    Stage("prepare", _corpus, _fingerprint("compiler"), _prepare,
+    Stage("prepare", _corpus, _fingerprint("compiler"), tools=True,
           copies=lambda run: (run.config.corpus_dir, *run._at(_COMPILABLE, _SOURCES))),
-    Stage("analyze_pre", _under(_SOURCES), _analyzer_fingerprint,
-          partial(_analyze, _SOURCES, StateLabel.PRE_REPAIR, _PRE_REPORT), "analyzer"),
+    Stage("analyze_pre", _under(_SOURCES), _analyzer_fingerprint, tools=True, role="analyzer"),
     Stage("repair", _under(_SOURCES, _PRE_CSV, _COMPILABLE),
-          lambda run: _fingerprint("repairer")(run) + "|" + run.profile.name, _repair, "repairer",
-          reads=(_PRE_REPORT,), copies=lambda run: tuple(run._at(_SOURCES, _VIOLATING, _TREES[0]))),
-    Stage("analyze_post", _under(_REPAIR_OUT), _analyzer_fingerprint,
-          partial(_analyze, _REPAIR_OUT, StateLabel.POST_REPAIR, _POST_REPORT), "analyzer"),
-    Stage("fixrate", _under(*_MATCHED), lambda run: run.profile.name, _fixrate,
-          reads=(_PRE_REPORT, _POST_REPORT)),
-    Stage("newviol", _under(*_MATCHED, *_TREES), _newviol_fingerprint, _newviol,
-          reads=(_PRE_REPORT, _POST_REPORT)),
+          lambda run: _fingerprint("repairer")(run) + "|" + run.profile.name, tools=True, role="repairer",
+          reads=(_PRE_CSV,), copies=lambda run: tuple(run._at(_SOURCES, _VIOLATING, _TREES[0]))),
+    Stage("analyze_post", _under(_REPAIR_OUT), _analyzer_fingerprint, tools=True, role="analyzer"),
+    Stage("fixrate", _under(*_MATCHED), lambda run: run.profile.name, reads=(_PRE_CSV, _POST_CSV)),
+    Stage("newviol", _under(*_MATCHED, *_TREES), _newviol_fingerprint, reads=(_PRE_CSV, _POST_CSV)),
     Stage("sample", _under(_NEW_CSV, *_TREES),
           lambda run: json.dumps({**run.config.sampling._asdict(), "seed": run.config.seed}, sort_keys=True),
-          _sample, reads=(_NEW,)),
-    Stage("semantic", _under(*_TREES), _fingerprint("test_runner", "compiler"), _semantic, "test_runner"),
-    Stage("metrics", _under(*_TREES), _fingerprint("metric_extractor"), _metrics, "metric_extractor"),
+          reads=(_NEW_CSV,)),
+    Stage("semantic", _under(*_TREES), _fingerprint("test_runner", "compiler"), tools=True, role="test_runner"),
+    Stage("metrics", _under(*_TREES), _fingerprint("metric_extractor"), tools=True, role="metric_extractor"),
     # the axes after fix rate are optional, so only those present are read
     Stage("report", _under(_FIXRATE_JSON), lambda run: "",
-          lambda run, stage_dir: emit_reports(run.workspace, lambda path: run._parsed(_NEW)),
-          optional=("newviol", "sample", "semantic", "metrics"), reads=(_NEW,)),
+          optional=("newviol", "sample", "semantic", "metrics"), reads=(_NEW_CSV,)),
 )
 
 STAGE_ORDER = tuple(stage.name for stage in STAGES)
@@ -1232,6 +947,7 @@ def emit_reports(
     Output depends only on the stage outputs, so identical workspaces
     produce byte-identical reports.
     """
+    from .newviol import load_new, summarize_new
     from .violations import json_text, parse_file, parse_json
 
     workspace = Path(workspace)
@@ -1245,9 +961,7 @@ def emit_reports(
 
     new_csv = workspace / _NEW_CSV
     if new_csv.is_file():
-        from .newviol import summarize_new
-
-        summary["newviol"] = summarize_new(*(load_newviol or _load_new)(new_csv))
+        summary["newviol"] = summarize_new(*(load_newviol or load_new)(new_csv))
     else:
         summary["newviol"] = {"status": "skipped"}
 

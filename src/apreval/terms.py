@@ -64,10 +64,6 @@ class RuleProfile(_RuleProfileFields):
             raise ValueError(f"profile {self.name!r} contains duplicate rule ids")
         return self
 
-    @property
-    def application_order(self) -> tuple[str, ...]:
-        return self.rules
-
 
 #: The 30 repairable rules, in the repair tool's application order.
 SORALD_30 = RuleProfile(

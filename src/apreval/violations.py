@@ -157,18 +157,11 @@ _ENUM_ALIASES_SEV = {
 }
 
 
-def _parse_vtype(raw: str, line: int) -> ViolationType:
+def _parse_enum(raw: str, aliases: Mapping[str, _T], what: str, line: int) -> _T:
     try:
-        return _ENUM_ALIASES_TYPE[raw.strip().lower()]
+        return aliases[raw.strip().lower()]
     except KeyError:
-        raise MalformedInputError(f"unknown violation type {raw!r}", line) from None
-
-
-def _parse_severity(raw: str, line: int) -> Severity:
-    try:
-        return _ENUM_ALIASES_SEV[raw.strip().lower()]
-    except KeyError:
-        raise MalformedInputError(f"unknown severity {raw!r}", line) from None
+        raise MalformedInputError(f"unknown {what} {raw!r}", line) from None
 
 
 def _parse_line_no(raw: str, name: str, line: int) -> int:
@@ -263,8 +256,8 @@ def _csv_violation(line: int, row: list[str]) -> Violation:
         return Violation(
             file_id=_file_id(file_id, "file", line),
             rule=rule.strip(),
-            vtype=_parse_vtype(vtype, line),
-            severity=_parse_severity(severity, line),
+            vtype=_parse_enum(vtype, _ENUM_ALIASES_TYPE, "violation type", line),
+            severity=_parse_enum(severity, _ENUM_ALIASES_SEV, "severity", line),
             start_line=_parse_line_no(start_line, "start_line", line),
             end_line=_parse_line_no(end_line, "end_line", line),
             message=message,
@@ -300,6 +293,11 @@ def _csv_adapter(raw: bytes | str | TextIO, options: Mapping) -> Iterable[Violat
     return _csv_violations(_csv_rows(raw))
 
 
+def _strip_through(value: str, sep: str | None) -> str:
+    """``value`` after the first ``sep`` in it; whole if ``sep`` is unset or absent."""
+    return value.split(sep, 1)[1] if sep and sep in value else value
+
+
 def _analyzer_json_adapter(raw: bytes | str | TextIO, options: Mapping) -> Iterable[Violation]:
     m = analyzer_json_mapping(options)
     fallback = options.get("end_line_fallback", False)
@@ -324,16 +322,8 @@ def _analyzer_json_adapter(raw: bytes | str | TextIO, options: Mapping) -> Itera
                 node = node[part]
             return node
 
-        component = str(get(f["file"]))
-        if m.get("file_strip_prefix_through"):
-            sep = m["file_strip_prefix_through"]
-            if sep in component:
-                component = component.split(sep, 1)[1]
-        rule = str(get(f["rule"]))
-        if m.get("rule_strip_prefix_through"):
-            sep = m["rule_strip_prefix_through"]
-            if sep in rule:
-                rule = rule.split(sep, 1)[1]
+        component = _strip_through(str(get(f["file"])), m.get("file_strip_prefix_through"))
+        rule = _strip_through(str(get(f["rule"])), m.get("rule_strip_prefix_through"))
         start_line = get(f["start_line"])
         end_line = get(f["end_line"], required=False)
         if end_line is None:

@@ -541,6 +541,22 @@ class TestAxisStdout:
         assert capsys.readouterr().out == AXIS_STDOUT["fixrate"]
 
 
+class TestInputDirectoryMissing:
+    @pytest.mark.parametrize("command, flag", [
+        ("newviol", "--repaired"), ("sample", "--repaired"), ("semantic", "--compile-log"),
+    ])
+    def test_is_a_usage_error_that_names_it(self, mini, tmp_path, capsys, command, flag):
+        # read as it is, a missing repaired tree holds every file deleted, and
+        # a missing log directory no file that failed to compile
+        args = [str(a) for a in _axis_args(mini / "workspace")[command]]
+        missing = tmp_path / "missing"
+        args[args.index(flag) + 1] = str(missing)
+        capsys.readouterr()
+        assert main([command, *args, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", f"file not found: {missing} is not a directory\n")
+        assert not (tmp_path / "out").exists()
+
+
 class TestMalformedReport:
     @pytest.mark.parametrize("flag", ["--pre", "--post"])
     @pytest.mark.parametrize("command", ["fixrate", "newviol"])

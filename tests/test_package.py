@@ -13,9 +13,9 @@ from apreval.pipeline import _adapter_env, load_config, run_pipeline
 #: what a process needs to decide that every stage is cached
 ORCHESTRATOR = ["apreval", "apreval.cli", "apreval.errors", "apreval.pipeline", "apreval.terms"]
 
-#: modules that only building a stage needs: the report parsing, and the
-#: standard modules that it or the old config classes brought in
-NOT_ON_A_CACHE_HIT = {"apreval.violations", "dataclasses", "inspect", "csv"}
+#: modules that only building a stage needs: the stage bodies, the report
+#: parsing, and the standard modules that it or the old config classes brought in
+NOT_ON_A_CACHE_HIT = {"apreval.stages", "apreval.violations", "dataclasses", "inspect", "csv"}
 
 
 def _apreval_modules_after(code: str) -> tuple[list[str], list[str]]:

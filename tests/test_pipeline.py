@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apreval import minicorpus, pipeline, violations
+from apreval import minicorpus, pipeline, stages, violations
 from apreval import newviol as newviol_mod
 from apreval import sampling as sampling_mod
 from apreval import semantic as semantic_mod
@@ -42,11 +42,11 @@ from apreval.pipeline import (
     digest_paths,
     emit_reports,
     load_config,
-    prepare_corpus_violating,
     run_pipeline,
     run_tool_adapter,
     split_lines,
 )
+from apreval.stages import prepare_corpus_violating
 from apreval.violations import SORALD_30, StateLabel
 
 from conftest import mkreport, mkviol
@@ -265,6 +265,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             ToolAdapter(name="analyzer", command_template="tool {input} {outut}")
 
+    def test_rule_placeholder_outside_the_repairer_rejected(self, tmp_path, capsys):
+        # only the repairer's passes fill in {rule}
+        path = write_config(tmp_path / "c.json")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["adapters"]["analyzer"]["command"] += " --rule {rule}"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.key_path == "adapters.analyzer.command"
+        assert main(["run", "--config", str(path)]) == 1
+        assert "{rule} is filled in for the repairer alone" in capsys.readouterr().err
+
     def test_template_that_cannot_be_split_rejected(self, tmp_path, capsys):
         # refused at load, before any stage runs
         path = write_config(tmp_path / "c.json")
@@ -276,6 +288,13 @@ class TestLoadConfig:
         assert err.value.key_path == "adapters.metric_extractor.command"
         assert main(["run", "--config", str(path)]) == 1
         assert "cannot be split into arguments: No closing quotation" in capsys.readouterr().err
+
+    def test_template_with_a_lone_brace_rejected(self):
+        # str.format could not fill it in
+        with pytest.raises(ConfigError) as err:
+            ToolAdapter(name="analyzer", command_template="tool {input} }")
+        assert err.value.key_path == "adapters.analyzer.command"
+        assert "Single '}' encountered" in str(err.value)
 
 
 class TestRunToolAdapter:
@@ -370,9 +389,11 @@ class TestRunToolAdapter:
 def test_a_stage_is_a_tool_stage_when_its_body_is_a_generator_function():
     import inspect
 
-    flags = [pipeline._yields(stage.body) for stage in STAGES]
-    assert flags == [inspect.isgeneratorfunction(stage.body) for stage in STAGES]
-    assert [stage.name for stage, tool in zip(STAGES, flags) if tool] == [
+    assert list(stages.BODIES) == list(STAGE_ORDER)
+    bodies = [stages.BODIES[stage.name] for stage in STAGES]
+    flags = [inspect.isgeneratorfunction(getattr(body, "func", body)) for body in bodies]
+    assert [stage.tools for stage in STAGES] == flags
+    assert [stage.name for stage in STAGES if stage.tools] == [
         "prepare", "analyze_pre", "repair", "analyze_post", "semantic", "metrics"]
 
 
@@ -910,15 +931,15 @@ class TestNewViolationsParsedOnce:
     def test_cold_run_hands_the_newviol_rows_on(self, tmp_path, monkeypatch):
         cfg = load_config(minicorpus.materialize(tmp_path, seed=17))
         handed = []
-        parsed = PipelineRun._parsed
+        parsed = stages._parsed
 
-        def spy(self, handoff, files=None):
-            value = parsed(self, handoff, files)
-            if handoff == pipeline._NEW:
+        def spy(run, handoff, files=None):
+            value = parsed(run, handoff, files)
+            if handoff == stages._NEW:
                 handed.append(value)
             return value
 
-        monkeypatch.setattr(PipelineRun, "_parsed", spy)
+        monkeypatch.setattr(stages, "_parsed", spy)
         loads = _count_new_loads(monkeypatch)
         run = PipelineRun(cfg)
         run.run()
@@ -944,15 +965,15 @@ class TestNewViolationsParsedOnce:
         path = cfg.workspace_dir / "newviol" / "new_violations.csv"
         run = PipelineRun(cfg)
         stale = hashlib.sha256(b"other bytes").hexdigest()
-        run._handoffs[pipeline._NEW] = (stale, (0, []))
-        assert run._parsed(pipeline._NEW) == newviol_mod.load_new(path)
+        run._handoffs[stages._NEW[0]] = (stale, (0, []))
+        assert stages._parsed(run, stages._NEW) == newviol_mod.load_new(path)
 
 
 #: each hand-off, the stages it is kept for, and those that find it seeded on a cold run
 HANDOFF_READERS = {
-    "pre report": (pipeline._PRE_REPORT, {"repair", "fixrate", "newviol"}, {"repair", "fixrate", "newviol"}),
-    "post report": (pipeline._POST_REPORT, {"repair", "fixrate", "newviol"}, {"fixrate", "newviol"}),
-    "NEW rows": (pipeline._NEW, {"sample", "report"}, {"sample", "report"}),
+    "pre report": (stages._PRE_REPORT[0], {"repair", "fixrate", "newviol"}, {"repair", "fixrate", "newviol"}),
+    "post report": (stages._POST_REPORT[0], {"repair", "fixrate", "newviol"}, {"fixrate", "newviol"}),
+    "NEW rows": (stages._NEW[0], {"sample", "report"}, {"sample", "report"}),
 }
 
 
@@ -1434,6 +1455,15 @@ class TestPerRuleRepair:
         for f in sorted((ws / "repair" / "output").glob("*.java")):
             other = single_cfg.workspace_dir / "repair" / "output" / f.name
             assert f.read_text(encoding="utf-8") == other.read_text(encoding="utf-8"), f.name
+
+    def test_escaped_rule_placeholder_runs_one_pass(self, tmp_path, monkeypatch):
+        # {{rule}} is literal text to str.format, so the repairer is called once
+        cfg = _edit_config(minicorpus.materialize(tmp_path, seed=17), lambda doc: doc["adapters"]["repairer"].update(
+            command="{python} -m apreval.stubs repairer {input} {output} --rule {{rule}}"))
+        outputs = _spy_adapter_outputs(monkeypatch)
+        assert run_pipeline(cfg, stages=["prepare", "analyze_pre", "repair"])["repair"] == "ran"
+        assert [out for out in outputs if out.startswith("repair/")] == ["repair/output"]
+        assert not list((cfg.workspace_dir / "repair").glob("pass_*"))
 
     def test_output_keeps_files_named_like_adapter_logs(self, tmp_path):
         # only the two logs run_tool_adapter writes atop the last pass stay behind

@@ -412,7 +412,6 @@ class TestProfile:
         assert len(SORALD_30.rules) == 30
         assert SORALD_30.rules[0] == "S1118"
         assert SORALD_30.rules[-1] == "S2164"
-        assert SORALD_30.application_order == SORALD_30.rules
 
     def test_duplicate_rules_rejected(self):
         with pytest.raises(ValueError):
