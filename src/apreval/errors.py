@@ -19,11 +19,6 @@ class HarnessError(Exception):
 class UnknownAdapterError(HarnessError):
     """No adapter is registered under the requested name."""
 
-    def __init__(self, name: str, known: list[str]):
-        self.name = name
-        self.known = known
-        super().__init__(f"unknown adapter {name!r}; registered: {', '.join(sorted(known))}")
-
 
 class MalformedInputError(HarnessError):
     """Input stream could not be parsed; carries line/offset when known."""
@@ -53,15 +48,6 @@ class StateMismatchError(HarnessError):
 class SpanOutOfBoundsError(HarnessError):
     """A violation span exceeds its source file; report and source disagree."""
 
-    def __init__(self, file_id: str, span: tuple[int, int], n_lines: int):
-        self.file_id = file_id
-        self.span = span
-        self.n_lines = n_lines
-        super().__init__(
-            f"span {span[0]}-{span[1]} out of bounds for {file_id!r} ({n_lines} lines); "
-            "the report is stale with respect to the sources"
-        )
-
 
 class MissingSourceError(HarnessError):
     """No source pair is available for a file referenced by a violation."""
@@ -81,13 +67,6 @@ class InvalidParameterError(HarnessError):
 class InfeasibleTargetError(HarnessError):
     """Sample target is smaller than the number of nonempty strata."""
 
-    def __init__(self, target_n: int, n_strata: int):
-        self.target_n = target_n
-        self.n_strata = n_strata
-        super().__init__(
-            f"target sample size {target_n} cannot cover {n_strata} strata at one item each"
-        )
-
 
 class UnlabeledRowError(HarnessError):
     """A labeling-sheet row has no verdict where one is required."""
@@ -99,11 +78,6 @@ class ConflictingVerdictsError(HarnessError):
 
 class SampleTooSmallError(HarnessError):
     """Sample is below the validity floor of the requested test."""
-
-    def __init__(self, n: int, floor: int):
-        self.n = n
-        self.floor = floor
-        super().__init__(f"sample size {n} is below the validity floor of {floor}")
 
 
 class DegenerateSampleError(HarnessError):
@@ -128,11 +102,6 @@ class AdapterFailureError(HarnessError):
 class AdapterTimeoutError(AdapterFailureError):
     """External tool exceeded its configured timeout."""
 
-    def __init__(self, name: str, timeout: float):
-        self.name = name
-        self.timeout = timeout
-        super().__init__(f"adapter {name!r} exceeded timeout of {timeout}s")
-
 
 class NonZeroExitError(AdapterFailureError):
     """External tool exited non-zero; stderr is attached."""
@@ -148,8 +117,6 @@ class MissingArtifactError(AdapterFailureError):
     """External tool completed but a declared artifact was not produced."""
 
     def __init__(self, name: str, artifact: str):
-        self.name = name
-        self.artifact = artifact
         super().__init__(f"adapter {name!r} did not produce expected artifact {artifact!r}")
 
 
@@ -157,7 +124,6 @@ class StageFailureError(HarnessError):
     """A pipeline stage failed; earlier stage outputs remain usable."""
 
     def __init__(self, stage: str, message: str):
-        self.stage = stage
         super().__init__(f"stage {stage!r} failed: {message}")
 
 
@@ -172,7 +138,3 @@ class MissingStageOutputError(HarnessError):
 
 class WorkspaceLockedError(HarnessError):
     """Another run holds the workspace lock."""
-
-    def __init__(self, lock_path: str):
-        self.lock_path = lock_path
-        super().__init__(f"workspace is locked by another run ({lock_path})")

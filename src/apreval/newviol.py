@@ -154,7 +154,8 @@ def extract_fragment(pair: SourcePair, span: tuple[int, int]) -> Fragment:
     start, end = span
     n = len(pair.repaired_lines)
     if start < 1 or end > n:
-        raise SpanOutOfBoundsError(pair.file_id, span, n)
+        raise SpanOutOfBoundsError(f"span {start}-{end} out of bounds for {pair.file_id!r} ({n} lines); "
+                                   "the report is stale with respect to the sources")
     return Fragment(file_id=pair.file_id, lines=pair.repaired_lines[start - 1 : end], span=span)
 
 

@@ -1,17 +1,18 @@
 """End-to-end orchestration: configs, tool adapters, and the cache decision.
 
-The ``STAGES`` table declares each stage once, as data: its inputs, config
-fingerprint, adapter role, whether it calls tools, and the hand-off paths
-it reads. The bodies that build the stages are in ``stages``. A run is
-split as in "Build systems à la carte" (Mokhov, Mitchell and Peyton Jones,
-ICFP 2018). The scheduler, :func:`schedule`, knows only tasks (a name,
-upstream names, a tool flag and a generator that yields batches of
-calls): it starts each task once its upstream tasks have ended, and runs
-their calls on a :class:`CallRunner`. The rebuilder,
-``PipelineRun._run_stage``, is the task of one stage: it skips the stage,
-takes it as cached when its input digest is unchanged and the files it
-copied still match, or rebuilds ``workspace/<stage>/`` with the stage's
-body, and records which in ``state.json``.
+The ``STAGES`` table declares each stage once, as data: its inputs as
+workspace paths, from which the stage graph and the hand-offs a run keeps
+follow, config fingerprint, adapter role and whether it calls tools. The
+bodies that build the stages are in ``stages``. A run is split as in
+"Build systems à la carte" (Mokhov, Mitchell and Peyton Jones, ICFP 2018).
+The scheduler, :func:`schedule`, knows only tasks (a name, upstream
+names, a tool flag and a generator that yields batches of calls): it
+starts each task once its upstream tasks have ended, and runs their calls
+on a :class:`CallRunner`. The rebuilder, ``PipelineRun._run_stage``, is
+the task of one stage: it skips the stage, takes it as cached when its
+input digest is unchanged and the files it copied still match, or
+rebuilds ``workspace/<stage>/`` with the stage's body, and records which
+in ``state.json``.
 
 External tools are described by command templates and run as
 subprocesses with timeout enforcement, artifact checks, and log capture;
@@ -304,7 +305,7 @@ def run_tool_adapter(
         try:
             stdout, stderr = proc.communicate(timeout=adapter.timeout)
         except subprocess.TimeoutExpired:
-            raise AdapterTimeoutError(adapter.name, adapter.timeout) from None
+            raise AdapterTimeoutError(f"adapter {adapter.name!r} exceeded timeout of {adapter.timeout}s") from None
         finally:
             _running_adapters.discard(proc)
             if proc.returncode is None:
@@ -426,7 +427,7 @@ class _WorkspaceLock:
         except OSError as exc:
             os.close(self.fd)
             if isinstance(exc, BlockingIOError):
-                raise WorkspaceLockedError(str(self.path)) from None
+                raise WorkspaceLockedError(f"workspace is locked by another run ({self.path})") from None
             raise
         return self
 
@@ -575,6 +576,8 @@ def schedule(tasks: Sequence[Task], jobs: int, runner: Callable[[int], CallRunne
 
 # --- the run itself -----------------------------------------------------------
 
+#: the config's corpus directory, as a stage input
+CORPUS = "<corpus>"
 #: workspace paths read by a stage other than the one that writes them
 _SOURCES = "prepare/sources"
 _COMPILABLE = "prepare/compilable.txt"
@@ -591,29 +594,31 @@ _FIXRATE_JSON = "fixrate/fixrate.json"
 class Stage(NamedTuple):
     """One stage: the inputs and config fingerprint it is cached on.
 
-    The input digest covers ``inputs(run)``, which are the paths
-    ``needs(run)`` lists and each workspace path in ``optional`` that exists,
-    and ``extra(run)``. Its body, ``stages.BODIES[name]``, builds
-    ``workspace/<name>/``; ``tools`` declares that the body calls tools, so
-    that it yields each batch of adapter calls and is sent their results.
-    A stage whose adapter ``role`` is unbound is skipped. ``reads`` names
-    the workspace paths of the hand-offs the body takes; the run keeps each
-    hand-off until the last stage that reads it is done. ``copies(run)``
-    gives the (source tree, list file, tree) of the files the body copies
-    or links, which a cache hit checks.
+    Each input is a workspace-relative path, or ``CORPUS``. The input
+    digest covers ``inputs(run)``, the paths in ``needs`` and those in
+    ``optional`` that exist, and ``extra(run)``. A stage runs after the
+    stages whose directories hold its inputs, and a run keeps a hand-off
+    while a stage left to run has its path, or a directory above it, as an
+    input. The body, ``stages.BODIES[name]``, builds ``workspace/<name>/``;
+    ``tools`` declares that it yields each batch of adapter calls and is
+    sent their results. A stage whose adapter ``role`` is unbound is
+    skipped. ``copies`` names the (source tree, list file, tree) of the
+    files the body copies or links, which a cache hit checks.
     """
 
     name: str
-    needs: Callable[[PipelineRun], list[Path]]
+    needs: tuple[str, ...]
     extra: Callable[[PipelineRun], str]
     tools: bool = False
     role: str | None = None
     optional: tuple[str, ...] = ()
-    reads: tuple[str, ...] = ()
-    copies: Callable[[PipelineRun], tuple[Path, Path, Path]] | None = None
+    copies: tuple[str, ...] = ()
 
     def inputs(self, run: PipelineRun) -> list[Path]:
-        return self.needs(run) + [path for path in run._at(*self.optional) if path.exists()]
+        corpus = run.config.corpus_dir
+        if CORPUS in self.needs and not corpus.is_dir():
+            raise StageFailureError(self.name, f"corpus directory does not exist: {corpus}")
+        return run._at(*self.needs) + [path for path in run._at(*self.optional) if path.exists()]
 
 
 class PipelineRun:
@@ -626,6 +631,14 @@ class PipelineRun:
         if self.jobs < 1:
             raise ConfigError("jobs", "must be at least 1")
         self.workspace = config.workspace_dir
+        # a workspace in the corpus is copied into prepare/sources, and a corpus
+        # in a stage's directory is deleted when that stage is rebuilt
+        workspace, corpus = self.workspace.resolve(), config.corpus_dir.resolve()
+        if workspace.is_relative_to(corpus):
+            raise ConfigError("workspace_dir", f"must not be or lie under the corpus directory {corpus}")
+        stage_dirs = [workspace / top for name in STAGE_ORDER for top in (name, f".{name}.prev")]
+        if any(corpus.is_relative_to(stage_dir) for stage_dir in stage_dirs):
+            raise ConfigError("corpus_dir", f"must not lie under a stage directory of the workspace {workspace}")
         self.profile = get_profile(config.profile)
         self.state_path = self.workspace / "state.json"
         self.state: dict = {}
@@ -643,7 +656,7 @@ class PipelineRun:
         self._rebuilds: dict[str, tuple[Path, dict, dict]] = {}
 
     def _at(self, *rels: str) -> list[Path]:
-        return [self.workspace / rel for rel in rels]
+        return [self.config.corpus_dir if rel == CORPUS else self.workspace / rel for rel in rels]
 
     # -- state bookkeeping
 
@@ -700,7 +713,7 @@ class PipelineRun:
 
     def _run_stage(self, stage: Stage) -> Generator[list[Callable[[], object]], list[tuple], None]:
         """Skip, reuse, or (re)build one stage, record which, then drop the
-        hand-offs that no stage left to run reads.
+        hand-offs that no stage left to run has as an input.
 
         The stage's task for :func:`schedule`: the body's batches of adapter
         calls pass out, and each batch's time goes to ``calls_s`` and its
@@ -723,7 +736,7 @@ class PipelineRun:
             old = self.state["stages"].get(name) or {}
             if self.force or old.get("status") != "ok" or not stage_dir.is_dir():
                 old = {}
-            if old.get("input_digest") == digest and (stage.copies is None or self._holds_copies(*stage.copies(self))):
+            if old.get("input_digest") == digest and (not stage.copies or self._holds_copies(*self._at(*stage.copies))):
                 self.summary[name] = "cached"
                 return
             from . import stages  # the bodies and the analysis they call, which no cache hit loads
@@ -775,8 +788,8 @@ class PipelineRun:
             self.summary[name] = "ran"
         finally:
             self._pending.pop(name, None)
-            read = {path for left in self._pending.values() for path in left.reads}
-            for path in [path for path in self._handoffs if path not in read]:
+            held = {top + "/" for left in self._pending.values() for top in left.needs + left.optional}
+            for path in [path for path in self._handoffs if not any(map((path + "/").startswith, held))]:
                 del self._handoffs[path]
 
     def _holds_copies(self, src: Path, listed: Path, tree: Path) -> bool:
@@ -821,11 +834,10 @@ class PipelineRun:
             return []
         return [partial(run_tool_adapter, adapter, input_dir, stage_dir / sub)]
 
-    def _upstream(self, stage: Stage) -> set[str]:
+    @staticmethod
+    def _upstream(stage: Stage) -> set[str]:
         """The stages whose directory holds an input of ``stage``, present or not."""
-        ws = self.workspace
-        paths = stage.needs(self) + self._at(*stage.optional)
-        return {path.relative_to(ws).parts[0] for path in paths if path.is_relative_to(ws)}
+        return {path.split("/")[0] for path in stage.needs + stage.optional if path != CORPUS}
 
     def run(self, stages: Sequence[str] | None = None) -> dict[str, str]:
         """Execute the requested stages (all by default); the summary is in ``STAGES`` order."""
@@ -849,19 +861,8 @@ class PipelineRun:
 # --- the stages ---------------------------------------------------------------
 
 
-def _under(*rels: str) -> Callable[[PipelineRun], list[Path]]:
-    return lambda run: run._at(*rels)
-
-
 def _fingerprint(*roles: str) -> Callable[[PipelineRun], str]:
     return lambda run: "|".join(_adapter_fingerprint(run.config.adapters.get(role)) for role in roles)
-
-
-def _corpus(run: PipelineRun) -> list[Path]:
-    corpus = run.config.corpus_dir
-    if not corpus.is_dir():
-        raise StageFailureError("prepare", f"corpus directory does not exist: {corpus}")
-    return [corpus]
 
 
 def split_lines(text: str) -> list[str]:
@@ -891,23 +892,20 @@ def _newviol_fingerprint(run: PipelineRun) -> str:
 
 #: every stage, in run order
 STAGES = (
-    Stage("prepare", _corpus, _fingerprint("compiler"), tools=True,
-          copies=lambda run: (run.config.corpus_dir, *run._at(_COMPILABLE, _SOURCES))),
-    Stage("analyze_pre", _under(_SOURCES), _analyzer_fingerprint, tools=True, role="analyzer"),
-    Stage("repair", _under(_SOURCES, _PRE_CSV, _COMPILABLE),
+    Stage("prepare", (CORPUS,), _fingerprint("compiler"), tools=True, copies=(CORPUS, _COMPILABLE, _SOURCES)),
+    Stage("analyze_pre", (_SOURCES,), _analyzer_fingerprint, tools=True, role="analyzer"),
+    Stage("repair", (_SOURCES, _PRE_CSV, _COMPILABLE),
           lambda run: _fingerprint("repairer")(run) + "|" + run.profile.name, tools=True, role="repairer",
-          reads=(_PRE_CSV,), copies=lambda run: tuple(run._at(_SOURCES, _VIOLATING, _TREES[0]))),
-    Stage("analyze_post", _under(_REPAIR_OUT), _analyzer_fingerprint, tools=True, role="analyzer"),
-    Stage("fixrate", _under(*_MATCHED), lambda run: run.profile.name, reads=(_PRE_CSV, _POST_CSV)),
-    Stage("newviol", _under(*_MATCHED, *_TREES), _newviol_fingerprint, reads=(_PRE_CSV, _POST_CSV)),
-    Stage("sample", _under(_NEW_CSV, *_TREES),
-          lambda run: json.dumps({**run.config.sampling._asdict(), "seed": run.config.seed}, sort_keys=True),
-          reads=(_NEW_CSV,)),
-    Stage("semantic", _under(*_TREES), _fingerprint("test_runner", "compiler"), tools=True, role="test_runner"),
-    Stage("metrics", _under(*_TREES), _fingerprint("metric_extractor"), tools=True, role="metric_extractor"),
+          copies=(_SOURCES, _VIOLATING, _TREES[0])),
+    Stage("analyze_post", (_REPAIR_OUT,), _analyzer_fingerprint, tools=True, role="analyzer"),
+    Stage("fixrate", _MATCHED, lambda run: run.profile.name),
+    Stage("newviol", _MATCHED + _TREES, _newviol_fingerprint),
+    Stage("sample", (_NEW_CSV, *_TREES),
+          lambda run: json.dumps({**run.config.sampling._asdict(), "seed": run.config.seed}, sort_keys=True)),
+    Stage("semantic", _TREES, _fingerprint("test_runner", "compiler"), tools=True, role="test_runner"),
+    Stage("metrics", _TREES, _fingerprint("metric_extractor"), tools=True, role="metric_extractor"),
     # the axes after fix rate are optional, so only those present are read
-    Stage("report", _under(_FIXRATE_JSON), lambda run: "",
-          optional=("newviol", "sample", "semantic", "metrics"), reads=(_NEW_CSV,)),
+    Stage("report", (_FIXRATE_JSON,), lambda run: "", optional=("newviol", "sample", "semantic", "metrics")),
 )
 
 STAGE_ORDER = tuple(stage.name for stage in STAGES)

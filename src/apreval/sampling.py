@@ -103,7 +103,7 @@ def allocate_proportional(
     if not sizes:
         return {}
     if target_n < len(sizes):
-        raise InfeasibleTargetError(target_n, len(sizes))
+        raise InfeasibleTargetError(f"target sample size {target_n} cannot cover {len(sizes)} strata at one item each")
     total = sum(sizes.values())
     if target_n > total:
         raise InvalidParameterError(

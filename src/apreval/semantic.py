@@ -9,6 +9,7 @@ shipped as editable data files, keeping the module runner-agnostic.
 
 from __future__ import annotations
 
+import posixpath
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -249,7 +250,7 @@ def _parse_compile_results(data: bytes) -> tuple[list[str], dict[str, str]]:
     results = parse_json(data)
     if not isinstance(results, list):
         raise MalformedInputError("expected a list of records")
-    compilable: list[str] = []
+    compilable: set[str] = set()
     rejected: dict[str, str] = {}
     for i, r in enumerate(results):
         if not (
@@ -257,10 +258,16 @@ def _parse_compile_results(data: bytes) -> tuple[list[str], dict[str, str]]:
             and (r["ok"] or isinstance(r.get("diagnostic"), str))
         ):
             raise MalformedInputError(f"record {i} needs a string file, ok and, when not ok, a string diagnostic")
+        # prepare copies each file named from the corpus, and a cache hit matches the copies with these names
+        file = r["file"]
+        if posixpath.isabs(file) or {".", ".."} & set(file.split("/")) or posixpath.normpath(file) != file:
+            raise MalformedInputError(f"record {i} names {file!r}, not a normal relative path under the corpus")
+        if file in compilable or file in rejected:
+            raise MalformedInputError(f"record {i} names {file!r} a second time")
         if r["ok"]:
-            compilable.append(r["file"])
+            compilable.add(file)
         else:
-            rejected[r["file"]] = r["diagnostic"]
+            rejected[file] = r["diagnostic"]
     return sorted(compilable), rejected
 
 

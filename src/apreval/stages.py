@@ -14,7 +14,9 @@ their modules, so that what a module holds when a stage runs is what runs.
 Parsed values pass between stages as hand-offs, each a workspace path and
 how its value is loaded from there: a value handed on is used only while
 its file is unchanged, and the run drops it once no stage left to run
-``reads`` its path.
+declares that path, or a directory above it, as an input. A body reads a
+hand-off only under its stage's declared inputs, whose digest has just
+put the file's sha256 in the memo.
 """
 
 from __future__ import annotations

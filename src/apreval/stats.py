@@ -98,7 +98,7 @@ def dagostino_pearson(sample: Iterable[float]) -> StatResult:
     x = [float(v) for v in sample]
     n = len(x)
     if n < NORMALITY_MIN_N:
-        raise SampleTooSmallError(n, NORMALITY_MIN_N)
+        raise SampleTooSmallError(f"sample size {n} is below the validity floor of {NORMALITY_MIN_N}")
     mu = math.fsum(x) / n
     dev = [v - mu for v in x]
     m2 = math.fsum(d * d for d in dev) / n

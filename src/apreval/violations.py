@@ -370,7 +370,7 @@ def parse_report(
 ) -> ViolationReport:
     """Ingest a raw analyzer report through a named adapter and normalize it."""
     if adapter not in ADAPTERS:
-        raise UnknownAdapterError(adapter, list(ADAPTERS))
+        raise UnknownAdapterError(f"unknown adapter {adapter!r}; registered: {', '.join(sorted(ADAPTERS))}")
     entries = tuple(ADAPTERS[adapter](raw, options or {}))
     return normalize_report(ViolationReport(state=state, entries=entries))
 

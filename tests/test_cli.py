@@ -426,7 +426,13 @@ class TestSemanticCommand:
         '[{"file": "A.java", "diagnostic": ""}]',
         '[{"file": "A.java", "ok": false}]',
         '["A.java"]',
-    ], ids=["invalid-json", "not-a-list", "no-ok", "rejected-without-diagnostic", "not-an-object"])
+        '[{"file": "../outside.txt", "ok": true}]',
+        '[{"file": "/abs/A.java", "ok": true}]',
+        '[{"file": "", "ok": true}]',
+        '[{"file": "./A.java", "ok": true}]',
+        '[{"file": "A.java", "ok": true}, {"file": "A.java", "ok": false, "diagnostic": "d"}]',
+    ], ids=["invalid-json", "not-a-list", "no-ok", "rejected-without-diagnostic", "not-an-object",
+            "outside-the-corpus", "absolute", "empty", "not-normal", "listed-twice"])
     def test_malformed_compile_results_are_a_clear_error(self, mini, tmp_path, capsys, results):
         ws = mini / "workspace"
         log_dir = tmp_path / "compile"

@@ -32,6 +32,7 @@ from apreval.errors import (
     WorkspaceLockedError,
 )
 from apreval.pipeline import (
+    CORPUS,
     STAGE_ORDER,
     STAGES,
     PipelineConfig,
@@ -1725,6 +1726,68 @@ class TestFailureIsolation:
         assert hashlib.sha256(summary.read_bytes()).hexdigest() == MINI_SUMMARY_SHA256
         assert set(run_pipeline(cfg).values()) == {"cached"}
 
+    def test_compiler_naming_a_file_outside_the_corpus_fails_prepare(self, tmp_path, capsys):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        (tmp_path / "outside.txt").write_text("not part of the corpus\n", encoding="utf-8")
+        compiler = tmp_path / "compiler.py"
+        compiler.write_text(_OUTSIDE_COMPILER, encoding="utf-8")
+        cfg = _edit_config(config_path, lambda doc: doc["adapters"]["compiler"].update(
+            command=f"{{python}} {compiler} {{input}} {{output}}"))
+        assert main(["run", "--config", str(config_path), "--stages", "prepare"]) == 2
+        assert "'../outside.txt', not a normal relative path" in capsys.readouterr().err
+        assert not (cfg.workspace_dir / "prepare" / "sources").exists()
+        assert [path.name for path in tmp_path.rglob("outside.txt")] == ["outside.txt"]
+        assert not (cfg.workspace_dir / "prepare" / "outside.txt").exists()
+
+
+#: a compiler that accepts a file beside the corpus, outside it
+_OUTSIDE_COMPILER = """\
+import json, sys
+from pathlib import Path
+out = Path(sys.argv[2])
+out.mkdir(parents=True, exist_ok=True)
+(out / "compile_results.json").write_text(json.dumps([{"file": "../outside.txt", "ok": True}]))
+"""
+
+#: where a layout puts the corpus, its workspace, and the config key refused, relative to the config
+OVERLAPS = {
+    "workspace-is-corpus": ("corpus", "corpus", "workspace_dir"),
+    "workspace-in-corpus": ("corpus", "corpus/ws", "workspace_dir"),
+    "corpus-is-a-stage-dir": ("prepare", ".", "corpus_dir"),
+    "corpus-in-a-stage-dir": ("ws/metrics/corpus", "ws", "corpus_dir"),
+    "corpus-in-a-set-aside-stage-dir": ("ws/.newviol.prev/corpus", "ws", "corpus_dir"),
+}
+
+
+class TestWorkspaceCorpusOverlap:
+    @pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+    @pytest.mark.parametrize("corpus, workspace, key", OVERLAPS.values(), ids=list(OVERLAPS))
+    def test_overlap_is_refused_before_anything_is_written(self, tmp_path, capsys, corpus, workspace, key, flag):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        if corpus != "corpus":
+            (tmp_path / corpus).parent.mkdir(parents=True, exist_ok=True)
+            os.replace(tmp_path / "corpus", tmp_path / corpus)
+
+        def edit(doc):
+            doc["corpus_dir"] = corpus
+            if not flag:
+                doc["workspace_dir"] = workspace
+
+        _edit_config(config_path, edit)
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["run", "--config", str(config_path)] + (["--workspace", str(tmp_path / workspace)] if flag else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key}: must not ")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert len(list((tmp_path / corpus).glob("*.java"))) == 12
+
+    def test_corpus_beside_the_stage_directories_is_legal(self, tmp_path):
+        config_path = minicorpus.materialize(tmp_path, seed=17)
+        cfg = _edit_config(config_path, lambda doc: doc.update(workspace_dir="."))
+        assert run_pipeline(cfg, stages=["prepare"]) == {"prepare": "ran"}
+        assert len(list((tmp_path / "prepare" / "sources").glob("*.java"))) == 12
+        assert run_pipeline(cfg, stages=["prepare"]) == {"prepare": "cached"}
+
 
 def _edit_config(config_path: Path, edit) -> PipelineConfig:
     doc = json.loads(config_path.read_text(encoding="utf-8"))
@@ -1937,6 +2000,23 @@ class TestStageOverlap:
             "metrics": {"repair"},
             "report": {"fixrate", "newviol", "sample", "semantic", "metrics"},
         }
+
+    def test_declared_inputs_are_earlier_outputs_and_cover_each_handoff_read(self):
+        # each input of a stage is written before it runs, so no stage waits on itself
+        earlier = set()
+        for stage in STAGES:
+            for path in stage.needs + stage.optional:
+                assert path == CORPUS or path.split("/")[0] in earlier, (stage.name, path)
+            # a stage copies from one of its inputs into its own directory
+            if stage.copies:
+                src, *made = stage.copies
+                assert src in stage.needs and {path.split("/")[0] for path in made} == {stage.name}, stage.name
+            earlier.add(stage.name)
+        # a hand-off lives while a stage left to run declares it as an input
+        declared = {stage.name: stage.needs + stage.optional for stage in STAGES}
+        for label, (handoff, _, readers) in HANDOFF_READERS.items():
+            for name in readers:
+                assert any((handoff + "/").startswith(top + "/") for top in declared[name]), (label, name)
 
     def test_report_waits_for_a_slow_test_runner(self, tmp_path):
         cfg = _slow_tools(tmp_path, 2, test_runner=1.0)
